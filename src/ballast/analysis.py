@@ -331,21 +331,32 @@ def probe_states(policy, n: int, balls: int, seed: int, max_states: int = 256) -
     config = SimConfig(n=n, seed=seed, balls=balls)
     pa, pb, ties = draw_run_streams(config)
     policy.reset(n, balls)
-    seen = {}
-    loads = [0] * n
+    seen: dict = {}
+    kept = []
     for a, b, r in zip(pa, pb, ties):
-        sid = policy.state_id()
-        if sid not in seen:
-            seen[sid] = policy.snapshot()
-            if len(seen) >= max_states:
+        if _first_visit(seen, policy):
+            kept.append(policy.snapshot())
+            if len(kept) >= max_states:
                 break
         c = policy.decide((a, b), r)
-        loads[c] += 1
         policy.update((a, b), c)
-    sid = policy.state_id()
-    if sid not in seen and len(seen) < max_states:
-        seen[sid] = policy.snapshot()
-    return list(seen.values())
+    if _first_visit(seen, policy) and len(kept) < max_states:
+        kept.append(policy.snapshot())
+    return kept
+
+
+def _first_visit(seen: dict, policy) -> bool:
+    """Record the policy's current memory state; True on its first visit.
+
+    ``seen`` maps each ``state_id`` to the exact memory states that carried
+    it, so two states whose 64-bit ids collide are still told apart.
+    """
+    same_id = seen.setdefault(policy.state_id(), [])
+    mem = policy.memory_state()
+    if mem in same_id:
+        return False
+    same_id.append(mem)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +522,16 @@ def forbidden_union_over_trace(policy, trace: Sequence[StepRecord], n: int, epsi
     """
     eps = as_exact(epsilon)
     policy.reset(n, max(len(trace), 1))
-    seen = set()
+    seen: dict = {}
+    distinct = 0
     union: set[int] = set()
     for rec in trace:
-        sid = policy.state_id()
-        if sid not in seen:
-            seen.add(sid)
+        if _first_visit(seen, policy):
+            distinct += 1
             probs = exact_placement_probs(policy, n)
             union |= forbidden_set(probs, eps).members
         policy.update((rec.bin_a, rec.bin_b), rec.chosen)
-    return union, len(seen)
+    return union, distinct
 
 
 def phase_report_with_forbidden(

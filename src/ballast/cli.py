@@ -19,7 +19,11 @@ from . import analysis, core, harness, policies
 
 
 def _env_seed() -> int:
-    return int(os.environ.get("BALLAST_SEED", "0"))
+    text = os.environ.get("BALLAST_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"BALLAST_SEED must be an integer, got {text!r}") from None
 
 
 def parse_epsilon_grid(text: str) -> list[Fraction]:
@@ -186,6 +190,9 @@ def cmd_phases(args) -> int:
     if not args.policy and (not args.trace_in or args.forbidden):
         print("phases needs --policy unless reading a trace without --forbidden", file=sys.stderr)
         return 2
+    if args.forbidden and args.n > core.PAIR_GUARD:
+        print(f"phases --forbidden needs n <= {core.PAIR_GUARD}", file=sys.stderr)
+        return 2
     if args.trace_in:
         trace = core.read_trace_csv(args.trace_in)
         pc = _phase_config(args)
@@ -317,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # reads BALLAST_SEED for --seed defaults
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,13 @@ PRNG) keyed by ``SimConfig.seed``. Each run draws exactly three vectors up
 front, in this order: first-offered bins, second-offered bins, tie bits.
 The fixed layout makes every run bit-replayable from its seed alone,
 independent of which branches a policy takes.
+
+A traced run records, before each ball, ``memory_state_id``: the policy's
+``state_id()``. For a clustered geometry whose counters fit in 63 bits it
+is the exact packed counter tuple; otherwise it is a 64-bit key linear in
+the memory vector, with fixed pseudo-random weights. Equal states always
+get equal ids, in any process. Policies keep the key current in O(1) per
+ball, so tracing costs O(balls).
 """
 
 from __future__ import annotations

@@ -148,6 +148,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ScalingRow]:
     Trials are independent (seed = base_seed XOR trial), so jobs > 1 runs
     them in worker processes; ordering of the output never depends on it.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [
         (ps, n, spec.delta, t, spec.base_seed, spec.measure_runtime)
         for ps in spec.policies

@@ -18,6 +18,10 @@ Tie-breaks consume the engine's per-step tie bit: bit 0 keeps the first
 offered bin, bit 1 takes the second. ``choice_dist`` exposes each policy's
 exact per-pair choice distribution (probabilities in half-units, so a fair
 tie is ``(bin_a, 1), (bin_b, 1)``) for the enumeration-based analysis.
+
+``state_id`` labels the current memory state in O(1): greedy, clustered
+and advice keep a key that is linear in their memory vector and that
+``update`` adjusts by one weight per ball (see ``_LinearKeyPolicy``).
 """
 
 from __future__ import annotations
@@ -64,7 +68,16 @@ class Policy:
     # -- introspection for analysis ------------------------------------
 
     def state_id(self) -> int:
+        """Integer label of the memory state: equal states, equal ids."""
         return 0
+
+    def memory_state(self):
+        """The exact memory the decision rule reads, as a comparable tuple.
+
+        Two steps are in the same memory state iff these compare equal;
+        ``state_id`` is a label of this value that may collide.
+        """
+        return self.snapshot()
 
     def snapshot(self):
         return ()
@@ -90,6 +103,47 @@ class Policy:
         return 1
 
 
+_KEY_MASK = (1 << 64) - 1
+_KEY_WEIGHT_SEED = 0x57A7E1D  # Philox key of the state-key weights
+
+
+def key_weights(count: int) -> np.ndarray:
+    """Pseudo-random uint64 weights W_0..W_{count-1} of the linear state key.
+
+    They are the first ``count`` raw outputs of a Philox generator with a
+    fixed key of their own, so W_k does not depend on ``count`` and drawing
+    them touches none of a run's streams.
+    """
+    return np.random.Philox(key=_KEY_WEIGHT_SEED).random_raw(count)
+
+
+class _LinearKeyPolicy(Policy):
+    """A policy whose memory is an integer vector m, with an O(1) state key.
+
+    ``state_id()`` is ``sum_k m_k * W_k mod 2^64``. Each ``update`` adds the
+    change of m times its weight, so the key costs O(1) per ball. ``reset``,
+    ``restore`` and ``run_bulk`` only mark the key stale (``None``); the next
+    ``state_id()`` recomputes it from the memory once, which also builds the
+    weights on first use, so untraced runs never allocate them. Equal
+    memories get equal ids in any process; distinct ones may collide.
+    """
+
+    def reset(self, n, balls):
+        super().reset(n, balls)
+        self._key = None
+        self._wv = None
+
+    def _key_weights(self) -> np.ndarray:
+        return key_weights(self.n)
+
+    def _linear_key(self, memory) -> int:
+        """The key of the memory vector m, computed from scratch."""
+        if self._wv is None:
+            self._wv = self._key_weights()
+            self._w = self._wv.tolist()
+        return int(np.dot(np.asarray(memory, dtype=np.uint64), self._wv))
+
+
 class OneChoicePolicy(Policy):
     """Ignores the second option: ball goes to the first offered bin."""
 
@@ -111,7 +165,7 @@ class OneChoicePolicy(Policy):
         return 0
 
 
-class GreedyTwoChoicePolicy(Policy):
+class GreedyTwoChoicePolicy(_LinearKeyPolicy):
     """Full-knowledge baseline: pick the less loaded of the two bins.
 
     Memory is the entire load vector, declared as n * width(balls) bits.
@@ -135,8 +189,11 @@ class GreedyTwoChoicePolicy(Policy):
 
     def update(self, pair, chosen):
         self._mem[chosen] += 1
+        if self._key is not None:
+            self._key = (self._key + self._w[chosen]) & _KEY_MASK
 
     def run_bulk(self, loads, pa, pb, ties):
+        self._key = None
         mem = self._mem
         for a, b, r in zip(pa, pb, ties):
             la, lb = mem[a], mem[b]
@@ -152,7 +209,9 @@ class GreedyTwoChoicePolicy(Policy):
             loads[c] += 1
 
     def state_id(self):
-        return hash(tuple(self._mem))
+        if self._key is None:
+            self._key = self._linear_key(self._mem)
+        return self._key
 
     def snapshot(self):
         return tuple(self._mem)
@@ -161,6 +220,7 @@ class GreedyTwoChoicePolicy(Policy):
         if len(state) != self.n:
             raise ValueError("state length does not match n")
         self._mem = list(state)
+        self._key = None
 
     def choice_dist(self, pair):
         a, b = pair
@@ -211,13 +271,16 @@ def default_cluster_config(n: int) -> ClusterConfig:
     return ClusterConfig(cluster_size=c, counter_cap=4 * c)
 
 
-class ClusteredPolicy(Policy):
+class ClusteredPolicy(_LinearKeyPolicy):
     """Sublinear-memory policy: one saturating counter per bin cluster.
 
     Picks the offered bin whose cluster holds fewer balls; ties (including
     both bins in the same cluster) go to the tie bit. The chosen bin's
     cluster counter increments, clamping at the cap so comparisons stay
     meaningful under bounded width.
+
+    The state key weighs counter k by (cap+1)^k whenever all counters fit in
+    63 bits, so the key is then the exact packed counter tuple.
     """
 
     name = "clustered"
@@ -244,8 +307,11 @@ class ClusteredPolicy(Policy):
         cc = chosen // self.config.cluster_size
         if self._counters[cc] < self.config.counter_cap:
             self._counters[cc] += 1
+            if self._key is not None:
+                self._key = (self._key + self._w[cc]) & _KEY_MASK
 
     def run_bulk(self, loads, pa, pb, ties):
+        self._key = None
         cnt = self._counters
         c = self.config.cluster_size
         cap = self.config.counter_cap
@@ -264,15 +330,16 @@ class ClusteredPolicy(Policy):
             if cnt[cc] < cap:
                 cnt[cc] += 1
 
-    def state_id(self):
+    def _key_weights(self):
         k = len(self._counters)
         if k * self.config.counter_width <= 63:
-            base = self.config.counter_cap + 1
-            sid = 0
-            for v in reversed(self._counters):
-                sid = sid * base + v
-            return sid
-        return hash(tuple(self._counters))
+            return (self.config.counter_cap + 1) ** np.arange(k, dtype=np.uint64)
+        return key_weights(k)
+
+    def state_id(self):
+        if self._key is None:
+            self._key = self._linear_key(self._counters)
+        return self._key
 
     def snapshot(self):
         return tuple(self._counters)
@@ -283,6 +350,7 @@ class ClusteredPolicy(Policy):
         if any(v < 0 or v > self.config.counter_cap for v in state):
             raise ValueError("counter value out of range")
         self._counters = list(state)
+        self._key = None
 
     def choice_dist(self, pair):
         a, b = pair
@@ -324,7 +392,7 @@ def build_advice(loads, threshold: int) -> AdviceList:
     return AdviceList(threshold=threshold, entries=entries)
 
 
-class AdvicePolicy(Policy):
+class AdvicePolicy(_LinearKeyPolicy):
     """No persistent memory; a fresh advice list arrives before every ball.
 
     The list names every bin currently holding >= threshold balls, with
@@ -336,6 +404,9 @@ class AdvicePolicy(Policy):
     loads, which is equivalent to rebuilding the list from the simulator
     state before each ball. The advice channel cost is reported as the
     maximum over steps of |list| * (bin-index bits + count bits).
+
+    The memory state is the list itself: the key's memory vector holds the
+    load of every listed bin and 0 for every other bin.
     """
 
     name = "advice"
@@ -375,10 +446,15 @@ class AdvicePolicy(Policy):
         if self._nlisted > self._prestep_max:
             self._prestep_max = self._nlisted
         self._mem[chosen] += 1
-        if self._mem[chosen] == self.threshold:
+        v, T = self._mem[chosen], self.threshold
+        if v == T:
             self._nlisted += 1
+        if v >= T and self._key is not None:
+            # reaching T lists the bin with all T balls; above T it gains one
+            self._key = (self._key + (T if v == T else 1) * self._w[chosen]) & _KEY_MASK
 
     def run_bulk(self, loads, pa, pb, ties):
+        self._key = None
         mem = self._mem
         T = self.threshold
         nlisted = self._nlisted
@@ -413,11 +489,14 @@ class AdvicePolicy(Policy):
                 self._prestep_max = prestep
 
     def state_id(self):
-        return hash(self._listed_tuple())
+        if self._key is None:
+            m = np.asarray(self._mem, dtype=np.uint64)
+            m[m < self.threshold] = 0
+            self._key = self._linear_key(m)
+        return self._key
 
-    def _listed_tuple(self):
-        T = self.threshold
-        return tuple((i, v) for i, v in enumerate(self._mem) if v >= T)
+    def memory_state(self):
+        return self.advice_list().entries
 
     def snapshot(self):
         return tuple(self._mem)
@@ -427,6 +506,7 @@ class AdvicePolicy(Policy):
             raise ValueError("state length does not match n")
         self._mem = list(state)
         self._nlisted = sum(1 for v in state if v >= self.threshold)
+        self._key = None
 
     def choice_dist(self, pair):
         a, b = pair

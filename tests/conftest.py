@@ -57,7 +57,11 @@ def reference_two_choice(n: int, balls: int, seed: int) -> list[int]:
 
 
 def run_battery(policy_name: str, n: int, trials: int = TRIALS, keep_loads: bool = False, **params):
-    """`trials` seeded runs; returns (max_loads, memory_bits, loads or None, seconds)."""
+    """`trials` seeded runs; returns (max_loads, memory_bits, loads or None, seconds).
+
+    memory_bits is the largest over the trials: the advice channel cost
+    depends on the run.
+    """
     maxima = []
     bits = 0
     all_loads = [] if keep_loads else None
@@ -67,7 +71,7 @@ def run_battery(policy_name: str, n: int, trials: int = TRIALS, keep_loads: bool
         policy = make_policy(policy_name, **params)
         result = simulate_run(config, policy)
         maxima.append(result.max_load)
-        bits = memory_bits(policy, config)
+        bits = max(bits, memory_bits(policy, config))
         if keep_loads:
             all_loads.append(result.loads)
     return maxima, bits, all_loads, time.perf_counter() - t0

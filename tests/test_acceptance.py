@@ -253,7 +253,7 @@ def test_criterion_7_advice_list_size(advice_battery, advice_budget_battery):
     _report("7 (list size)", size_ok and load_ok,
             f"T={T}: counts {min(counts)}..{max(counts)} vs bound {bound}, ok in "
             f"{passed}/20, maxima {sorted(set(maxima))} vs bound {load_bound:.2f}, "
-            f"channel {advice_budget_battery['memory_bits']} bits; "
+            f"channel max {advice_budget_battery['memory_bits']} bits; "
             f"T={advice_battery['threshold']}: counts {default_counts[0]}..{default_counts[-1]}")
     assert size_ok, f"list-size check ok in {passed}/20 trials; counts {sorted(counts)}"
     assert load_ok, f"maxima {sorted(set(maxima))} exceed {load_bound:.2f}"

@@ -222,6 +222,32 @@ def test_probe_states_dedup_and_cap():
     assert tuple([0] * 8) in states  # fresh state always visited first
 
 
+@pytest.mark.parametrize("name", ["greedy", "advice", "clustered"])
+def test_dedup_is_exact_when_every_state_id_collides(name, monkeypatch):
+    """Distinct memory states are counted exactly even if all ids collide."""
+    n, balls = 16, 40
+
+    def build():
+        return make_policy(name, threshold=2) if name == "advice" else make_policy(name)
+
+    trace = simulate_run(SimConfig(n=n, seed=5, balls=balls, record_trace=True), build()).trace
+    replay = build()
+    replay.reset(n, balls)
+    before_steps = set()
+    for rec in trace:
+        before_steps.add(replay.memory_state())
+        replay.update((rec.bin_a, rec.bin_b), rec.chosen)
+    expect_probed = len(before_steps | {replay.memory_state()})
+    assert len(before_steps) > 2
+
+    for collide in (False, True):
+        if collide:
+            monkeypatch.setattr(type(build()), "state_id", lambda self: 0)
+        assert len(probe_states(build(), n, balls, seed=5)) == expect_probed
+        _, distinct = forbidden_union_over_trace(build(), trace, n, Fraction(1, 4))
+        assert distinct == len(before_steps)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32), balls=st.integers(1, 24))
 def test_size_bound_holds_for_visited_greedy_states(seed, balls):

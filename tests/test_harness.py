@@ -75,6 +75,15 @@ def test_parallel_jobs_match_sequential():
     assert run_experiment(spec, jobs=2) == run_experiment(spec, jobs=1)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_scan_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "rows.csv"
+    code = main(["scan", "--n", "16", "--policy", "greedy", "--jobs", jobs, "--out", str(out)])
+    assert code == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_row_columns_consistent_with_modules():
     spec = small_spec(
         policies=(
@@ -266,13 +275,25 @@ def test_cli_phases_live_and_trace(tmp_path, capsys):
     assert from_trace["rows"] == live["rows"]
 
 
-def test_cli_phases_forbidden(capsys):
+def test_cli_phases_forbidden(capsys, monkeypatch):
     code = main(["phases", "--policy", "greedy", "--n", "16", "--phases", "2",
                  "--seed", "2", "--forbidden", "--epsilon", "0.25"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert "forbidden_overlap" in report["rows"][0]
     assert report["states_seen"] >= 1
+
+    # above the enumeration guard it refuses before simulating anything
+    from ballast import PAIR_GUARD, cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated a run that the guard must refuse")
+
+    monkeypatch.setattr(cli.core, "simulate_run", no_run)
+    code = main(["phases", "--policy", "greedy", "--n", str(PAIR_GUARD + 1), "--phases", "2",
+                 "--forbidden"])
+    assert code == 2
+    assert f"needs n <= {PAIR_GUARD}" in capsys.readouterr().err
 
 
 def test_cli_bounds_reports_log_base(capsys):
@@ -297,6 +318,15 @@ def test_cli_env_seed(tmp_path, monkeypatch, capsys):
     assert main(["run", "--policy", "one-choice", "--n", "16"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["seed"] == 777
+
+
+@pytest.mark.parametrize(
+    "command", [["bounds", "--n", "16"], ["run", "--policy", "greedy", "--n", "8"]]
+)
+def test_cli_bad_env_seed_exits_cleanly(monkeypatch, capsys, command):
+    monkeypatch.setenv("BALLAST_SEED", "abc")
+    assert main(command) == 2
+    assert "BALLAST_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_cli_error_paths(tmp_path):

@@ -1,5 +1,6 @@
 """Policy decision rules, memory accounting, and the advice oracle."""
 
+import inspect
 import math
 
 import pytest
@@ -16,7 +17,9 @@ from ballast import (
     make_policy,
     memory_bits,
     simulate_run,
+    simulate_segmented,
 )
+from ballast import policies
 
 
 def test_one_choice_takes_first():
@@ -244,6 +247,88 @@ def test_clustered_state_ids_are_distinct_when_packed():
         p.restore(state)
         seen.add(p.state_id())
     assert len(seen) == 4
+
+
+KEY_N = 32
+KEYED_POLICIES = {
+    "greedy": lambda: make_policy("greedy"),
+    "advice": lambda: make_policy("advice", threshold=2),
+    # 8 counters of 4 bits: the key is the packed counter tuple
+    "clustered-packed": lambda: ClusteredPolicy(ClusterConfig(cluster_size=4, counter_cap=8)),
+    # 32 counters of 2 bits need 64 bits: pseudo-random weights
+    "clustered-unpacked": lambda: ClusteredPolicy(ClusterConfig(cluster_size=1, counter_cap=3)),
+}
+
+
+def key_oracle(p) -> int:
+    """sum_k m_k * W_k mod 2^64 in Python integers, from the exact memory."""
+    if isinstance(p, AdvicePolicy):
+        m = [0] * p.n
+        for i, v in p.memory_state():
+            m[i] = v
+    else:
+        m = list(p.memory_state())
+    if isinstance(p, ClusteredPolicy) and len(m) * p.config.counter_width <= 63:
+        w = [(p.config.counter_cap + 1) ** k for k in range(len(m))]
+    else:
+        w = [int(x) for x in policies.key_weights(len(m))]
+    return sum(a * b for a, b in zip(m, w)) % 2**64
+
+
+_bin = st.integers(0, KEY_N - 1)
+_step = st.tuples(_bin, _bin, st.integers(0, 1))
+_op = st.one_of(
+    st.tuples(st.just("steps"), st.lists(_step, min_size=1, max_size=12)),
+    st.tuples(st.just("bulk"), st.lists(_step, max_size=12)),
+    st.tuples(st.just("restore"), st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(sorted(KEYED_POLICIES)),
+    seed=st.integers(0, 2**32),
+    balls=st.integers(1, 128),
+    cuts=st.lists(st.floats(0, 1), max_size=3),
+    ops=st.lists(_op, min_size=1, max_size=40),
+)
+def test_incremental_state_key_matches_recomputation(name, seed, balls, cuts, ops):
+    """The O(1) key kept by update equals the key recomputed from the memory,
+    after run_bulk segments and then after every decide/update step, run_bulk
+    call and restore."""
+    p = KEYED_POLICIES[name]()
+    warmup = sorted({max(1, round(c * balls)) for c in cuts})
+    simulate_segmented(SimConfig(n=KEY_N, seed=seed, balls=balls), p, warmup)
+    sink = [0] * KEY_N  # run_bulk's loads argument; the key reads only the policy's memory
+    history = []
+
+    def check():
+        fresh = KEYED_POLICIES[name]()
+        fresh.reset(KEY_N, balls)
+        fresh.restore(p.snapshot())
+        assert p.state_id() == fresh.state_id() == key_oracle(p)
+        history.append(p.snapshot())
+
+    check()
+    for kind, arg in ops:
+        if kind == "steps":
+            for a, b, r in arg:
+                p.update((a, b), p.decide((a, b), r))
+                check()
+        elif kind == "bulk":
+            pa, pb, ties = ([s[i] for s in arg] for i in range(3))
+            p.run_bulk(sink, pa, pb, ties)
+            check()
+        else:
+            p.restore(history[arg % len(history)])
+            check()
+
+
+def test_no_state_id_hashes_the_memory():
+    """State ids are packed tuples or O(1) linear keys, never a hash() of the memory."""
+    for cls in vars(policies).values():
+        if isinstance(cls, type) and "state_id" in vars(cls):
+            assert "hash(" not in inspect.getsource(vars(cls)["state_id"]), cls.__name__
 
 
 @settings(max_examples=40, deadline=None)
