@@ -1,11 +1,21 @@
 """Exact probability reconstruction and verification for allocation policies.
 
-Everything here is pure and deterministic. Placement probabilities are
-reconstructed by enumerating all n^2 ordered bin pairs and weighting each
-policy's per-pair choice distribution; with pair probabilities of 1/n^2 and
-choice probabilities in half-units, every p_i is an exact integer numerator
-over 2*n^2. All bound checks can therefore run in exact integer or
-`fractions.Fraction` arithmetic with zero tolerance.
+Everything here is pure and deterministic. With pair probabilities of 1/n^2
+and choice probabilities in half-units, every placement probability p_i is
+an exact integer numerator over 2*n^2. All bound checks therefore run in
+exact integer or `fractions.Fraction` arithmetic with zero tolerance.
+
+The numerators come from one of two paths (``placement_numerators``):
+
+* Rank counting, for policies whose rule compares one key per bin
+  (``Policy.rank_keys``: greedy, clustered, advice). Bin i takes 2 from the
+  pair (i, i), 4 from the two orders of every pair with a larger key and 2
+  from every pair with an equal key, so
+  ``num_i = 2 + 4 #{j : k_j > k_i} + 2 #{j != i : k_j = k_i}``: one sort and
+  two binary searches, O(n log n).
+* Enumeration of all n^2 ordered pairs through ``choice_dist``, for every
+  other policy. It also collects support violations (mass outside the
+  offered pair), and the tests use it as the oracle for the rank path.
 """
 
 from __future__ import annotations
@@ -75,12 +85,32 @@ def enumerate_choice_numerators(policy, n: int) -> tuple[list[int], list]:
     return num, violations
 
 
-def exact_placement_probs(policy, n: int, state=None) -> PlacementProbs:
-    """Reconstruct the placement-probability vector by pair enumeration.
+def placement_numerators(policy, n: int) -> tuple[np.ndarray, list]:
+    """Exact numerators over 2n^2 for the policy's current state.
 
-    The policy must already be bound to ``n`` bins (via ``reset``) unless a
-    ``state`` to restore is supplied, in which case it is rebound first.
-    Enumeration is guarded at n <= 4096.
+    Returns (int64 numerators, support violations). Policies with
+    ``rank_keys`` are rank-counted, ``num_i = 2 + 4 #{j : k_j > k_i} +
+    2 #{j != i : k_j = k_i}``, and cannot place outside the offered pair;
+    every other policy is enumerated pair by pair.
+    """
+    keys = policy.rank_keys()
+    if keys is None:
+        num, violations = enumerate_choice_numerators(policy, n)
+        return np.array(num, dtype=np.int64), violations
+    ordered = np.sort(keys)
+    at_most = np.searchsorted(ordered, keys, side="right")
+    below = np.searchsorted(ordered, keys, side="left")
+    return 2 + 4 * (n - at_most) + 2 * (at_most - below - 1), []
+
+
+def exact_placement_probs(policy, n: int, state=None) -> PlacementProbs:
+    """Reconstruct the placement-probability vector exactly.
+
+    Greedy, clustered and advice are rank-counted in O(n log n); other
+    policies fall back to the n^2 pair enumeration, which stays the oracle
+    the rank path is tested against. The policy must already be bound to
+    ``n`` bins (via ``reset``) unless a ``state`` to restore is supplied, in
+    which case it is rebound first. Both paths are guarded at n <= 4096.
     """
     if n > PAIR_GUARD:
         raise ValueError(f"n={n} exceeds the n^2 enumeration guard ({PAIR_GUARD})")
@@ -90,8 +120,8 @@ def exact_placement_probs(policy, n: int, state=None) -> PlacementProbs:
         policy.restore(state)
     elif getattr(policy, "n", None) != n:
         raise ValueError("policy is not bound to this n; reset it or pass a state")
-    num, _ = enumerate_choice_numerators(policy, n)
-    return PlacementProbs(n=n, memory_state_id=policy.state_id(), numerators=tuple(num))
+    num, _ = placement_numerators(policy, n)
+    return PlacementProbs(n=n, memory_state_id=policy.state_id(), numerators=tuple(num.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +230,9 @@ class SweepResult:
         }
 
 
+_EXACT_FLOAT = 1 << 53  # float64 holds every integer below this exactly
+
+
 def random_subsets(n: int, count: int, seed: int) -> np.ndarray:
     """count x n 0/1 matrix of uniformly random subsets (each bin i.i.d. fair)."""
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -231,11 +264,23 @@ def sweep_placement_bounds(
     counted with zero tolerance. Support violations (probability mass
     outside the offered pair) are collected as well, so an illegal policy
     cannot slip through.
+
+    For epsilon = p/q the subset check is one product per batch: with
+    ``w_i = q num_i - 2 n p [i not in F]``, subset S passes iff
+    ``sum_{i in S} w_i >= 0``. Every w_i is a non-negative integer and
+    their sum is at most ``2 q n^2``, so the float64 product is exact while
+    ``4 q n^2 < 2^53``; a larger denominator raises ``ValueError``.
     """
     eps_list = [as_exact(e) for e in (epsilons or default_epsilon_grid())]
+    for eps in eps_list:
+        if 4 * eps.denominator * n * n >= _EXACT_FLOAT:
+            raise ValueError(
+                f"epsilon {eps} is too fine for an exact sweep at n={n}: "
+                f"needs 4 q n^2 < 2^53 for its denominator q = {eps.denominator}"
+            )
     if subsets is None:
         subsets = random_subsets(n, n_subsets, subset_seed)
-    M = subsets.astype(np.int64, copy=False)
+    M = subsets.astype(np.float64)
     result = SweepResult(
         policy=getattr(policy, "name", type(policy).__name__),
         n=n,
@@ -254,20 +299,19 @@ def sweep_placement_bounds(
                 if getattr(policy, "n", None) != n:
                     policy.reset(n, n)
                 policy.restore(st)
-            num, support = enumerate_choice_numerators(policy, n)
+            nums[j], support = placement_numerators(policy, n)
             if support:
                 result.support_violations += len(support)
                 result.violation_samples.append(
                     {"kind": "support", "state": policy.state_id(), "sample": support[0]}
                 )
-            nums[j] = num
             ids.append(policy.state_id())
 
-        sums = M @ nums.T  # (n_subsets, batch): choice mass per subset
         margins = np.full((len(batch), 2), np.inf)
         for eps in eps_list:
             q, pe = eps.denominator, eps.numerator
-            forbidden = (q * nums) < (2 * n * pe)  # (batch, n)
+            qnums = q * nums
+            forbidden = qnums < (2 * n * pe)  # (batch, n)
             fsize = forbidden.sum(axis=1)
             # size bound: |F| <= eps * n, exactly q*|F| <= p*n
             size_bad = q * fsize > pe * n
@@ -278,14 +322,13 @@ def sweep_placement_bounds(
                 )
             margins[:, 1] = np.minimum(margins[:, 1], (pe * n - q * fsize) / q)
 
-            # subset bound: q * sum_S num >= 2 n p |S \ F|
-            outside = M @ (1 - forbidden.astype(np.int64)).T  # |S \ F| per (subset, state)
-            diff = q * sums - (2 * n * pe) * outside
-            bad = diff < 0
-            nbad = int(bad.sum())
-            if nbad:
-                result.subset_violations += nbad
-                si, sj = np.nonzero(bad)
+            # subset bound: q * sum_S num - 2 n p |S \ F| >= 0, per (subset, state)
+            w = qnums - (2 * n * pe) * ~forbidden
+            diff = M @ w.T.astype(np.float64)
+            worst = diff.min(axis=0)
+            if (worst < 0).any():
+                si, sj = np.nonzero(diff < 0)
+                result.subset_violations += len(si)
                 result.violation_samples.append(
                     {
                         "kind": "subset",
@@ -294,9 +337,7 @@ def sweep_placement_bounds(
                         "subset_index": int(si[0]),
                     }
                 )
-            margins[:, 0] = np.minimum(
-                margins[:, 0], diff.min(axis=0) / (q * 2 * n * n)
-            )
+            margins[:, 0] = np.minimum(margins[:, 0], worst / (q * 2 * n * n))
 
         for j, sid in enumerate(ids):
             result.worst_margins[sid] = [float(margins[j, 0]), float(margins[j, 1])]

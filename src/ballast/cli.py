@@ -68,16 +68,14 @@ def _policy_params(args) -> dict:
 
 
 def _build_policy(args, n: int) -> policies.Policy:
-    params = _policy_params(args)
-    if args.policy == "advice" and "threshold" not in params:
-        params["threshold"] = analysis.advice_threshold(n, args.delta)
-    return policies.make_policy(args.policy, **params)
+    spec = harness.PolicySpec.from_dict({"name": args.policy, **_policy_params(args)})
+    return spec.build(n, args.delta)
 
 
 def _dump(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=1)
     if out:
-        with open(out, "w") as f:
+        with core.atomic_write(out) as f:
             f.write(text + "\n")
     print(text)
 
@@ -94,7 +92,7 @@ def cmd_run(args) -> int:
     if args.trace_out:
         core.write_trace_csv(result.trace, args.trace_out)
     if args.out:
-        with open(args.out, "w") as f:
+        with core.atomic_write(args.out) as f:
             f.write(result.to_json() + "\n")
     summary = {
         "policy": policy.name,
@@ -236,7 +234,7 @@ def cmd_tail(args) -> int:
         rows.append({"t": t, "tail": pt.probability, "leading_term": pt.leading_term})
         print(f"{t:4d} {pt.probability:16.12f} {pt.leading_term:16.12f}")
     if args.out:
-        with open(args.out, "w") as f:
+        with core.atomic_write(args.out) as f:
             json.dump({"lambda": args.lam, "rows": rows}, f, indent=1)
             f.write("\n")
     return 0

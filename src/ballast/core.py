@@ -21,8 +21,10 @@ ball, so tracing costs O(balls).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -177,8 +179,29 @@ def load_histogram(loads: Sequence[int]) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
+@contextlib.contextmanager
+def atomic_write(path: str, newline: str | None = None):
+    """Open a text file that replaces ``path`` only once writing succeeds.
+
+    Writes go to a fresh temporary file in the target's directory, which
+    ``os.replace`` renames over ``path`` when the block exits normally. If
+    the block raises, the temporary file is removed and whatever was at
+    ``path`` stays as it was.
+    """
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline=newline) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_trace_csv(trace: Iterable[StepRecord], path: str) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(TRACE_COLUMNS)
         for r in trace:

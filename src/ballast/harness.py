@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .analysis import advice_threshold, theoretical_bounds
-from .core import SimConfig, simulate_run, trial_seed
+from .core import SimConfig, atomic_write, simulate_run, trial_seed
 from .policies import Policy, make_policy, memory_bits
 
 CSV_COLUMNS = (
@@ -172,18 +172,19 @@ def _run_trial_star(args):
 def emit(rows: list[ScalingRow], format: str, path: str) -> None:
     """Write rows as CSV (fixed header, RFC-4180 quoting) or a JSON array.
 
-    Refuses empty input before touching the filesystem.
+    Refuses empty input and unknown formats before touching the
+    filesystem, and replaces ``path`` only once every row is written.
     """
     if not rows:
         raise ValueError("no rows to emit")
     if format == "csv":
-        with open(path, "w", newline="") as f:
+        with atomic_write(path, newline="") as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(CSV_COLUMNS)
             for r in rows:
                 w.writerow([getattr(r, k) for k in CSV_COLUMNS])
     elif format == "json":
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             json.dump([r.to_dict() for r in rows], f, indent=1)
             f.write("\n")
     else:

@@ -18,6 +18,9 @@ Tie-breaks consume the engine's per-step tie bit: bit 0 keeps the first
 offered bin, bit 1 takes the second. ``choice_dist`` exposes each policy's
 exact per-pair choice distribution (probabilities in half-units, so a fair
 tie is ``(bin_a, 1), (bin_b, 1)``) for the enumeration-based analysis.
+Greedy, clustered and advice also expose ``rank_keys``: per-bin keys whose
+comparison is their whole decision rule, so the analysis can count ranks
+instead of enumerating pairs.
 
 ``state_id`` labels the current memory state in O(1): greedy, clustered
 and advice keep a key that is linear in their memory vector and that
@@ -93,6 +96,15 @@ class Policy:
         choosing that bin; halves sum to 2.
         """
         raise NotImplementedError(f"{self.name} does not expose its choice distribution")
+
+    def rank_keys(self) -> np.ndarray | None:
+        """Per-bin int64 keys that decide every pair, or None.
+
+        Summed over both orders of each pair of distinct bins, the bin with
+        the smaller key takes the ball and equal keys split it evenly. A
+        policy whose rule is not such a comparison returns None.
+        """
+        return None
 
     def memory_bits(self, n: int, balls: int) -> int:
         """Declared persistent-memory budget in bits."""
@@ -233,6 +245,9 @@ class GreedyTwoChoicePolicy(_LinearKeyPolicy):
             return ((b, 2),)
         return ((a, 1), (b, 1))
 
+    def rank_keys(self):
+        return np.array(self._mem, dtype=np.int64)
+
     def memory_bits(self, n, balls):
         return n * int_width(balls)
 
@@ -364,6 +379,11 @@ class ClusteredPolicy(_LinearKeyPolicy):
             return ((b, 2),)
         return ((a, 1), (b, 1))
 
+    def rank_keys(self):
+        # same-cluster bins share a counter, so their pairs are ties
+        counters = np.array(self._counters, dtype=np.int64)
+        return np.repeat(counters, self.config.cluster_size)[: self.n]
+
     def memory_bits(self, n, balls):
         cfg = getattr(self, "config", None) or self._explicit or default_cluster_config(n)
         return cfg.total_bits(n)
@@ -490,9 +510,7 @@ class AdvicePolicy(_LinearKeyPolicy):
 
     def state_id(self):
         if self._key is None:
-            m = np.asarray(self._mem, dtype=np.uint64)
-            m[m < self.threshold] = 0
-            self._key = self._linear_key(m)
+            self._key = self._linear_key(self.rank_keys())
         return self._key
 
     def memory_state(self):
@@ -524,6 +542,16 @@ class AdvicePolicy(_LinearKeyPolicy):
         if ina:
             return ((b, 2),)
         return ((a, 2),)
+
+    def rank_keys(self):
+        """The listed loads, 0 for unlisted bins: the key memory vector.
+
+        Two unlisted bins go to the first offered one, which over both
+        orders of the pair is an even split, like a tie.
+        """
+        m = np.array(self._mem, dtype=np.int64)
+        m[m < self.threshold] = 0
+        return m
 
     def memory_bits(self, n, balls):
         # advice channel cost, max over steps; 0 until a run has happened

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballast import (
+    ClusterConfig,
+    ClusteredPolicy,
     PhaseConfig,
     SimConfig,
     advice_list_size_check,
@@ -28,6 +30,7 @@ from ballast import (
     sweep_placement_bounds,
     theoretical_bounds,
 )
+from ballast.analysis import enumerate_choice_numerators, placement_numerators
 
 from conftest import poisson_tail_oracle
 
@@ -168,26 +171,51 @@ def test_exhaustive_small_sweep_zero_violations():
 
 
 def test_sweep_agrees_with_single_checks():
-    # dual route: the batched integer sweep must match the Fraction-based
-    # checker verdict for the same states, epsilons, and subsets
-    n = 16
-    p = _bound_policy("greedy", n)
-    states = probe_states(p, n, 24, seed=9, max_states=8)
-    subsets = all_subsets(8)[:, :8]  # reuse bitmask rows, pad to n below
+    # dual route: the batched float64 sweep must match the Fraction-based
+    # checker exactly for the same states, epsilons, and subsets
     import numpy as np
 
-    M = np.zeros((subsets.shape[0], n), dtype=np.int64)
-    M[:, :8] = subsets
+    n = 16
+    M = np.zeros((256, n), dtype=np.int64)
+    M[:, :8] = all_subsets(8)  # bitmask rows over the first 8 bins
     eps_grid = [Fraction(1, 20), Fraction(1, 2), Fraction(19, 20)]
-    res = sweep_placement_bounds(p, n, states, epsilons=eps_grid, subsets=M)
-    assert res.ok
-    for state in states:
-        pp = exact_placement_probs(p, n, state=state)
-        for eps in eps_grid:
-            for row in M[:17]:
-                subset = {i for i in range(n) if row[i]}
-                rep = check_placement_bounds(pp, eps, subset)
-                assert rep.subset_ok and rep.size_ok
+    for name, params in (("greedy", {}), ("clustered", {}), ("advice", {"threshold": 2})):
+        p = _bound_policy(name, n, **params)
+        states = probe_states(p, n, 24, seed=9, max_states=8)
+        assert len(states) > 1
+        res = sweep_placement_bounds(p, n, states, epsilons=eps_grid, subsets=M)
+        assert res.ok
+        assert len(res.worst_margins) == len(states)
+        for state in states:
+            pp = exact_placement_probs(p, n, state=state)
+            reports = [
+                check_placement_bounds(pp, eps, {i for i in range(n) if row[i]})
+                for eps in eps_grid
+                for row in M
+            ]
+            assert all(rep.subset_ok and rep.size_ok for rep in reports)
+            subset_margin = min(rep.lhs - rep.rhs for rep in reports)
+            size_margin = min(rep.forbidden_limit - rep.forbidden_size for rep in reports)
+            assert subset_margin >= 0  # P(S) >= eps |S \ F| / n holds by F's definition
+            margins = [float(subset_margin), float(size_margin)]
+            assert res.worst_margins[pp.memory_state_id] == margins, name
+
+
+def test_sweep_refuses_epsilons_it_cannot_sum_exactly():
+    # 4 q n^2 < 2^53 keeps every float64 partial sum an exact integer
+    n = 4
+    p = _bound_policy("greedy", n)
+    state = (3, 0, 1, 0)
+    with pytest.raises(ValueError, match="too fine for an exact sweep"):
+        sweep_placement_bounds(p, n, [state], epsilons=[Fraction(1, 2**47)])
+    finest = Fraction(2**46 - 1, 2**47 - 1)
+    res = sweep_placement_bounds(p, n, [state], epsilons=[finest], subsets=all_subsets(n))
+    pp = exact_placement_probs(p, n, state=state)
+    reports = [
+        check_placement_bounds(pp, finest, {i for i in range(n) if row[i]})
+        for row in all_subsets(n)
+    ]
+    assert res.worst_margins[pp.memory_state_id][0] == float(min(r.lhs - r.rhs for r in reports))
 
 
 def test_sweep_catches_illegal_policy():
@@ -206,6 +234,85 @@ def test_sweep_reports_margins_per_state():
     assert len(res.worst_margins) == 1
     (margins,) = res.worst_margins.values()
     assert margins[0] >= 0 and margins[1] >= 0
+
+
+def _decide_numerators(policy, n):
+    """Numerators of the rule that runs: decide(pair, 0) and decide(pair, 1)
+    each take one half of every ordered pair."""
+    num = [0] * n
+    for a in range(n):
+        for b in range(n):
+            num[policy.decide((a, b), 0)] += 1
+            num[policy.decide((a, b), 1)] += 1
+    return num
+
+
+@st.composite
+def rank_countable_states(draw):
+    """A greedy, clustered or advice policy restored to an arbitrary state."""
+    kind = draw(st.sampled_from(["greedy", "clustered", "clustered-partial", "advice"]))
+    if kind == "clustered-partial":
+        # an explicit geometry whose last cluster is short, with a counter at the cap
+        size = draw(st.integers(2, 5))
+        n = size * draw(st.integers(0, 4)) + draw(st.integers(1, size - 1))
+        policy = ClusteredPolicy(ClusterConfig(size, draw(st.integers(1, 3))))
+    else:
+        n = draw(st.integers(1, 24))
+        policy = make_policy(kind, **({"threshold": draw(st.integers(1, 3))} if kind == "advice" else {}))
+    policy.reset(n, n)
+    if kind == "greedy":
+        state = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    elif kind == "advice":
+        T = policy.threshold
+        state = draw(st.lists(st.integers(0, T + 2), min_size=n, max_size=n))
+        if n >= 2:  # at least one listed and one unlisted bin
+            i, j = draw(st.permutations(range(n)))[:2]
+            state[i], state[j] = draw(st.integers(T, T + 2)), draw(st.integers(0, T - 1))
+    else:
+        cfg = policy.config
+        k = cfg.num_clusters(n)
+        state = draw(st.lists(st.integers(0, cfg.counter_cap), min_size=k, max_size=k))
+        if kind == "clustered-partial":
+            state[draw(st.integers(0, k - 1))] = cfg.counter_cap
+    policy.restore(tuple(state))
+    return policy, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rank_countable_states())
+def test_rank_numerators_match_both_enumerations(case):
+    policy, n = case
+    num, support = placement_numerators(policy, n)
+    enumerated, violations = enumerate_choice_numerators(policy, n)
+    assert support == [] and violations == []
+    assert num.tolist() == enumerated == _decide_numerators(policy, n)
+    assert sum(enumerated) == 2 * n * n
+
+
+@pytest.mark.parametrize("name", ["greedy", "clustered", "advice"])
+def test_rank_countable_policies_skip_pair_enumeration(name, monkeypatch):
+    n = 32
+
+    def build():
+        return make_policy(name, threshold=2) if name == "advice" else make_policy(name)
+
+    trace = simulate_run(SimConfig(n=n, seed=3, balls=2 * n, record_trace=True), build()).trace
+    p = build()
+    states = probe_states(p, n, 2 * n, seed=3, max_states=10)
+    expected = []
+    for s in states:
+        p.restore(s)
+        expected.append(tuple(enumerate_choice_numerators(p, n)[0]))
+
+    def refuse(self, pair):
+        raise AssertionError("choice_dist called for a rank-countable policy")
+
+    monkeypatch.setattr(type(p), "choice_dist", refuse)
+    with pytest.raises(AssertionError):
+        enumerate_choice_numerators(p, n)  # the patch is live
+    assert [exact_placement_probs(p, n, state=s).numerators for s in states] == expected
+    assert sweep_placement_bounds(p, n, states, n_subsets=50).ok
+    forbidden_union_over_trace(build(), trace, n, Fraction(1, 4))
 
 
 def test_enumerate_clustered_states_counts():

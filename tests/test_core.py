@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballast import (
+    POLICY_NAMES,
+    ClusterConfig,
+    ClusteredPolicy,
     RunResult,
     SimConfig,
     load_histogram,
@@ -128,6 +131,48 @@ def test_bulk_path_equals_traced_path(name):
         fast = simulate_run(cfg_fast, _policy(name))
         slow = simulate_run(cfg_slow, _policy(name))
         assert fast.loads == slow.loads
+
+
+@st.composite
+def any_policy_builder(draw):
+    """A zero-argument builder for any registered policy, parameters drawn."""
+    name = draw(st.sampled_from(POLICY_NAMES))
+    if name == "advice":
+        threshold = draw(st.integers(1, 3))
+        return lambda: make_policy(name, threshold=threshold)
+    if name == "clustered" and draw(st.booleans()):
+        cfg = ClusterConfig(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+        return lambda: ClusteredPolicy(cfg)
+    return lambda: make_policy(name)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    build=any_policy_builder(),
+    n=st.integers(1, 24),
+    extra=st.integers(0, 72),
+    seed=st.integers(0, 2**64 - 1),
+    cut=st.integers(0, 96),
+)
+def test_run_bulk_matches_decide_update(build, n, extra, seed, cut):
+    """The fast path and the rule the verifier checks are the same rule."""
+    balls = n + extra
+    pa, pb, ties = draw_run_streams(SimConfig(n=n, seed=seed, balls=balls))
+    cut = min(cut, balls)
+    fast, slow = build(), build()
+    fast.reset(n, balls)
+    slow.reset(n, balls)
+    fast_loads, slow_loads = [0] * n, [0] * n
+    fast.run_bulk(fast_loads, pa[:cut], pb[:cut], ties[:cut])
+    fast.run_bulk(fast_loads, pa[cut:], pb[cut:], ties[cut:])
+    for a, b, r in zip(pa, pb, ties):
+        c = slow.decide((a, b), r)
+        slow_loads[c] += 1
+        slow.update((a, b), c)
+    assert fast_loads == slow_loads
+    assert fast.snapshot() == slow.snapshot()
+    assert fast.memory_state() == slow.memory_state()
+    assert fast.memory_bits(n, balls) == slow.memory_bits(n, balls)
 
 
 def test_segmented_run_matches_plain_run():

@@ -11,6 +11,7 @@ from ballast import (
     ExperimentSpec,
     PolicySpec,
     SimConfig,
+    StepRecord,
     emit,
     make_policy,
     memory_bits,
@@ -18,6 +19,7 @@ from ballast import (
     run_experiment,
     theoretical_bounds,
     trial_seed,
+    write_trace_csv,
 )
 from ballast.cli import main, parse_epsilon_grid
 
@@ -142,6 +144,37 @@ def test_emitted_bytes_identical(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class _BrokenRecord:
+    """A row or trace record that fails part-way through being written."""
+
+    def __getattr__(self, name):
+        raise RuntimeError("record cannot be written")
+
+    def to_dict(self):
+        return {"policy": object()}  # json.dump fails after writing a prefix
+
+
+@pytest.mark.parametrize("writer", ["csv", "json", "trace"])
+def test_failed_write_leaves_old_file_and_no_temporary(tmp_path, writer):
+    good_row = run_experiment(small_spec(trials=1, policies=(PolicySpec("greedy"),)))[0]
+
+    def write(path):
+        if writer == "trace":
+            write_trace_csv([StepRecord(0, 0, 1, 2, 1), _BrokenRecord()], path)
+        else:
+            emit([good_row, _BrokenRecord()], writer, path)
+
+    path = tmp_path / "out"
+    with pytest.raises((RuntimeError, TypeError)):
+        write(str(path))
+    assert os.listdir(tmp_path) == []
+    path.write_text("old\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(str(path))
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
 def test_runtime_column_zero_unless_measured():
     rows = run_experiment(small_spec())
     assert all(r.runtime_ms == 0.0 for r in rows)
@@ -256,6 +289,21 @@ def test_cli_verify_epsilon_grid_flag():
     code = main(["verify", "--policy", "min-index", "--n", "8",
                  "--epsilon-grid", "0.1,0.5,0.9", "--subsets", "50"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "64", "--epsilon-grid", "0.0000000000000000001"],  # q beyond int64
+        ["--n", "4096", "--max-states", "1", "--subsets", "4",
+         "--epsilon-grid", "0.000000000001"],  # q n^2 beyond int64
+    ],
+)
+def test_cli_verify_refuses_epsilons_too_fine_to_sum_exactly(capsys, argv):
+    assert main(["verify", "--policy", "greedy", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "too fine for an exact sweep" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_verify_rejects_big_n():
