@@ -11,11 +11,20 @@ The numerators come from one of two paths (``placement_numerators``):
   (``Policy.rank_keys``: greedy, clustered, advice). Bin i takes 2 from the
   pair (i, i), 4 from the two orders of every pair with a larger key and 2
   from every pair with an equal key, so
-  ``num_i = 2 + 4 #{j : k_j > k_i} + 2 #{j != i : k_j = k_i}``: one sort and
-  two binary searches, O(n log n).
+  ``num_i = 2 + 4 #{j : k_j > k_i} + 2 #{j != i : k_j = k_i}``.
+  ``rank_numerators`` counts a whole block of states with one sort and two
+  binary searches, O(n log n) per state.
 * Enumeration of all n^2 ordered pairs through ``choice_dist``, for every
   other policy. It also collects support violations (mass outside the
   offered pair), and the tests use it as the oracle for the rank path.
+
+The subset bound needs no subsets. For epsilon = p/q and the forbidden set
+F = {i : p_i < eps/n}, ``2 q n^2 (P(S) - eps |S \\ F| / n)`` is the sum over
+S of ``w_i = q num_i - 2 n p [i not in F]``. Every ``w_i`` is >= 0: a bin
+outside F has ``q num_i >= 2 n p`` by F's definition, and a bin in F has
+``w_i = q num_i >= 0``. So the lightest of all 2^n - 1 non-empty subsets is
+the lightest single bin, and ``min_i w_i / (2 q n^2)`` is the exact worst
+subset margin, O(n) per state and epsilon.
 """
 
 from __future__ import annotations
@@ -85,22 +94,47 @@ def enumerate_choice_numerators(policy, n: int) -> tuple[list[int], list]:
     return num, violations
 
 
+def rank_numerators(keys: np.ndarray) -> np.ndarray:
+    """Exact numerators over 2n^2 for a block of rank keys, one state a row.
+
+    ``keys`` has shape (states, n); row r gets ``num_i = 2 + 4 #{j : k_j >
+    k_i} + 2 #{j != i : k_j = k_i}`` over that row's keys. Each row is
+    sorted once; shifting row r by r times the block's key span lays the
+    sorted rows end to end in one ascending array, so one ``searchsorted``
+    per side serves the whole block. A block whose shifted keys would not
+    fit in int64 is split in two.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    rows, n = keys.shape
+    ordered = np.sort(keys, axis=1)
+    if rows > 1:
+        lo = int(ordered[:, 0].min())
+        span = int(ordered[:, -1].max()) - lo + 1
+        if rows * span > 1 << 63:
+            half = rows // 2
+            return np.concatenate((rank_numerators(keys[:half]), rank_numerators(keys[half:])))
+        shift = np.arange(rows, dtype=np.int64)[:, None] * span
+        keys = (keys - lo) + shift
+        ordered = (ordered - lo) + shift
+    flat = ordered.ravel()
+    row_start = np.arange(0, rows * n, n, dtype=np.int64)[:, None]
+    at_most = np.searchsorted(flat, keys, side="right") - row_start
+    below = np.searchsorted(flat, keys, side="left") - row_start
+    return 2 + 4 * (n - at_most) + 2 * (at_most - below - 1)
+
+
 def placement_numerators(policy, n: int) -> tuple[np.ndarray, list]:
     """Exact numerators over 2n^2 for the policy's current state.
 
     Returns (int64 numerators, support violations). Policies with
-    ``rank_keys`` are rank-counted, ``num_i = 2 + 4 #{j : k_j > k_i} +
-    2 #{j != i : k_j = k_i}``, and cannot place outside the offered pair;
-    every other policy is enumerated pair by pair.
+    ``rank_keys`` are rank-counted by ``rank_numerators`` and cannot place
+    outside the offered pair; every other policy is enumerated pair by pair.
     """
     keys = policy.rank_keys()
     if keys is None:
         num, violations = enumerate_choice_numerators(policy, n)
         return np.array(num, dtype=np.int64), violations
-    ordered = np.sort(keys)
-    at_most = np.searchsorted(ordered, keys, side="right")
-    below = np.searchsorted(ordered, keys, side="left")
-    return 2 + 4 * (n - at_most) + 2 * (at_most - below - 1), []
+    return rank_numerators(keys[None, :])[0], []
 
 
 def exact_placement_probs(policy, n: int, state=None) -> PlacementProbs:
@@ -197,13 +231,17 @@ def default_epsilon_grid() -> tuple[Fraction, ...]:
 
 @dataclass
 class SweepResult:
-    """Outcome of a placement-bounds sweep over many states."""
+    """Outcome of a placement-bounds sweep over many states.
+
+    ``n_subsets`` is the number of sampled subset rows of the cross-check,
+    or None when only the exact check ran.
+    """
 
     policy: str
     n: int
     states_checked: int
     epsilons: list[float]
-    n_subsets: int
+    n_subsets: int | None
     subset_violations: int = 0
     size_violations: int = 0
     support_violations: int = 0
@@ -231,6 +269,7 @@ class SweepResult:
 
 
 _EXACT_FLOAT = 1 << 53  # float64 holds every integer below this exactly
+_PRODUCT_BLOCK = 1 << 21  # float64 entries in one block of the sampled product
 
 
 def random_subsets(n: int, count: int, seed: int) -> np.ndarray:
@@ -254,7 +293,7 @@ def sweep_placement_bounds(
     epsilons: Sequence = (),
     subsets: np.ndarray | None = None,
     subset_seed: int = 0xF00D,
-    n_subsets: int = 1000,
+    n_subsets: int | None = None,
     chunk: int = 2048,
 ) -> SweepResult:
     """Verify both placement bounds over many states in exact integer math.
@@ -263,13 +302,24 @@ def sweep_placement_bounds(
     "current state as-is"). Every epsilon is taken exactly; violations are
     counted with zero tolerance. Support violations (probability mass
     outside the offered pair) are collected as well, so an illegal policy
-    cannot slip through.
+    cannot slip through. Rank-countable states are counted a batch at a
+    time by ``rank_numerators``.
 
-    For epsilon = p/q the subset check is one product per batch: with
-    ``w_i = q num_i - 2 n p [i not in F]``, subset S passes iff
-    ``sum_{i in S} w_i >= 0``. Every w_i is a non-negative integer and
-    their sum is at most ``2 q n^2``, so the float64 product is exact while
-    ``4 q n^2 < 2^53``; a larger denominator raises ``ValueError``.
+    For epsilon = p/q the subset check covers every non-empty subset S
+    exactly: with ``w_i = q num_i - 2 n p [i not in F]``, S passes iff
+    ``sum_{i in S} w_i >= 0``, and since every w_i >= 0 by F's definition
+    the lightest S is the lightest single bin, so the state's subset margin
+    is ``min_i w_i / (2 q n^2)`` (see the module docstring). A negative
+    w_i, which no non-negative numerator vector produces, counts as one
+    subset violation per (state, epsilon), and the margin is then the sum
+    of the negative w_i.
+
+    ``subsets`` (a 0/1 matrix, one subset a row) or ``n_subsets`` random
+    subsets add a sampled cross-check: the reported subset margin is then
+    the worst over those rows, and a sampled sum below the exact minimum
+    raises ``RuntimeError``. The sampled product runs in float64 blocks of
+    rows; its entries are integers of at most ``2 q n^2``, exact while
+    ``4 q n^2 < 2^53``, and a larger denominator raises ``ValueError``.
     """
     eps_list = [as_exact(e) for e in (epsilons or default_epsilon_grid())]
     for eps in eps_list:
@@ -278,34 +328,42 @@ def sweep_placement_bounds(
                 f"epsilon {eps} is too fine for an exact sweep at n={n}: "
                 f"needs 4 q n^2 < 2^53 for its denominator q = {eps.denominator}"
             )
-    if subsets is None:
+    if subsets is None and n_subsets is not None:
         subsets = random_subsets(n, n_subsets, subset_seed)
-    M = subsets.astype(np.float64)
+    sampled = None if subsets is None else _SampledSubsets(subsets)
     result = SweepResult(
         policy=getattr(policy, "name", type(policy).__name__),
         n=n,
         states_checked=0,
         epsilons=[float(e) for e in eps_list],
-        n_subsets=M.shape[0],
+        n_subsets=None if sampled is None else sampled.count,
     )
 
     state_list = list(states)
     for start in range(0, len(state_list), chunk):
         batch = state_list[start : start + chunk]
         nums = np.empty((len(batch), n), dtype=np.int64)
+        ranked = []  # rows of nums that hold rank keys until counted below
         ids = []
         for j, st in enumerate(batch):
             if st is not None:
                 if getattr(policy, "n", None) != n:
                     policy.reset(n, n)
                 policy.restore(st)
-            nums[j], support = placement_numerators(policy, n)
-            if support:
-                result.support_violations += len(support)
-                result.violation_samples.append(
-                    {"kind": "support", "state": policy.state_id(), "sample": support[0]}
-                )
+            keys = policy.rank_keys()
+            if keys is None:
+                nums[j], support = enumerate_choice_numerators(policy, n)
+                if support:
+                    result.support_violations += len(support)
+                    result.violation_samples.append(
+                        {"kind": "support", "state": policy.state_id(), "sample": support[0]}
+                    )
+            else:
+                nums[j] = keys
+                ranked.append(j)
             ids.append(policy.state_id())
+        if ranked:
+            nums[ranked] = rank_numerators(nums[ranked])
 
         margins = np.full((len(batch), 2), np.inf)
         for eps in eps_list:
@@ -322,21 +380,24 @@ def sweep_placement_bounds(
                 )
             margins[:, 1] = np.minimum(margins[:, 1], (pe * n - q * fsize) / q)
 
-            # subset bound: q * sum_S num - 2 n p |S \ F| >= 0, per (subset, state)
+            # subset bound over every non-empty S: q * sum_S num - 2 n p |S \ F| >= 0
             w = qnums - (2 * n * pe) * ~forbidden
-            diff = M @ w.T.astype(np.float64)
-            worst = diff.min(axis=0)
-            if (worst < 0).any():
-                si, sj = np.nonzero(diff < 0)
-                result.subset_violations += len(si)
-                result.violation_samples.append(
-                    {
-                        "kind": "subset",
-                        "state": ids[int(sj[0])],
-                        "epsilon": float(eps),
-                        "subset_index": int(si[0]),
-                    }
-                )
+            worst = w.min(axis=1)
+            negative = worst < 0
+            if negative.any():
+                worst = np.where(negative, np.minimum(w, 0).sum(axis=1), worst)
+                for j in np.nonzero(negative)[0]:
+                    result.subset_violations += 1
+                    result.violation_samples.append(
+                        {
+                            "kind": "subset",
+                            "state": ids[j],
+                            "epsilon": float(eps),
+                            "bins": np.nonzero(w[j] < 0)[0].tolist(),
+                        }
+                    )
+            if sampled is not None:
+                worst = sampled.worst(w, worst, ids, eps)
             margins[:, 0] = np.minimum(margins[:, 0], worst / (q * 2 * n * n))
 
         for j, sid in enumerate(ids):
@@ -344,6 +405,48 @@ def sweep_placement_bounds(
         result.states_checked += len(batch)
 
     return result
+
+
+class _SampledSubsets:
+    """The sampled cross-check: the subset rows as a float64 0/1 matrix.
+
+    The empty subset sums to 0. It takes part in the reported worst sum, as
+    every row does, but it is no test of the exact minimum, which is taken
+    over non-empty subsets only; so only the non-empty rows are multiplied.
+    """
+
+    def __init__(self, subsets: np.ndarray):
+        if len(subsets) == 0:
+            raise ValueError("the sampled subset cross-check needs at least one subset")
+        self.count = len(subsets)
+        self.rows = np.flatnonzero(subsets.any(axis=1))
+        self.matrix = subsets.astype(np.float64)
+        if len(self.rows) < self.count:
+            self.matrix = self.matrix[self.rows]
+
+    def worst(self, w: np.ndarray, exact: np.ndarray, ids: list, eps) -> np.ndarray:
+        """Worst sum of w over the subset rows, per state, checked against ``exact``.
+
+        The (rows x states) product runs in blocks of about ``_PRODUCT_BLOCK``
+        entries, so its memory stays bounded however many rows there are. A
+        non-empty row summing below the exact minimum means one of the two
+        computations is wrong: the first such (row, state) in row order is
+        raised as an internal error, never reported as a pass.
+        """
+        wf = w.T.astype(np.float64)
+        worst = np.full(w.shape[0], 0.0 if len(self.rows) < self.count else np.inf)
+        step = max(1, _PRODUCT_BLOCK // w.shape[0])
+        for start in range(0, len(self.rows), step):
+            diff = self.matrix[start : start + step] @ wf
+            low = diff.min(axis=0)
+            if (low < exact).any():
+                si, sj = np.nonzero(diff < exact)
+                raise RuntimeError(
+                    f"sampled subset {self.rows[start + si[0]]} of state {ids[sj[0]]} at "
+                    f"epsilon {eps} sums below the exact minimum over all subsets"
+                )
+            np.minimum(worst, low, out=worst)
+        return worst
 
 
 def enumerate_clustered_states(num_clusters: int, cap: int, max_balls: int):

@@ -153,6 +153,9 @@ def cmd_verify(args) -> int:
     if n > core.PAIR_GUARD:
         print(f"verify needs n <= {core.PAIR_GUARD}", file=sys.stderr)
         return 2
+    if args.subsets is not None and args.subsets < 1:
+        print(f"verify --subsets needs a count >= 1, got {args.subsets}", file=sys.stderr)
+        return 2
     policy = _build_policy(args, n)
     policy.reset(n, args.balls or n)
 
@@ -286,8 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.5)
     _add_policy_flags(p, required=True)
     p.add_argument("--epsilon-grid", help='e.g. "0.05:0.95:0.05" or "0.1,0.5"')
-    p.add_argument("--subsets", type=int, default=1000, help="random subsets per check")
-    p.add_argument("--all-subsets", action="store_true", help="exhaustive subsets (tiny n)")
+    p.add_argument("--subsets", type=int, default=None,
+                   help="cross-check the exact subset margin on this many random subsets")
+    p.add_argument("--all-subsets", action="store_true",
+                   help="cross-check it on every subset (n <= 16)")
     p.add_argument("--max-states", type=int, default=64, help="probe-state cap")
     p.add_argument("--out", help="write the JSON report here as well")
     p.set_defaults(fn=cmd_verify)

@@ -1,12 +1,15 @@
 """Exact probability reconstruction, bound checks, phases, tails."""
 
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballast import (
+    POLICY_NAMES,
     ClusterConfig,
     ClusteredPolicy,
     PhaseConfig,
@@ -30,7 +33,9 @@ from ballast import (
     sweep_placement_bounds,
     theoretical_bounds,
 )
-from ballast.analysis import enumerate_choice_numerators, placement_numerators
+from ballast import analysis
+from ballast.analysis import enumerate_choice_numerators, placement_numerators, rank_numerators
+from ballast.cli import main
 
 from conftest import poisson_tail_oracle
 
@@ -236,6 +241,77 @@ def test_sweep_reports_margins_per_state():
     assert margins[0] >= 0 and margins[1] >= 0
 
 
+def _brute_subset_margin(num, n, eps):
+    """min over every non-empty S of P(S) - eps |S \\ F| / n, in Fractions.
+
+    Each of the 2^n - 1 subset sums is its lowest bin's term plus the sum
+    of the subset without that bin."""
+    terms = []
+    for x in num:
+        p = Fraction(x, 2 * n * n)
+        terms.append(p if p < eps / n else p - eps / n)  # bins in F are not in S \ F
+    sums = [Fraction(0)] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        sums[mask] = sums[mask & (mask - 1)] + terms[low]
+    return min(sums[1:])
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_exact_subset_margin_is_the_minimum_over_every_subset(name):
+    params = {"threshold": 2} if name == "advice" else {}
+    for n in (1, 6, 10):
+        p = _bound_policy(name, n, **params)
+        states = probe_states(p, n, 2 * n, seed=n, max_states=4)
+        oracle = {}
+        for state in states:
+            p.restore(state)
+            oracle[p.state_id()] = enumerate_choice_numerators(p, n)[0]
+        for eps in default_epsilon_grid():
+            res = sweep_placement_bounds(p, n, states, epsilons=[eps])
+            assert res.n_subsets is None and res.subset_violations == 0
+            for sid, num in oracle.items():
+                assert res.worst_margins[sid][0] == float(_brute_subset_margin(num, n, eps)), (n, eps)
+
+
+def test_negative_weights_count_as_subset_violations(monkeypatch):
+    # no non-negative numerator vector gets here, so force two negative ones
+    n = 4
+    p = _bound_policy("greedy", n)
+    sid = p.state_id()
+    monkeypatch.setattr(analysis, "rank_numerators", lambda keys: np.array([[-1, -2, 20, 12]] * len(keys)))
+    for subsets in (None, all_subsets(n)):
+        res = sweep_placement_bounds(p, n, [p.snapshot()], epsilons=[Fraction(1, 2)], subsets=subsets)
+        assert res.subset_violations == 1
+        assert res.violation_samples[-1] == {"kind": "subset", "state": sid, "epsilon": 0.5, "bins": [0, 1]}
+        # q = 2: w = (-2, -4, 32, 16), so the lightest subset is {0, 1}, -6 / (2 q n^2)
+        assert res.worst_margins[sid][0] == -6 / 64
+
+
+def test_sampled_sum_below_the_exact_minimum_raises():
+    n = 4
+    p = _bound_policy("greedy", n)
+    with pytest.raises(RuntimeError, match="sampled subset 1 .* below the exact minimum"):
+        sweep_placement_bounds(p, n, [p.snapshot()], subsets=-all_subsets(n))
+
+
+def test_default_sweep_and_verify_never_build_a_subset_matrix(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("subset matrix built on the default path")
+
+    monkeypatch.setattr(analysis, "random_subsets", refuse)
+    monkeypatch.setattr(analysis, "all_subsets", refuse)
+    n = 16
+    p = _bound_policy("greedy", n)
+    res = sweep_placement_bounds(p, n, probe_states(p, n, 2 * n, seed=1, max_states=8))
+    assert res.ok and res.n_subsets is None
+    assert main(["verify", "--policy", "clustered", "--n", "8", "--balls", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_subsets"] is None
+    for flag in (["--subsets", "5"], ["--all-subsets"]):
+        with pytest.raises(AssertionError):  # the patch is live
+            main(["verify", "--policy", "greedy", "--n", "8", *flag])
+
+
 def _decide_numerators(policy, n):
     """Numerators of the rule that runs: decide(pair, 0) and decide(pair, 1)
     each take one half of every ordered pair."""
@@ -287,6 +363,49 @@ def test_rank_numerators_match_both_enumerations(case):
     assert support == [] and violations == []
     assert num.tolist() == enumerated == _decide_numerators(policy, n)
     assert sum(enumerated) == 2 * n * n
+
+
+@st.composite
+def rank_key_blocks(draw):
+    """A greedy, clustered or advice policy and a block of its states.
+
+    Keys run up to 3 (many ties), 2^20 (large row shifts) or 2^62 (blocks
+    too wide to shift within int64, which must split)."""
+    kind = draw(st.sampled_from(["greedy", "clustered", "advice"]))
+    n = draw(st.integers(1, 16))
+    top = draw(st.sampled_from([3, 2**20, 2**62]))
+    if kind == "clustered":
+        policy = ClusteredPolicy(ClusterConfig(draw(st.integers(1, 4)), top))
+    else:
+        policy = make_policy(kind, **({"threshold": draw(st.integers(1, 3))} if kind == "advice" else {}))
+    policy.reset(n, n)
+    width = policy.config.num_clusters(n) if kind == "clustered" else n
+    row = st.lists(st.integers(0, top), min_size=width, max_size=width)
+    return policy, n, draw(st.lists(row, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rank_key_blocks())
+def test_block_rank_counts_match_per_state_counts(case):
+    policy, n, states = case
+    keys = []
+    for state in states:
+        policy.restore(tuple(state))
+        keys.append(policy.rank_keys())
+    block = rank_numerators(np.stack(keys))
+    for row, state in zip(block.tolist(), states):
+        policy.restore(tuple(state))
+        assert row == placement_numerators(policy, n)[0].tolist()
+        assert row == enumerate_choice_numerators(policy, n)[0]
+
+
+def test_rank_numerators_over_the_whole_int64_range():
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    block = [[lo, hi, 0], [hi, hi, lo], [5, -5, 5]]
+    expected = [
+        [2 + 4 * sum(k > ki for k in row) + 2 * (row.count(ki) - 1) for ki in row] for row in block
+    ]
+    assert rank_numerators(np.array(block, dtype=np.int64)).tolist() == expected
 
 
 @pytest.mark.parametrize("name", ["greedy", "clustered", "advice"])

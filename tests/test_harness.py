@@ -306,6 +306,14 @@ def test_cli_verify_refuses_epsilons_too_fine_to_sum_exactly(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_verify_rejects_subset_counts_below_one(capsys, count):
+    assert main(["verify", "--policy", "greedy", "--n", "8", "--subsets", count]) == 2
+    captured = capsys.readouterr()
+    assert f"verify --subsets needs a count >= 1, got {count}" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_verify_rejects_big_n():
     assert main(["verify", "--policy", "one-choice", "--n", "100000"]) == 2
 
