@@ -39,7 +39,6 @@ from .core import (
     SimConfig,
     StepRecord,
     load_histogram,
-    max_load,
     read_trace_csv,
     simulate_run,
     simulate_segmented,
@@ -72,7 +71,6 @@ from .policies import (
     default_cluster_config,
     int_width,
     make_policy,
-    memory_bits,
 )
 
 __version__ = "0.1.0"

@@ -14,9 +14,10 @@ The numerators come from one of two paths (``placement_numerators``):
   ``num_i = 2 + 4 #{j : k_j > k_i} + 2 #{j != i : k_j = k_i}``.
   ``rank_numerators`` counts a whole block of states with one sort and two
   binary searches, O(n log n) per state.
-* Enumeration of all n^2 ordered pairs through ``choice_dist``, for every
-  other policy. It also collects support violations (mass outside the
-  offered pair), and the tests use it as the oracle for the rank path.
+* Enumeration of all n^2 ordered pairs through ``choice_dist`` (derived
+  from ``decide``), for every other policy. It also collects support
+  violations (mass outside the offered pair), and the tests use it as the
+  oracle for the rank path.
 
 The subset bound needs no subsets. For epsilon = p/q and the forbidden set
 F = {i : p_i < eps/n}, ``2 q n^2 (P(S) - eps |S \\ F| / n)`` is the sum over
@@ -32,11 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import PAIR_GUARD, RunResult, SimConfig, StepRecord, simulate_segmented
+from .core import PAIR_GUARD, RunResult, SimConfig, StepRecord, play, replay, simulate_segmented
 
 
 # ---------------------------------------------------------------------------
@@ -477,25 +478,24 @@ def probe_states(policy, n: int, balls: int, seed: int, max_states: int = 256) -
     policy.reset(n, balls)
     seen: dict = {}
     kept = []
-    for a, b, r in zip(pa, pb, ties):
-        if _first_visit(seen, policy):
+    for rec in play(policy, pa, pb, ties):
+        if _first_visit(seen, rec.memory_state_id, policy):
             kept.append(policy.snapshot())
             if len(kept) >= max_states:
                 break
-        c = policy.decide((a, b), r)
-        policy.update((a, b), c)
-    if _first_visit(seen, policy) and len(kept) < max_states:
+    if _first_visit(seen, policy.state_id(), policy) and len(kept) < max_states:
         kept.append(policy.snapshot())
     return kept
 
 
-def _first_visit(seen: dict, policy) -> bool:
+def _first_visit(seen: dict, state_id: int, policy) -> bool:
     """Record the policy's current memory state; True on its first visit.
 
-    ``seen`` maps each ``state_id`` to the exact memory states that carried
-    it, so two states whose 64-bit ids collide are still told apart.
+    ``seen`` maps each ``state_id`` (the policy's id of its current state)
+    to the exact memory states that carried it, so two states whose 64-bit
+    ids collide are still told apart.
     """
-    same_id = seen.setdefault(policy.state_id(), [])
+    same_id = seen.setdefault(state_id, [])
     mem = policy.memory_state()
     if mem in same_id:
         return False
@@ -613,6 +613,26 @@ def _report_from_sizes(pc: PhaseConfig, sizes: list[int]) -> PhaseReport:
     )
 
 
+def _phase_loads(chosen: Sequence[int], pc: PhaseConfig) -> Iterator[list[int]]:
+    """Walk the chosen bins in step order; yield the loads at each phase's end.
+
+    The loads list is updated in place between yields. A trace shorter than
+    the phases, or a bin outside 0..n-1, raises ``ValueError``.
+    """
+    needed = pc.phases * pc.phase_size
+    if len(chosen) < needed:
+        raise ValueError(f"trace too short: {len(chosen)} < {needed} balls")
+    loads = [0] * pc.n
+    for start in range(0, needed, pc.phase_size):
+        phase = chosen[start : start + pc.phase_size]
+        if min(phase) < 0 or max(phase) >= pc.n:
+            t = start + next(i for i, c in enumerate(phase) if not 0 <= c < pc.n)
+            raise ValueError(f"trace step {t} chooses bin {chosen[t]} outside 0..{pc.n - 1}")
+        for c in phase:
+            loads[c] += 1
+        yield loads
+
+
 def phase_report(source, pc: PhaseConfig, n: int | None = None) -> PhaseReport:
     """Phase sizes from a stored trace (a RunResult with trace, a list of
     StepRecords, or a plain sequence of chosen bins)."""
@@ -629,15 +649,7 @@ def phase_report(source, pc: PhaseConfig, n: int | None = None) -> PhaseReport:
         raise ValueError("n is required when passing a bare trace")
     if n != pc.n:
         raise ValueError("phase config n does not match the trace's n")
-    needed = pc.phases * pc.phase_size
-    if len(chosen) < needed:
-        raise ValueError(f"trace too short: {len(chosen)} < {needed} balls")
-    loads = [0] * n
-    sizes = []
-    for i in range(1, pc.phases + 1):
-        for t in range((i - 1) * pc.phase_size, i * pc.phase_size):
-            loads[chosen[t]] += 1
-        sizes.append(sum(1 for v in loads if v >= i))
+    sizes = [sum(1 for v in loads if v >= i) for i, loads in enumerate(_phase_loads(chosen, pc), 1)]
     return _report_from_sizes(pc, sizes)
 
 
@@ -661,20 +673,19 @@ def run_phase_report(config: SimConfig, policy, pc: PhaseConfig) -> tuple[PhaseR
 def forbidden_union_over_trace(policy, trace: Sequence[StepRecord], n: int, epsilon):
     """Union of forbidden sets over the distinct memory states a run visited.
 
-    Replays the trace through a fresh policy binding; needs the enumeration
+    Replays the trace through a fresh policy binding (``core.replay``, which
+    refuses a trace the policy could not have made); needs the enumeration
     guard (n <= 4096). Returns (union set, number of distinct states).
     """
     eps = as_exact(epsilon)
-    policy.reset(n, max(len(trace), 1))
     seen: dict = {}
     distinct = 0
     union: set[int] = set()
-    for rec in trace:
-        if _first_visit(seen, policy):
+    for rec in replay(policy, trace, n):
+        if _first_visit(seen, rec.memory_state_id, policy):
             distinct += 1
             probs = exact_placement_probs(policy, n)
             union |= forbidden_set(probs, eps).members
-        policy.update((rec.bin_a, rec.bin_b), rec.chosen)
     return union, distinct
 
 
@@ -688,16 +699,13 @@ def phase_report_with_forbidden(
     subtraction than any single state's forbidden set.
     """
     eps = as_exact(epsilon if epsilon is not None else pc.epsilon)
-    report = phase_report(list(trace), pc, n=pc.n)
+    phase_sets = [
+        [b for b, v in enumerate(loads) if v >= i]
+        for i, loads in enumerate(_phase_loads([r.chosen for r in trace], pc), 1)
+    ]
     union, nstates = forbidden_union_over_trace(policy, trace, pc.n, eps)
-    loads = [0] * pc.n
-    overlap = []
-    for i in range(1, pc.phases + 1):
-        for t in range((i - 1) * pc.phase_size, i * pc.phase_size):
-            loads[trace[t].chosen] += 1
-        s_i = {b for b in range(pc.n) if loads[b] >= i}
-        overlap.append(len(s_i - union))
-    report.forbidden_overlap = overlap
+    report = _report_from_sizes(pc, [len(s_i) for s_i in phase_sets])
+    report.forbidden_overlap = [sum(1 for b in s_i if b not in union) for s_i in phase_sets]
     report.states_seen = nstates
     return report
 

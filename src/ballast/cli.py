@@ -100,7 +100,7 @@ def cmd_run(args) -> int:
         "balls": config.balls,
         "seed": config.seed,
         "max_load": result.max_load,
-        "memory_bits": policies.memory_bits(policy, config),
+        "memory_bits": policy.memory_bits(config.n, config.balls),
         "histogram": {str(k): v for k, v in core.load_histogram(result.loads).items()},
     }
     print(json.dumps(summary, indent=1))

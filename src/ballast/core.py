@@ -17,6 +17,16 @@ is the exact packed counter tuple; otherwise it is a 64-bit key linear in
 the memory vector, with fixed pseudo-random weights. Equal states always
 get equal ids, in any process. Policies keep the key current in O(1) per
 ball, so tracing costs O(balls).
+
+Every step-by-step walk goes through one of two generators. ``play``
+decides each step of drawn streams; ``replay`` walks a stored trace and
+proves it on the way. Both yield a step's ``StepRecord`` while the policy
+is still in the state that decided it, with that state's own id, and apply
+the step when the next record is asked for. A trace replays under a policy
+for n bins only if its steps are numbered 0, 1, ..., both offered bins of
+every step lie in 0..n-1, and every ``chosen`` is ``decide(pair, 0)`` or
+``decide(pair, 1)`` in the replayed state; ``replay`` raises ``ValueError``
+naming the first step that is not.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,7 +126,10 @@ def simulate_run(config: SimConfig, policy) -> RunResult:
     policy.reset(config.n, config.balls)
     loads = [0] * config.n
     if config.record_trace:
-        trace = _run_traced(policy, loads, pa, pb, ties)
+        trace = []
+        for rec in play(policy, pa, pb, ties):
+            loads[rec.chosen] += 1
+            trace.append(rec)
     else:
         trace = None
         policy.run_bulk(loads, pa, pb, ties)
@@ -152,21 +165,40 @@ def simulate_segmented(
     return RunResult(loads=loads, max_load=max(loads)), snapshots
 
 
-def _run_traced(policy, loads, pa, pb, ties) -> list[StepRecord]:
-    trace = []
+def play(policy, pa, pb, ties) -> Iterator[StepRecord]:
+    """Decide every step of the streams under ``policy``, as it is bound now.
+
+    Each step's record is yielded before the policy applies it, so between
+    two records the policy is in the state that decided the last one.
+    """
     for t, (a, b, r) in enumerate(zip(pa, pb, ties)):
         sid = policy.state_id()
         c = policy.decide((a, b), r)
-        loads[c] += 1
+        yield StepRecord(t, sid, a, b, c)
         policy.update((a, b), c)
-        trace.append(StepRecord(t, sid, a, b, c))
-    return trace
 
 
-def max_load(loads: Sequence[int]) -> int:
-    if len(loads) == 0:
-        raise ValueError("empty load vector")
-    return max(loads)
+def replay(policy, trace: Sequence[StepRecord], n: int) -> Iterator[StepRecord]:
+    """Rebind ``policy`` to n bins and walk ``trace`` through it, like ``play``.
+
+    Each yielded record carries the replayed policy's own state id, not the
+    one stored in the trace. A step the policy could not have taken raises
+    ``ValueError`` naming it (see the module docstring).
+    """
+    policy.reset(n, max(len(trace), 1))
+    for t, rec in enumerate(trace):
+        a, b, c = rec.bin_a, rec.bin_b, rec.chosen
+        if rec.step != t:
+            raise ValueError(f"trace step {t} is numbered {rec.step}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"trace step {t} offers bins ({a}, {b}) outside 0..{n - 1}")
+        if c != policy.decide((a, b), 0) and c != policy.decide((a, b), 1):
+            raise ValueError(
+                f"trace step {t} chooses bin {c} from ({a}, {b}), "
+                f"which the {policy.name} policy could not have chosen"
+            )
+        yield StepRecord(t, policy.state_id(), a, b, c)
+        policy.update((a, b), c)
 
 
 def load_histogram(loads: Sequence[int]) -> dict[int, int]:
@@ -209,9 +241,22 @@ def write_trace_csv(trace: Iterable[StepRecord], path: str) -> None:
 
 
 def read_trace_csv(path: str) -> list[StepRecord]:
+    """Read a trace written by ``write_trace_csv``; each row must be 5 integers."""
     with open(path, newline="") as f:
         rd = csv.reader(f)
-        header = next(rd)
+        header = next(rd, [])
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace header: {header}")
-        return [StepRecord(*(int(x) for x in row)) for row in rd]
+        trace = []
+        for row in rd:
+            try:
+                values = [int(x) for x in row]
+            except ValueError:
+                values = []
+            if len(values) != len(TRACE_COLUMNS):
+                raise ValueError(
+                    f"{path}:{rd.line_num}: a trace row needs {len(TRACE_COLUMNS)} "
+                    f"integer fields, got {row}"
+                )
+            trace.append(StepRecord(*values))
+        return trace

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .analysis import advice_threshold, theoretical_bounds
 from .core import SimConfig, atomic_write, simulate_run, trial_seed
-from .policies import Policy, make_policy, memory_bits
+from .policies import Policy, make_policy
 
 CSV_COLUMNS = (
     "policy",
@@ -135,7 +135,7 @@ def run_trial(
         trial=trial,
         seed=seed,
         max_load=result.max_load,
-        memory_bits=memory_bits(policy, config),
+        memory_bits=policy.memory_bits(config.n, config.balls),
         lower_L=b.lower_L,
         upper_T=b.upper_T,
         runtime_ms=elapsed_ms,

@@ -15,12 +15,15 @@ distinguishes them is what they are allowed to remember between balls:
                          rule-breaking policies.
 
 Tie-breaks consume the engine's per-step tie bit: bit 0 keeps the first
-offered bin, bit 1 takes the second. ``choice_dist`` exposes each policy's
-exact per-pair choice distribution (probabilities in half-units, so a fair
-tie is ``(bin_a, 1), (bin_b, 1)``) for the enumeration-based analysis.
-Greedy, clustered and advice also expose ``rank_keys``: per-bin keys whose
-comparison is their whole decision rule, so the analysis can count ranks
-instead of enumerating pairs.
+offered bin, bit 1 takes the second. Each policy states its rule once, in
+``decide``. ``choice_dist``, the exact per-pair choice distribution the
+enumeration-based analysis reads (probabilities in half-units, so a fair
+tie is ``(bin_a, 1), (bin_b, 1)``), is derived from ``decide`` under both
+tie bits and has no per-policy copy. Greedy, clustered and advice decide by
+``prefer_second`` on one key per bin; ``rank_keys`` is the vector of those
+keys, so the analysis can count ranks instead of enumerating pairs.
+``run_bulk`` inlines the rule once more for speed and is tested against
+``decide``/``update``.
 
 ``state_id`` labels the current memory state in O(1): greedy, clustered
 and advice keep a key that is linear in their memory vector and that
@@ -40,6 +43,15 @@ def int_width(maxval: int) -> int:
     if maxval < 0:
         raise ValueError("maxval must be >= 0")
     return max(1, math.ceil(math.log2(maxval + 1)))
+
+
+def prefer_second(ka, kb, tie):
+    """1 to take the second offered bin, 0 to keep the first.
+
+    The bin with the smaller key wins and equal keys follow ``tie``. Only
+    operators are used, so this works on Python ints and numpy arrays alike.
+    """
+    return (kb < ka) | ((kb == ka) & tie)
 
 
 class Policy:
@@ -93,13 +105,18 @@ class Policy:
         """Exact choice distribution for the current memory state.
 
         Returns ((bin, halves), ...) where halves/2 is the probability of
-        choosing that bin; halves sum to 2.
+        choosing that bin; halves sum to 2. The tie bit is fair, so each of
+        ``decide(pair, 0)`` and ``decide(pair, 1)`` carries one half.
         """
-        raise NotImplementedError(f"{self.name} does not expose its choice distribution")
+        d0, d1 = self.decide(pair, 0), self.decide(pair, 1)
+        if d0 == d1:
+            return ((d0, 2),)
+        return ((d0, 1), (d1, 1))
 
     def rank_keys(self) -> np.ndarray | None:
         """Per-bin int64 keys that decide every pair, or None.
 
+        They are the keys ``decide`` hands to ``prefer_second``, as a vector.
         Summed over both orders of each pair of distinct bins, the bin with
         the smaller key takes the ball and equal keys split it evenly. A
         policy whose rule is not such a comparison returns None.
@@ -170,9 +187,6 @@ class OneChoicePolicy(Policy):
             if v:
                 loads[i] += v
 
-    def choice_dist(self, pair):
-        return ((pair[0], 2),)
-
     def memory_bits(self, n, balls):
         return 0
 
@@ -192,12 +206,7 @@ class GreedyTwoChoicePolicy(_LinearKeyPolicy):
 
     def decide(self, pair, tie_bit):
         a, b = pair
-        la, lb = self._mem[a], self._mem[b]
-        if la < lb:
-            return a
-        if lb < la:
-            return b
-        return pair[tie_bit]
+        return pair[prefer_second(self._mem[a], self._mem[b], tie_bit)]
 
     def update(self, pair, chosen):
         self._mem[chosen] += 1
@@ -233,17 +242,6 @@ class GreedyTwoChoicePolicy(_LinearKeyPolicy):
             raise ValueError("state length does not match n")
         self._mem = list(state)
         self._key = None
-
-    def choice_dist(self, pair):
-        a, b = pair
-        if a == b:
-            return ((a, 2),)
-        la, lb = self._mem[a], self._mem[b]
-        if la < lb:
-            return ((a, 2),)
-        if lb < la:
-            return ((b, 2),)
-        return ((a, 1), (b, 1))
 
     def rank_keys(self):
         return np.array(self._mem, dtype=np.int64)
@@ -311,12 +309,7 @@ class ClusteredPolicy(_LinearKeyPolicy):
     def decide(self, pair, tie_bit):
         a, b = pair
         c = self.config.cluster_size
-        va, vb = self._counters[a // c], self._counters[b // c]
-        if va < vb:
-            return a
-        if vb < va:
-            return b
-        return pair[tie_bit]
+        return pair[prefer_second(self._counters[a // c], self._counters[b // c], tie_bit)]
 
     def update(self, pair, chosen):
         cc = chosen // self.config.cluster_size
@@ -366,18 +359,6 @@ class ClusteredPolicy(_LinearKeyPolicy):
             raise ValueError("counter value out of range")
         self._counters = list(state)
         self._key = None
-
-    def choice_dist(self, pair):
-        a, b = pair
-        if a == b:
-            return ((a, 2),)
-        c = self.config.cluster_size
-        va, vb = self._counters[a // c], self._counters[b // c]
-        if va < vb:
-            return ((a, 2),)
-        if vb < va:
-            return ((b, 2),)
-        return ((a, 1), (b, 1))
 
     def rank_keys(self):
         # same-cluster bins share a counter, so their pairs are ties
@@ -450,17 +431,10 @@ class AdvicePolicy(_LinearKeyPolicy):
         a, b = pair
         T = self.threshold
         la, lb = self._mem[a], self._mem[b]
-        if la >= T:
-            if lb >= T:
-                if la < lb:
-                    return a
-                if lb < la:
-                    return b
-                return pair[tie_bit]
-            return b
-        if lb >= T:
-            return a
-        return a
+        ka = la if la >= T else 0
+        kb = lb if lb >= T else 0
+        # two unlisted bins (both keys 0) go to the first offered bin
+        return pair[prefer_second(ka, kb, tie_bit & (ka > 0))]
 
     def update(self, pair, chosen):
         if self._nlisted > self._prestep_max:
@@ -526,23 +500,6 @@ class AdvicePolicy(_LinearKeyPolicy):
         self._nlisted = sum(1 for v in state if v >= self.threshold)
         self._key = None
 
-    def choice_dist(self, pair):
-        a, b = pair
-        if a == b:
-            return ((a, 2),)
-        T = self.threshold
-        la, lb = self._mem[a], self._mem[b]
-        ina, inb = la >= T, lb >= T
-        if ina and inb:
-            if la < lb:
-                return ((a, 2),)
-            if lb < la:
-                return ((b, 2),)
-            return ((a, 1), (b, 1))
-        if ina:
-            return ((b, 2),)
-        return ((a, 2),)
-
     def rank_keys(self):
         """The listed loads, 0 for unlisted bins: the key memory vector.
 
@@ -570,9 +527,6 @@ class MaxIndexPolicy(Policy):
     def decide(self, pair, tie_bit):
         return pair[0] if pair[0] >= pair[1] else pair[1]
 
-    def choice_dist(self, pair):
-        return ((max(pair), 2),)
-
     def memory_bits(self, n, balls):
         return 0
 
@@ -584,9 +538,6 @@ class MinIndexPolicy(Policy):
 
     def decide(self, pair, tie_bit):
         return pair[0] if pair[0] <= pair[1] else pair[1]
-
-    def choice_dist(self, pair):
-        return ((min(pair), 2),)
 
     def memory_bits(self, n, balls):
         return 0
@@ -606,16 +557,8 @@ class IllegalFixedBinPolicy(Policy):
     def decide(self, pair, tie_bit):
         return self.target
 
-    def choice_dist(self, pair):
-        return ((self.target, 2),)
-
     def memory_bits(self, n, balls):
         return 0
-
-
-def memory_bits(policy: Policy, config) -> int:
-    """Declared bit budget of a policy for a given run configuration."""
-    return policy.memory_bits(config.n, config.balls)
 
 
 POLICY_NAMES = (

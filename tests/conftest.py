@@ -20,7 +20,6 @@ from ballast import (
     ClusterConfig,
     SimConfig,
     make_policy,
-    memory_bits,
     simulate_run,
     theoretical_bounds,
     trial_seed,
@@ -71,7 +70,7 @@ def run_battery(policy_name: str, n: int, trials: int = TRIALS, keep_loads: bool
         policy = make_policy(policy_name, **params)
         result = simulate_run(config, policy)
         maxima.append(result.max_load)
-        bits = max(bits, memory_bits(policy, config))
+        bits = max(bits, policy.memory_bits(config.n, config.balls))
         if keep_loads:
             all_loads.append(result.loads)
     return maxima, bits, all_loads, time.perf_counter() - t0

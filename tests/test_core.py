@@ -1,5 +1,6 @@
 """Engine contracts: conservation, legality, determinism, pair uniformity."""
 
+import dataclasses
 import math
 
 import pytest
@@ -13,14 +14,13 @@ from ballast import (
     SimConfig,
     load_histogram,
     make_policy,
-    max_load,
     read_trace_csv,
     simulate_run,
     simulate_segmented,
     trial_seed,
     write_trace_csv,
 )
-from ballast.core import draw_run_streams
+from ballast.core import draw_run_streams, replay
 
 from conftest import reference_two_choice
 
@@ -175,6 +175,48 @@ def test_run_bulk_matches_decide_update(build, n, extra, seed, cut):
     assert fast.memory_bits(n, balls) == slow.memory_bits(n, balls)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    build=any_policy_builder(),
+    n=st.integers(3, 16),
+    extra=st.integers(0, 32),
+    seed=st.integers(0, 2**64 - 1),
+    where=st.integers(0, 2**16),
+    pick=st.integers(0, 2**16),
+)
+def test_replay_accepts_own_traces_and_refuses_impossible_steps(build, n, extra, seed, where, pick):
+    """replay proves every trace simulate_run writes and refuses a step the rule
+    could not have taken, at that step."""
+    balls = n + extra
+    live = build()
+    trace = simulate_run(SimConfig(n=n, seed=seed, balls=balls, record_trace=True), live).trace
+    replayed = build()
+    assert list(replay(replayed, trace, n)) == trace
+    assert replayed.memory_state() == live.memory_state()
+
+    t = where % balls
+    probe = build()
+    for rec in replay(probe, trace, n):
+        if rec.step == t:
+            break
+    pair = (rec.bin_a, rec.bin_b)
+    possible = {probe.decide(pair, 0), probe.decide(pair, 1)}
+    impossible = [b for b in range(n) if b not in possible]
+    bad = dataclasses.replace(trace[t], chosen=impossible[pick % len(impossible)])
+    with pytest.raises(ValueError, match=rf"^trace step {t} chooses bin "):
+        list(replay(build(), trace[:t] + [bad] + trace[t + 1 :], n))
+
+
+def test_replay_refuses_misnumbered_steps_and_foreign_bins():
+    trace = simulate_run(SimConfig(n=8, seed=1, record_trace=True), make_policy("greedy")).trace
+    swapped = [trace[0], trace[2], trace[1]] + trace[3:]
+    with pytest.raises(ValueError, match="trace step 1 is numbered 2"):
+        list(replay(make_policy("greedy"), swapped, 8))
+    foreign = trace[:3] + [dataclasses.replace(trace[3], bin_b=8)] + trace[4:]
+    with pytest.raises(ValueError, match=r"trace step 3 offers bins \(\d+, 8\) outside 0..7"):
+        list(replay(make_policy("greedy"), foreign, 8))
+
+
 def test_segmented_run_matches_plain_run():
     cfg = SimConfig(n=32, seed=7, balls=128)
     plain = simulate_run(cfg, make_policy("greedy"))
@@ -216,14 +258,9 @@ def test_pair_distribution_allows_repeats():
 
 
 def test_max_load_and_histogram_examples():
-    assert max_load([0, 0, 0]) == 0
-    assert max_load([3, 1, 2]) == 3
-    assert max_load([5]) == 5
     assert load_histogram([2, 0, 1]) == {0: 1, 1: 1, 2: 1}
     assert load_histogram([1, 1, 1]) == {1: 3}
     assert load_histogram([0, 0]) == {0: 2}
-    with pytest.raises(ValueError):
-        max_load([])
     with pytest.raises(ValueError):
         load_histogram([])
 

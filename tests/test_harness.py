@@ -14,7 +14,6 @@ from ballast import (
     StepRecord,
     emit,
     make_policy,
-    memory_bits,
     read_rows_json,
     run_experiment,
     theoretical_bounds,
@@ -103,7 +102,7 @@ def test_row_columns_consistent_with_modules():
         assert abs(r.upper_T - b.upper_T) < 1e-9
     by_label = {r.policy: r for r in rows}
     cfg = SimConfig(n=64, seed=rows[0].seed)
-    assert by_label["greedy"].memory_bits == memory_bits(make_policy("greedy"), cfg)
+    assert by_label["greedy"].memory_bits == make_policy("greedy").memory_bits(cfg.n, cfg.balls)
     assert by_label["clustered[cluster_size=4,counter_cap=16]"].memory_bits == 16 * 5
     advice_row = by_label["advice[threshold=2]"]
     assert advice_row.memory_bits > 0  # observed advice bits after the run
@@ -350,6 +349,56 @@ def test_cli_phases_forbidden(capsys, monkeypatch):
                  "--forbidden"])
     assert code == 2
     assert f"needs n <= {PAIR_GUARD}" in capsys.readouterr().err
+
+
+def _traced_run(tmp_path, capsys, policy, n, balls=None):
+    path = tmp_path / f"{policy}-{n}.csv"
+    argv = ["run", "--policy", policy, "--n", str(n), "--seed", "3", "--trace-out", str(path)]
+    assert main(argv + (["--balls", str(balls)] if balls else [])) == 0
+    capsys.readouterr()
+    return path
+
+
+def _assert_refused(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("forbidden", [[], ["--policy", "greedy", "--forbidden"]])
+def test_cli_phases_refuses_a_trace_of_more_bins(tmp_path, capsys, forbidden):
+    trace = _traced_run(tmp_path, capsys, "greedy", 16)
+    argv = ["phases", "--n", "8", "--phases", "2", "--trace-in", str(trace), *forbidden]
+    _assert_refused(capsys, argv, "outside 0..7")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # a negative chosen bin used to wrap to the last bin
+        (lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ",-1"] + lines[2:],
+         "trace step 0 chooses bin -1 outside 0..15"),
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+         ":3: a trace row needs 5 integer fields"),
+        (lambda lines: [], "unexpected trace header: []"),
+    ],
+    ids=["negative-chosen", "four-fields", "empty-file"],
+)
+def test_cli_phases_refuses_a_malformed_trace_file(tmp_path, capsys, edit, message):
+    trace = _traced_run(tmp_path, capsys, "greedy", 16)
+    lines = edit(trace.read_text().splitlines())
+    trace.write_text("".join(line + "\n" for line in lines))
+    argv = ["phases", "--n", "16", "--phases", "2", "--trace-in", str(trace)]
+    _assert_refused(capsys, argv, message)
+
+
+def test_cli_phases_forbidden_refuses_a_trace_of_another_policy(tmp_path, capsys):
+    trace = _traced_run(tmp_path, capsys, "clustered", 64, balls=128)
+    argv = ["phases", "--n", "64", "--phases", "2", "--trace-in", str(trace), "--forbidden"]
+    _assert_refused(capsys, argv + ["--policy", "greedy"], "the greedy policy could not have chosen")
+    assert main(argv + ["--policy", "clustered"]) == 0
 
 
 def test_cli_bounds_reports_log_base(capsys):

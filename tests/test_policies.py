@@ -3,6 +3,7 @@
 import inspect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,6 @@ from ballast import (
     default_cluster_config,
     int_width,
     make_policy,
-    memory_bits,
     simulate_run,
     simulate_segmented,
 )
@@ -180,13 +180,12 @@ def test_advice_mirror_matches_true_loads():
 
 
 def test_memory_bits_examples():
-    cfg16 = SimConfig(n=16, seed=0)
-    assert memory_bits(make_policy("one-choice"), cfg16) == 0
-    assert memory_bits(make_policy("greedy"), cfg16) == 16 * 5  # width(16) = 5
+    assert make_policy("one-choice").memory_bits(16, 16) == 0
+    assert make_policy("greedy").memory_bits(16, 16) == 16 * 5  # width(16) = 5
     clustered = make_policy("clustered", cluster_size=4, counter_cap=16)
-    assert memory_bits(clustered, SimConfig(n=1024, seed=0)) == 1280
-    assert memory_bits(make_policy("max-index"), cfg16) == 0
-    assert memory_bits(make_policy("min-index"), cfg16) == 0
+    assert clustered.memory_bits(1024, 1024) == 1280
+    assert make_policy("max-index").memory_bits(16, 16) == 0
+    assert make_policy("min-index").memory_bits(16, 16) == 0
 
 
 def test_advice_bits_reflect_max_prestep_list():
@@ -200,12 +199,12 @@ def test_advice_bits_reflect_max_prestep_list():
     for rec in r.trace:
         biggest = max(biggest, sum(1 for v in loads if v >= T))
         loads[rec.chosen] += 1
-    assert memory_bits(p, cfg) == biggest * (int_width(n - 1) + int_width(balls))
+    assert p.memory_bits(cfg.n, cfg.balls) == biggest * (int_width(n - 1) + int_width(balls))
 
 
 def test_advice_bits_zero_before_any_run():
     p = AdvicePolicy(threshold=2)
-    assert memory_bits(p, SimConfig(n=16, seed=0)) == 0
+    assert p.memory_bits(16, 16) == 0
 
 
 def test_declared_bits_cover_state_space():
@@ -214,11 +213,11 @@ def test_declared_bits_cover_state_space():
         p = make_policy(name)
         size = p.state_space_size(16, 8)
         assert size == 1
-        assert memory_bits(p, cfg) >= math.ceil(math.log2(size))
+        assert p.memory_bits(cfg.n, cfg.balls) >= math.ceil(math.log2(size))
     p = make_policy("clustered", cluster_size=2, counter_cap=8)
     size = p.state_space_size(16, 8)
     assert size == 9**8
-    assert memory_bits(p, cfg) >= math.ceil(math.log2(size))
+    assert p.memory_bits(cfg.n, cfg.balls) >= math.ceil(math.log2(size))
     assert make_policy("greedy").state_space_size(16, 8) is None
 
 
@@ -329,6 +328,31 @@ def test_no_state_id_hashes_the_memory():
     for cls in vars(policies).values():
         if isinstance(cls, type) and "state_id" in vars(cls):
             assert "hash(" not in inspect.getsource(vars(cls)["state_id"]), cls.__name__
+
+
+def test_choice_dist_is_stated_once():
+    """choice_dist is derived from decide on Policy; no policy restates its rule there."""
+    for cls in vars(policies).values():
+        if isinstance(cls, type) and issubclass(cls, policies.Policy) and cls is not policies.Policy:
+            assert "choice_dist" not in vars(cls), cls.__name__
+
+
+def test_choice_dist_gives_each_tie_bit_one_half():
+    p = make_policy("greedy")
+    p.reset(4, 8)
+    p.restore((1, 1, 0, 0))
+    assert p.choice_dist((1, 0)) == ((1, 1), (0, 1))  # tie: decide(pair, 0), decide(pair, 1)
+    assert p.choice_dist((0, 2)) == ((2, 2),)
+    assert p.choice_dist((3, 3)) == ((3, 2),)
+
+
+def test_prefer_second_on_ints_and_arrays():
+    """The shared comparison gives the same answers on Python ints and numpy arrays."""
+    cases = [(ka, kb, tie) for ka in range(3) for kb in range(3) for tie in (0, 1)]
+    expected = [int(kb < ka or (kb == ka and tie == 1)) for ka, kb, tie in cases]
+    assert [int(policies.prefer_second(*c)) for c in cases] == expected
+    ka, kb, tie = (np.array(col, dtype=np.int64) for col in zip(*cases))
+    assert policies.prefer_second(ka, kb, tie).astype(int).tolist() == expected
 
 
 @settings(max_examples=40, deadline=None)
