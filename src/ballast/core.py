@@ -6,10 +6,11 @@ fair tie-break bit. The policy picks one member of the pair; the engine
 maintains the ground-truth loads.
 
 Randomness comes from numpy's Philox bit generator (a counter-based 64-bit
-PRNG) keyed by ``SimConfig.seed``. Each run draws exactly three vectors up
-front, in this order: first-offered bins, second-offered bins, tie bits.
-The fixed layout makes every run bit-replayable from its seed alone,
-independent of which branches a policy takes.
+PRNG) keyed by ``SimConfig.seed``. Each run draws exactly three numpy
+vectors up front, in this order: first-offered bins, second-offered bins
+(int64) and tie bits (uint8). The fixed layout makes every run
+bit-replayable from its seed alone, independent of which branches a policy
+takes. An untraced run hands the arrays to the policy's ``run_bulk``.
 
 A traced run records, before each ball, ``memory_state_id``: the policy's
 ``state_id()``. For a clustered geometry whose counters fit in 63 bits it
@@ -101,13 +102,13 @@ class RunResult:
         return cls(loads=list(d["loads"]), max_load=d["max_load"], trace=trace)
 
 
-def draw_run_streams(config: SimConfig) -> tuple[list[int], list[int], list[int]]:
-    """Draw the run's three random vectors (bin_a, bin_b, tie bits)."""
+def draw_run_streams(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the run's three random vectors: bin_a, bin_b (int64), tie bits (uint8)."""
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     balls, n = config.balls, config.n
-    pa = rng.integers(0, n, size=balls, dtype=np.int64).tolist()
-    pb = rng.integers(0, n, size=balls, dtype=np.int64).tolist()
-    ties = rng.integers(0, 2, size=balls, dtype=np.uint8).tolist()
+    pa = rng.integers(0, n, size=balls, dtype=np.int64)
+    pb = rng.integers(0, n, size=balls, dtype=np.int64)
+    ties = rng.integers(0, 2, size=balls, dtype=np.uint8)
     return pa, pb, ties
 
 
@@ -124,16 +125,16 @@ def simulate_run(config: SimConfig, policy) -> RunResult:
     """
     pa, pb, ties = draw_run_streams(config)
     policy.reset(config.n, config.balls)
-    loads = [0] * config.n
     if config.record_trace:
+        loads = [0] * config.n
         trace = []
         for rec in play(policy, pa, pb, ties):
             loads[rec.chosen] += 1
             trace.append(rec)
-    else:
-        trace = None
-        policy.run_bulk(loads, pa, pb, ties)
-    return RunResult(loads=loads, max_load=max(loads), trace=trace)
+        return RunResult(loads=loads, max_load=max(loads), trace=trace)
+    counts = np.zeros(config.n, dtype=np.int64)
+    policy.run_bulk(counts, pa, pb, ties)
+    return RunResult(loads=counts.tolist(), max_load=int(counts.max()))
 
 
 def simulate_segmented(
@@ -153,15 +154,16 @@ def simulate_segmented(
         raise ValueError(f"boundaries must be strictly increasing and within 1..{config.balls}")
     pa, pb, ties = draw_run_streams(config)
     policy.reset(config.n, config.balls)
-    loads = [0] * config.n
+    counts = np.zeros(config.n, dtype=np.int64)
     snapshots = []
     prev = 0
     for b in bounds:
-        policy.run_bulk(loads, pa[prev:b], pb[prev:b], ties[prev:b])
-        snapshots.append(list(loads))
+        policy.run_bulk(counts, pa[prev:b], pb[prev:b], ties[prev:b])
+        snapshots.append(counts.tolist())
         prev = b
     if prev < config.balls:
-        policy.run_bulk(loads, pa[prev:], pb[prev:], ties[prev:])
+        policy.run_bulk(counts, pa[prev:], pb[prev:], ties[prev:])
+    loads = counts.tolist()
     return RunResult(loads=loads, max_load=max(loads)), snapshots
 
 
@@ -169,13 +171,18 @@ def play(policy, pa, pb, ties) -> Iterator[StepRecord]:
     """Decide every step of the streams under ``policy``, as it is bound now.
 
     Each step's record is yielded before the policy applies it, so between
-    two records the policy is in the state that decided the last one.
+    two records the policy is in the state that decided the last one. The
+    streams may be lists or arrays; records always hold Python ints.
     """
-    for t, (a, b, r) in enumerate(zip(pa, pb, ties)):
+    for t, (a, b, r) in enumerate(zip(_ints(pa), _ints(pb), _ints(ties))):
         sid = policy.state_id()
         c = policy.decide((a, b), r)
         yield StepRecord(t, sid, a, b, c)
         policy.update((a, b), c)
+
+
+def _ints(stream):
+    return stream.tolist() if isinstance(stream, np.ndarray) else stream
 
 
 def replay(policy, trace: Sequence[StepRecord], n: int) -> Iterator[StepRecord]:

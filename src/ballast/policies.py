@@ -20,10 +20,12 @@ offered bin, bit 1 takes the second. Each policy states its rule once, in
 enumeration-based analysis reads (probabilities in half-units, so a fair
 tie is ``(bin_a, 1), (bin_b, 1)``), is derived from ``decide`` under both
 tie bits and has no per-policy copy. Greedy, clustered and advice decide by
-``prefer_second`` on one key per bin; ``rank_keys`` is the vector of those
-keys, so the analysis can count ranks instead of enumerating pairs.
-``run_bulk`` inlines the rule once more for speed and is tested against
-``decide``/``update``.
+``prefer_second`` on one key per memory slot (a bin, or a cluster for
+clustered); ``rank_keys`` is the vector of those keys, so the analysis can
+count ranks instead of enumerating pairs. Their ``run_bulk`` applies the
+same ``prefer_second`` to whole arrays of steps: within a window of steps
+that offer pairwise distinct slots, every decision reads the memory from
+before the window (see ``_decide_windows``).
 
 ``state_id`` labels the current memory state in O(1): greedy, clustered
 and advice keep a key that is linear in their memory vector and that
@@ -146,6 +148,80 @@ def key_weights(count: int) -> np.ndarray:
     return np.random.Philox(key=_KEY_WEIGHT_SEED).random_raw(count)
 
 
+def _add_counts(loads, counts: np.ndarray) -> None:
+    """``loads += counts`` in place, for an int64 array or a list of ints."""
+    if isinstance(loads, np.ndarray):
+        loads += counts
+    else:
+        loads[:] = np.add(loads, counts).tolist()
+
+
+def _window_ends(sa: np.ndarray, sb: np.ndarray) -> list[int]:
+    """Split a block of steps into conflict-free windows; return their ends.
+
+    ``sa[t]``/``sb[t]`` are the memory slots step t offers. A window ends
+    just before the first step that offers a slot an earlier step of the
+    window offered; a step that offers one slot twice is no conflict. One
+    sort of the block's (slot, step) entries puts every step next to the
+    previous step that offered the same slot, and those adjacent pairs are
+    all the conflicts a window can meet.
+    """
+    k = len(sa)
+    shift = k.bit_length()
+    steps = np.arange(k)
+    entries = np.concatenate((sa, sb))
+    entries <<= shift  # the high bits hold the slot, the low bits the step
+    entries[:k] |= steps
+    entries[k:] |= steps
+    entries.sort()
+    # adjacent entries of one slot and two steps differ below the slot bits
+    diff = entries[1:] ^ entries[:-1]
+    hit = (diff != 0) & (diff < (1 << shift))
+    mask = (1 << shift) - 1
+    later, earlier = entries[1:][hit] & mask, entries[:-1][hit] & mask
+    ends = []
+    for t, u in sorted(zip(later.tolist(), earlier.tolist())):
+        if u >= (ends[-1] if ends else 0):
+            ends.append(t)
+    ends.append(k)
+    return ends
+
+
+def _decide_windows(mem: np.ndarray, sa, sb, ties, prefer, cap=None) -> np.ndarray:
+    """Decide every step by ``prefer`` and apply it to ``mem``, in windows.
+
+    Step t offers memory slots ``sa[t]`` and ``sb[t]``; ``prefer(ma, mb,
+    tie)`` is the policy's rule on the slots' memory values, and the chosen
+    slot's value grows by one (saturating at ``cap``). Within a window of
+    steps that offer pairwise distinct slots no decision reads a slot the
+    window writes, so each window is one gather, one ``prefer`` and one
+    scatter. Its chosen slots are distinct, so the scatter never repeats an
+    index. Windows are found in blocks of 4 * sqrt(slots) + 64 steps, which
+    hold about seven windows each.
+    Returns the per-step choice: True where the second offer won.
+    """
+    won = []
+    block = 4 * math.isqrt(len(mem)) + 64
+    start = 0
+    while start < len(sa):
+        s = start
+        ends = _window_ends(sa[s : s + block], sb[s : s + block])
+        if s + block < len(sa) and len(ends) > 1:
+            ends.pop()  # the block cut the last window short; the next block redoes it
+        for end in ends:
+            end += s
+            a, b = sa[start:end], sb[start:end]
+            second = prefer(mem[a], mem[b], ties[start:end])
+            chosen = np.where(second, b, a)
+            grown = mem[chosen] + 1
+            if cap is not None:
+                np.minimum(grown, cap, out=grown)
+            mem[chosen] = grown
+            won.append(second)
+            start = end
+    return np.concatenate(won) if won else np.zeros(0, dtype=bool)
+
+
 class _LinearKeyPolicy(Policy):
     """A policy whose memory is an integer vector m, with an O(1) state key.
 
@@ -155,12 +231,43 @@ class _LinearKeyPolicy(Policy):
     ``state_id()`` recomputes it from the memory once, which also builds the
     weights on first use, so untraced runs never allocate them. Equal
     memories get equal ids in any process; distinct ones may collide.
+
+    m is the list ``_mem``, one value per memory slot; bin x uses slot
+    ``_slot(x)``. A step takes the second offered bin where
+    ``_prefer(m[slot a], m[slot b], tie)`` is 1, and the chosen slot's
+    value grows by one, up to ``cap``. ``run_bulk`` applies ``_prefer`` to
+    arrays (``_decide_windows``); ``decide`` calls it, or ``prefer_second``
+    when that is ``_prefer``, on Python ints.
     """
+
+    cap = None
 
     def reset(self, n, balls):
         super().reset(n, balls)
         self._key = None
         self._wv = None
+
+    def _slot(self, bins):
+        return bins
+
+    _prefer = staticmethod(prefer_second)
+
+    def run_bulk(self, loads, pa, pb, ties):
+        self._bulk(loads, pa, pb, ties)
+
+    def _bulk(self, loads, pa, pb, ties) -> tuple[np.ndarray, np.ndarray]:
+        """Apply the steps in windows; return the memory and the chosen bins."""
+        pa = np.asarray(pa, dtype=np.int64)
+        pb = np.asarray(pb, dtype=np.int64)
+        mem = np.fromiter(self._mem, dtype=np.int64, count=len(self._mem))
+        second = _decide_windows(
+            mem, self._slot(pa), self._slot(pb), np.asarray(ties, dtype=bool), self._prefer, self.cap
+        )
+        self._mem = mem.tolist()
+        self._key = None
+        chosen = np.where(second, pb, pa)
+        _add_counts(loads, np.bincount(chosen, minlength=self.n))
+        return mem, chosen
 
     def _key_weights(self) -> np.ndarray:
         return key_weights(self.n)
@@ -182,10 +289,7 @@ class OneChoicePolicy(Policy):
         return pair[0]
 
     def run_bulk(self, loads, pa, pb, ties):
-        counts = np.bincount(pa, minlength=self.n)
-        for i, v in enumerate(counts.tolist()):
-            if v:
-                loads[i] += v
+        _add_counts(loads, np.bincount(np.asarray(pa, dtype=np.int64), minlength=self.n))
 
     def memory_bits(self, n, balls):
         return 0
@@ -212,22 +316,6 @@ class GreedyTwoChoicePolicy(_LinearKeyPolicy):
         self._mem[chosen] += 1
         if self._key is not None:
             self._key = (self._key + self._w[chosen]) & _KEY_MASK
-
-    def run_bulk(self, loads, pa, pb, ties):
-        self._key = None
-        mem = self._mem
-        for a, b, r in zip(pa, pb, ties):
-            la, lb = mem[a], mem[b]
-            if la < lb:
-                c = a
-            elif lb < la:
-                c = b
-            elif r:
-                c = b
-            else:
-                c = a
-            mem[c] += 1
-            loads[c] += 1
 
     def state_id(self):
         if self._key is None:
@@ -304,65 +392,49 @@ class ClusteredPolicy(_LinearKeyPolicy):
     def reset(self, n, balls):
         super().reset(n, balls)
         self.config = self._explicit or default_cluster_config(n)
-        self._counters = [0] * self.config.num_clusters(n)
+        self.cap = self.config.counter_cap
+        self._mem = [0] * self.config.num_clusters(n)
+
+    def _slot(self, bins):
+        return bins // self.config.cluster_size
 
     def decide(self, pair, tie_bit):
         a, b = pair
         c = self.config.cluster_size
-        return pair[prefer_second(self._counters[a // c], self._counters[b // c], tie_bit)]
+        return pair[prefer_second(self._mem[a // c], self._mem[b // c], tie_bit)]
 
     def update(self, pair, chosen):
         cc = chosen // self.config.cluster_size
-        if self._counters[cc] < self.config.counter_cap:
-            self._counters[cc] += 1
+        if self._mem[cc] < self.cap:
+            self._mem[cc] += 1
             if self._key is not None:
                 self._key = (self._key + self._w[cc]) & _KEY_MASK
 
-    def run_bulk(self, loads, pa, pb, ties):
-        self._key = None
-        cnt = self._counters
-        c = self.config.cluster_size
-        cap = self.config.counter_cap
-        for a, b, r in zip(pa, pb, ties):
-            ca, cb = a // c, b // c
-            va, vb = cnt[ca], cnt[cb]
-            if va < vb:
-                ch, cc = a, ca
-            elif vb < va:
-                ch, cc = b, cb
-            elif r:
-                ch, cc = b, cb
-            else:
-                ch, cc = a, ca
-            loads[ch] += 1
-            if cnt[cc] < cap:
-                cnt[cc] += 1
-
     def _key_weights(self):
-        k = len(self._counters)
+        k = len(self._mem)
         if k * self.config.counter_width <= 63:
-            return (self.config.counter_cap + 1) ** np.arange(k, dtype=np.uint64)
+            return (self.cap + 1) ** np.arange(k, dtype=np.uint64)
         return key_weights(k)
 
     def state_id(self):
         if self._key is None:
-            self._key = self._linear_key(self._counters)
+            self._key = self._linear_key(self._mem)
         return self._key
 
     def snapshot(self):
-        return tuple(self._counters)
+        return tuple(self._mem)
 
     def restore(self, state):
         if len(state) != self.config.num_clusters(self.n):
             raise ValueError("state length does not match cluster count")
-        if any(v < 0 or v > self.config.counter_cap for v in state):
+        if any(v < 0 or v > self.cap for v in state):
             raise ValueError("counter value out of range")
-        self._counters = list(state)
+        self._mem = list(state)
         self._key = None
 
     def rank_keys(self):
         # same-cluster bins share a counter, so their pairs are ties
-        counters = np.array(self._counters, dtype=np.int64)
+        counters = np.array(self._mem, dtype=np.int64)
         return np.repeat(counters, self.config.cluster_size)[: self.n]
 
     def memory_bits(self, n, balls):
@@ -427,14 +499,18 @@ class AdvicePolicy(_LinearKeyPolicy):
     def advice_list(self) -> AdviceList:
         return build_advice(self._mem, self.threshold)
 
+    def _listed(self, load):
+        """A bin's key: its load if it is listed, else 0. Operators only."""
+        return load * (load >= self.threshold)
+
+    def _prefer(self, la, lb, tie):
+        ka, kb = self._listed(la), self._listed(lb)
+        # two unlisted bins (both keys 0) go to the first offered bin
+        return prefer_second(ka, kb, tie & (ka > 0))
+
     def decide(self, pair, tie_bit):
         a, b = pair
-        T = self.threshold
-        la, lb = self._mem[a], self._mem[b]
-        ka = la if la >= T else 0
-        kb = lb if lb >= T else 0
-        # two unlisted bins (both keys 0) go to the first offered bin
-        return pair[prefer_second(ka, kb, tie_bit & (ka > 0))]
+        return pair[self._prefer(self._mem[a], self._mem[b], tie_bit)]
 
     def update(self, pair, chosen):
         if self._nlisted > self._prestep_max:
@@ -448,39 +524,14 @@ class AdvicePolicy(_LinearKeyPolicy):
             self._key = (self._key + (T if v == T else 1) * self._w[chosen]) & _KEY_MASK
 
     def run_bulk(self, loads, pa, pb, ties):
-        self._key = None
-        mem = self._mem
-        T = self.threshold
-        nlisted = self._nlisted
-        c = pa[0] if pa else 0
-        for a, b, r in zip(pa, pb, ties):
-            la, lb = mem[a], mem[b]
-            if la >= T:
-                if lb >= T:
-                    if la < lb:
-                        c = a
-                    elif lb < la:
-                        c = b
-                    elif r:
-                        c = b
-                    else:
-                        c = a
-                else:
-                    c = b
-            else:
-                c = a
-            mem[c] += 1
-            if mem[c] == T:
-                nlisted += 1
-            loads[c] += 1
-        self._nlisted = nlisted
-        # max over steps of the pre-step list size; the list only grows, so
-        # that is the size before the final ball
-        if pa:
-            last_crossed = 1 if mem[c] == T else 0
-            prestep = nlisted - last_crossed
-            if prestep > self._prestep_max:
-                self._prestep_max = prestep
+        mem, chosen = self._bulk(loads, pa, pb, ties)
+        if len(chosen):
+            T = self.threshold
+            self._nlisted = int(np.count_nonzero(mem >= T))
+            # max over steps of the pre-step list size; the list only grows,
+            # so that is the size before the final ball
+            prestep = self._nlisted - int(mem[chosen[-1]] == T)
+            self._prestep_max = max(self._prestep_max, prestep)
 
     def state_id(self):
         if self._key is None:
@@ -506,9 +557,7 @@ class AdvicePolicy(_LinearKeyPolicy):
         Two unlisted bins go to the first offered one, which over both
         orders of the pair is an even split, like a tie.
         """
-        m = np.array(self._mem, dtype=np.int64)
-        m[m < self.threshold] = 0
-        return m
+        return self._listed(np.array(self._mem, dtype=np.int64))
 
     def memory_bits(self, n, balls):
         # advice channel cost, max over steps; 0 until a run has happened

@@ -1,8 +1,11 @@
 """Engine contracts: conservation, legality, determinism, pair uniformity."""
 
 import dataclasses
+import hashlib
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -173,6 +176,85 @@ def test_run_bulk_matches_decide_update(build, n, extra, seed, cut):
     assert fast.snapshot() == slow.snapshot()
     assert fast.memory_state() == slow.memory_state()
     assert fast.memory_bits(n, balls) == slow.memory_bits(n, balls)
+
+
+LONG_WINDOW_POLICIES = {
+    "greedy": lambda: make_policy("greedy"),
+    "clustered-default": lambda: make_policy("clustered"),
+    # cap 1 and cap 2 saturate early; 7 does not divide n, so the last cluster is short
+    "clustered-cap1": lambda: ClusteredPolicy(ClusterConfig(7, 1)),
+    "clustered-cap2": lambda: ClusteredPolicy(ClusterConfig(7, 2)),
+    "advice-T1": lambda: make_policy("advice", threshold=1),
+    "advice-T5": lambda: make_policy("advice", threshold=5),
+}
+
+
+@pytest.mark.parametrize("n", [4096, 1 << 17])
+@pytest.mark.parametrize("name", sorted(LONG_WINDOW_POLICIES))
+def test_run_bulk_matches_decide_update_on_long_windows(name, n):
+    """At these n a conflict-free window holds tens to hundreds of steps.
+    run_bulk is split at 0, at cuts inside windows and at balls."""
+    balls = n + n // 2
+    pa, pb, ties = draw_run_streams(SimConfig(n=n, seed=n + 11, balls=balls))
+    fast, slow = LONG_WINDOW_POLICIES[name](), LONG_WINDOW_POLICIES[name]()
+    fast.reset(n, balls)
+    slow.reset(n, balls)
+    fast_loads = [0] * n
+    cuts = [0, 0, 1, 777, balls // 3 + 5, balls // 3 + 6, balls - 2, balls, balls]
+    for lo, hi in zip(cuts, cuts[1:]):
+        fast.run_bulk(fast_loads, pa[lo:hi], pb[lo:hi], ties[lo:hi])
+    slow_loads = [0] * n
+    for a, b, r in zip(pa.tolist(), pb.tolist(), ties.tolist()):
+        c = slow.decide((a, b), r)
+        slow_loads[c] += 1
+        slow.update((a, b), c)
+    assert fast_loads == slow_loads
+    assert fast.snapshot() == slow.snapshot()
+    assert fast.memory_state() == slow.memory_state()
+    assert fast.memory_bits(n, balls) == slow.memory_bits(n, balls)
+    if name.startswith("clustered-cap"):
+        assert max(slow.snapshot()) == slow.config.counter_cap  # the cap was reached
+
+
+# sha256 of json.dumps([pa, pb, ties]) for the one-shot Philox lists that
+# draw_run_streams returned before it returned arrays: the bit-replay contract
+STREAM_DIGESTS = {
+    (1000, 12345, 5000): "9df76da6c6c0f4ea5d2ee7d9c3f1080a47b83c452a0c6279ce8ab61868c1ead4",
+    (1 << 20, 2**64 - 1, 4096): "a037df390db909ca14c70ec7d2c882c58bf3ed26a947b35b25d2f6c058d6d2c4",
+    (3, 0, 4097): "0300d8d30521e45f9687cfbe4782a0a7c0407cf27037b61e7d72c38595702eac",
+}
+
+
+@pytest.mark.parametrize("n, seed, balls", sorted(STREAM_DIGESTS))
+def test_stream_arrays_keep_the_one_shot_draws(n, seed, balls):
+    pa, pb, ties = draw_run_streams(SimConfig(n=n, seed=seed, balls=balls))
+    assert [v.dtype for v in (pa, pb, ties)] == [np.int64, np.int64, np.uint8]
+    assert all(len(v) == balls for v in (pa, pb, ties))
+    values = json.dumps([pa.tolist(), pb.tolist(), ties.tolist()]).encode()
+    assert hashlib.sha256(values).hexdigest() == STREAM_DIGESTS[(n, seed, balls)]
+
+
+@pytest.mark.parametrize("name", ["one-choice", "greedy", "clustered", "advice", "max-index"])
+def test_play_yields_ints_and_run_bulk_takes_lists_or_arrays(name):
+    n, balls = 64, 300
+    config = SimConfig(n=n, seed=9, balls=balls, record_trace=True)
+    r = simulate_run(config, _policy(name))
+    fields = [getattr(rec, f.name) for rec in r.trace for f in dataclasses.fields(rec)]
+    assert all(type(v) is int for v in fields)
+    assert RunResult.from_json(r.to_json()) == r
+
+    streams = draw_run_streams(config)
+    outcomes = []
+    for as_lists in (False, True):
+        p = _policy(name)
+        p.reset(n, balls)
+        loads = [0] * n
+        for lo, hi in ((0, 100), (100, balls)):
+            p.run_bulk(loads, *(v[lo:hi].tolist() if as_lists else v[lo:hi] for v in streams))
+        assert all(type(v) is int for v in loads)
+        outcomes.append((loads, p.snapshot(), p.memory_bits(n, balls)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == r.loads
 
 
 @settings(max_examples=60, deadline=None)
