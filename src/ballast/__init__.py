@@ -30,7 +30,6 @@ from .analysis import (
     probe_states,
     random_subsets,
     run_phase_report,
-    run_phase_report_with_forbidden,
     sweep_placement_bounds,
     theoretical_bounds,
 )

@@ -37,16 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import (
-    PAIR_GUARD,
-    RunResult,
-    SimConfig,
-    StepRecord,
-    draw_run_streams,
-    play,
-    replay,
-    simulate_segmented,
-)
+from .core import PAIR_GUARD, RunResult, SimConfig, StepRecord, play, replay, simulate_segmented
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +471,8 @@ def enumerate_clustered_states(num_clusters: int, cap: int, max_balls: int):
 
 def probe_states(policy, n: int, balls: int, seed: int, max_states: int = 256) -> list:
     """Snapshots of the distinct memory states visited in one seeded run."""
+    from .core import draw_run_streams
+
     config = SimConfig(n=n, seed=seed, balls=balls)
     pa, pb, ties = draw_run_streams(config)
     policy.reset(n, balls)
@@ -684,23 +677,16 @@ def forbidden_union_over_trace(policy, trace: Sequence[StepRecord], n: int, epsi
     refuses a trace the policy could not have made); needs the enumeration
     guard (n <= 4096). Returns (union set, number of distinct states).
     """
-    union, distinct, _ = _forbidden_walk(policy, replay(policy, trace, n), n, as_exact(epsilon))
-    return union, distinct
-
-
-def _forbidden_walk(policy, records: Iterable[StepRecord], n: int, eps: Fraction):
-    """Walk the records of ``policy`` once, as ``core.play`` or ``core.replay``
-    yield them; return (forbidden union, distinct states, chosen bins)."""
+    eps = as_exact(epsilon)
     seen: dict = {}
     distinct = 0
     union: set[int] = set()
-    chosen = []
-    for rec in records:
-        chosen.append(rec.chosen)
+    for rec in replay(policy, trace, n):
         if _first_visit(seen, rec.memory_state_id, policy):
             distinct += 1
-            union |= forbidden_set(exact_placement_probs(policy, n), eps).members
-    return union, distinct, chosen
+            probs = exact_placement_probs(policy, n)
+            union |= forbidden_set(probs, eps).members
+    return union, distinct
 
 
 def phase_report_with_forbidden(
@@ -710,34 +696,14 @@ def phase_report_with_forbidden(
 
     For each phase i reports |S_i \\ U| where U is the union of forbidden
     sets over every distinct memory state the run visited -- a harsher
-    subtraction than any single state's forbidden set. The stored trace is
-    replayed through ``policy`` once, which yields both the chosen bins and
-    the states.
+    subtraction than any single state's forbidden set.
     """
-    return _forbidden_report(policy, replay(policy, trace, pc.n), pc, epsilon)
-
-
-def run_phase_report_with_forbidden(
-    config: SimConfig, policy, pc: PhaseConfig, epsilon=None
-) -> PhaseReport:
-    """``phase_report_with_forbidden`` of a live run, decided once by ``core.play``.
-
-    Equal to recording the run's trace and replaying it, with half the walks.
-    """
-    if pc.n != config.n:
-        raise ValueError("phase config n does not match the run config")
-    pa, pb, ties = draw_run_streams(config)
-    policy.reset(config.n, config.balls)
-    return _forbidden_report(policy, play(policy, pa, pb, ties), pc, epsilon)
-
-
-def _forbidden_report(policy, records, pc: PhaseConfig, epsilon) -> PhaseReport:
     eps = as_exact(epsilon if epsilon is not None else pc.epsilon)
-    union, nstates, chosen = _forbidden_walk(policy, records, pc.n, eps)
     phase_sets = [
         [b for b, v in enumerate(loads) if v >= i]
-        for i, loads in enumerate(_phase_loads(chosen, pc), 1)
+        for i, loads in enumerate(_phase_loads([r.chosen for r in trace], pc), 1)
     ]
+    union, nstates = forbidden_union_over_trace(policy, trace, pc.n, eps)
     report = _report_from_sizes(pc, [len(s_i) for s_i in phase_sets])
     report.forbidden_overlap = [sum(1 for b in s_i if b not in union) for s_i in phase_sets]
     report.states_seen = nstates

@@ -205,10 +205,13 @@ def cmd_phases(args) -> int:
     else:
         pc = _phase_config(args)
         policy = _build_policy(args, args.n)
-        config = core.SimConfig(n=args.n, seed=args.seed, balls=args.balls)
         if args.forbidden:
-            report = analysis.run_phase_report_with_forbidden(config, policy, pc, args.epsilon)
+            config = core.SimConfig(n=args.n, seed=args.seed, balls=args.balls, record_trace=True)
+            result = core.simulate_run(config, policy)
+            replay = _build_policy(args, args.n)
+            report = analysis.phase_report_with_forbidden(replay, result.trace, pc, args.epsilon)
         else:
+            config = core.SimConfig(n=args.n, seed=args.seed, balls=args.balls)
             report, _ = analysis.run_phase_report(config, policy, pc)
     _dump(report.to_dict(), args.out)
     return 0

@@ -172,17 +172,13 @@ def play(policy, pa, pb, ties) -> Iterator[StepRecord]:
 
     Each step's record is yielded before the policy applies it, so between
     two records the policy is in the state that decided the last one. The
-    streams may be lists or arrays; records always hold Python ints.
+    streams are ``draw_run_streams`` arrays; records hold Python ints.
     """
-    for t, (a, b, r) in enumerate(zip(_ints(pa), _ints(pb), _ints(ties))):
+    for t, (a, b, r) in enumerate(zip(pa.tolist(), pb.tolist(), ties.tolist())):
         sid = policy.state_id()
         c = policy.decide((a, b), r)
         yield StepRecord(t, sid, a, b, c)
         policy.update((a, b), c)
-
-
-def _ints(stream):
-    return stream.tolist() if isinstance(stream, np.ndarray) else stream
 
 
 def replay(policy, trace: Sequence[StepRecord], n: int) -> Iterator[StepRecord]:

@@ -23,9 +23,9 @@ tie bits and has no per-policy copy. Greedy, clustered and advice decide by
 ``prefer_second`` on one key per memory slot (a bin, or a cluster for
 clustered); ``rank_keys`` is the vector of those keys, so the analysis can
 count ranks instead of enumerating pairs. Their ``run_bulk`` applies the
-same ``prefer_second`` to whole arrays of steps: within a window of steps
-that offer pairwise distinct slots, every decision reads the memory from
-before the window (see ``_decide_windows``).
+same ``prefer_second`` to whole arrays of steps: every step of a block
+that offers no slot an earlier step of the block offered reads the memory
+from before the block (see ``_decide_blocks``).
 
 ``state_id`` labels the current memory state in O(1): greedy, clustered
 and advice keep a key that is linear in their memory vector and that
@@ -77,10 +77,12 @@ class Policy:
 
     def run_bulk(self, loads, pa, pb, ties) -> None:
         """Apply all steps of a run. Must match decide/update exactly."""
-        for a, b, r in zip(pa, pb, ties):
+        counts = [0] * len(loads)
+        for a, b, r in zip(*(np.asarray(v).tolist() for v in (pa, pb, ties))):
             c = self.decide((a, b), r)
-            loads[c] += 1
+            counts[c] += 1
             self.update((a, b), c)
+        _add_counts(loads, counts)
 
     # -- introspection for analysis ------------------------------------
 
@@ -156,15 +158,13 @@ def _add_counts(loads, counts: np.ndarray) -> None:
         loads[:] = np.add(loads, counts).tolist()
 
 
-def _window_ends(sa: np.ndarray, sb: np.ndarray) -> list[int]:
-    """Split a block of steps into conflict-free windows; return their ends.
+def _repeat_steps(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """True for each step that offers a slot an earlier step offered.
 
-    ``sa[t]``/``sb[t]`` are the memory slots step t offers. A window ends
-    just before the first step that offers a slot an earlier step of the
-    window offered; a step that offers one slot twice is no conflict. One
-    sort of the block's (slot, step) entries puts every step next to the
-    previous step that offered the same slot, and those adjacent pairs are
-    all the conflicts a window can meet.
+    ``sa[t]``/``sb[t]`` are the memory slots step t offers; a step that
+    offers one slot twice does not repeat it. One sort of the (slot, step)
+    entries puts every step next to the previous step that offered the same
+    slot.
     """
     k = len(sa)
     shift = k.bit_length()
@@ -177,49 +177,79 @@ def _window_ends(sa: np.ndarray, sb: np.ndarray) -> list[int]:
     # adjacent entries of one slot and two steps differ below the slot bits
     diff = entries[1:] ^ entries[:-1]
     hit = (diff != 0) & (diff < (1 << shift))
-    mask = (1 << shift) - 1
-    later, earlier = entries[1:][hit] & mask, entries[:-1][hit] & mask
-    ends = []
-    for t, u in sorted(zip(later.tolist(), earlier.tolist())):
-        if u >= (ends[-1] if ends else 0):
-            ends.append(t)
-    ends.append(k)
-    return ends
+    repeat = np.zeros(k, dtype=bool)
+    repeat[entries[1:][hit] & ((1 << shift) - 1)] = True
+    return repeat
 
 
-def _decide_windows(mem: np.ndarray, sa, sb, ties, prefer, cap=None) -> np.ndarray:
-    """Decide every step by ``prefer`` and apply it to ``mem``, in windows.
+def _decide_in_order(mem: np.ndarray, sa, sb, ties, prefer, cap) -> list:
+    """Decide the steps one after another on ``mem``; return their outcomes.
+
+    The memory the steps read is copied to a list once (all of it, or only
+    the slots they offer when those are fewer), so each step reads and
+    writes Python ints.
+    """
+    k = len(sa)
+    if len(mem) <= 2 * k:
+        slots, xs, ys = slice(None), sa.tolist(), sb.tolist()
+    else:
+        slots, local = np.unique(np.concatenate((sa, sb)), return_inverse=True)
+        xs, ys = local[:k].tolist(), local[k:].tolist()
+    vals = mem[slots].tolist()
+    top = math.inf if cap is None else cap
+    won = []
+    for x, y, tie in zip(xs, ys, ties.tolist()):
+        second = prefer(vals[x], vals[y], tie)
+        z = y if second else x
+        if vals[z] < top:
+            vals[z] += 1
+        won.append(second)
+    mem[slots] = vals
+    return won
+
+
+_BATCH_MIN = 64  # one batch costs about as much as this many steps in order
+
+
+def _decide_blocks(mem: np.ndarray, sa, sb, ties, prefer, cap=None) -> np.ndarray:
+    """Decide every step by ``prefer`` and apply it to ``mem``, block by block.
 
     Step t offers memory slots ``sa[t]`` and ``sb[t]``; ``prefer(ma, mb,
     tie)`` is the policy's rule on the slots' memory values, and the chosen
-    slot's value grows by one (saturating at ``cap``). Within a window of
-    steps that offer pairwise distinct slots no decision reads a slot the
-    window writes, so each window is one gather, one ``prefer`` and one
-    scatter. Its chosen slots are distinct, so the scatter never repeats an
-    index. Windows are found in blocks of 4 * sqrt(slots) + 64 steps, which
-    hold about seven windows each.
+    slot's value grows by one (saturating at ``cap``). Of the steps of a
+    block still to decide, one that offers no slot an earlier one offered
+    reads only memory that every earlier step touching it has already
+    written, and no other such step touches its slots. Those steps are
+    decided together: one gather, one ``prefer`` and one scatter, whose
+    chosen slots are distinct, so it never repeats an index. The rest wait
+    for the next round. Once a round would batch fewer than ``_BATCH_MIN``
+    steps, the rest are decided one at a time, in order. Blocks hold
+    4 * sqrt(slots) + 1024 steps: with many slots a few rounds decide
+    nearly all of them, and with few slots, where nearly every step
+    waits its turn, the per-block cost is spread over many steps.
     Returns the per-step choice: True where the second offer won.
     """
-    won = []
-    block = 4 * math.isqrt(len(mem)) + 64
-    start = 0
-    while start < len(sa):
-        s = start
-        ends = _window_ends(sa[s : s + block], sb[s : s + block])
-        if s + block < len(sa) and len(ends) > 1:
-            ends.pop()  # the block cut the last window short; the next block redoes it
-        for end in ends:
-            end += s
-            a, b = sa[start:end], sb[start:end]
-            second = prefer(mem[a], mem[b], ties[start:end])
-            chosen = np.where(second, b, a)
+    won = np.empty(len(sa), dtype=bool)
+    block = 4 * math.isqrt(len(mem)) + 1024
+    for s in range(0, len(sa), block):
+        a, b, r = sa[s : s + block], sb[s : s + block], ties[s : s + block]
+        steps = np.arange(s, s + len(a))
+        while len(steps):
+            late = _repeat_steps(a, b)
+            if len(steps) - np.count_nonzero(late) < _BATCH_MIN:
+                won[steps] = _decide_in_order(mem, a, b, r, prefer, cap)
+                break
+            free = ~late
+            fa, fb = a[free], b[free]
+            second = prefer(mem[fa], mem[fb], r[free])
+            chosen = np.where(second, fb, fa)
             grown = mem[chosen] + 1
             if cap is not None:
                 np.minimum(grown, cap, out=grown)
             mem[chosen] = grown
-            won.append(second)
-            start = end
-    return np.concatenate(won) if won else np.zeros(0, dtype=bool)
+            won[steps[free]] = second
+            a, b, r, steps = a[late], b[late], r[late], steps[late]
+    return won
 
 
 class _LinearKeyPolicy(Policy):
@@ -235,12 +265,10 @@ class _LinearKeyPolicy(Policy):
     m is the list ``_mem``, one value per memory slot; bin x uses slot
     ``_slot(x)``. A step takes the second offered bin where
     ``_prefer(m[slot a], m[slot b], tie)`` is 1, and the chosen slot's
-    value grows by one, up to ``cap``. ``run_bulk`` applies ``_prefer`` to
-    arrays (``_decide_windows``); ``decide`` calls it, or ``prefer_second``
+    value grows by one, up to ``_cap()``. ``run_bulk`` applies ``_prefer``
+    to arrays (``_decide_blocks``); ``decide`` calls it, or ``prefer_second``
     when that is ``_prefer``, on Python ints.
     """
-
-    cap = None
 
     def reset(self, n, balls):
         super().reset(n, balls)
@@ -250,24 +278,26 @@ class _LinearKeyPolicy(Policy):
     def _slot(self, bins):
         return bins
 
+    def _cap(self):
+        return None
+
     _prefer = staticmethod(prefer_second)
 
     def run_bulk(self, loads, pa, pb, ties):
-        self._bulk(loads, pa, pb, ties)
-
-    def _bulk(self, loads, pa, pb, ties) -> tuple[np.ndarray, np.ndarray]:
-        """Apply the steps in windows; return the memory and the chosen bins."""
         pa = np.asarray(pa, dtype=np.int64)
         pb = np.asarray(pb, dtype=np.int64)
         mem = np.fromiter(self._mem, dtype=np.int64, count=len(self._mem))
-        second = _decide_windows(
-            mem, self._slot(pa), self._slot(pb), np.asarray(ties, dtype=bool), self._prefer, self.cap
+        second = _decide_blocks(
+            mem, self._slot(pa), self._slot(pb), np.asarray(ties, dtype=bool), self._prefer, self._cap()
         )
-        self._mem = mem.tolist()
-        self._key = None
         chosen = np.where(second, pb, pa)
         _add_counts(loads, np.bincount(chosen, minlength=self.n))
-        return mem, chosen
+        self._adopt(mem, chosen)
+
+    def _adopt(self, mem: np.ndarray, chosen: np.ndarray) -> None:
+        """Take over the memory ``run_bulk`` left after the chosen bins."""
+        self._mem = mem.tolist()
+        self._key = None
 
     def _key_weights(self) -> np.ndarray:
         return key_weights(self.n)
@@ -392,11 +422,13 @@ class ClusteredPolicy(_LinearKeyPolicy):
     def reset(self, n, balls):
         super().reset(n, balls)
         self.config = self._explicit or default_cluster_config(n)
-        self.cap = self.config.counter_cap
         self._mem = [0] * self.config.num_clusters(n)
 
     def _slot(self, bins):
         return bins // self.config.cluster_size
+
+    def _cap(self):
+        return self.config.counter_cap
 
     def decide(self, pair, tie_bit):
         a, b = pair
@@ -405,7 +437,7 @@ class ClusteredPolicy(_LinearKeyPolicy):
 
     def update(self, pair, chosen):
         cc = chosen // self.config.cluster_size
-        if self._mem[cc] < self.cap:
+        if self._mem[cc] < self.config.counter_cap:
             self._mem[cc] += 1
             if self._key is not None:
                 self._key = (self._key + self._w[cc]) & _KEY_MASK
@@ -413,7 +445,7 @@ class ClusteredPolicy(_LinearKeyPolicy):
     def _key_weights(self):
         k = len(self._mem)
         if k * self.config.counter_width <= 63:
-            return (self.cap + 1) ** np.arange(k, dtype=np.uint64)
+            return (self.config.counter_cap + 1) ** np.arange(k, dtype=np.uint64)
         return key_weights(k)
 
     def state_id(self):
@@ -427,7 +459,7 @@ class ClusteredPolicy(_LinearKeyPolicy):
     def restore(self, state):
         if len(state) != self.config.num_clusters(self.n):
             raise ValueError("state length does not match cluster count")
-        if any(v < 0 or v > self.cap for v in state):
+        if any(v < 0 or v > self.config.counter_cap for v in state):
             raise ValueError("counter value out of range")
         self._mem = list(state)
         self._key = None
@@ -523,8 +555,8 @@ class AdvicePolicy(_LinearKeyPolicy):
             # reaching T lists the bin with all T balls; above T it gains one
             self._key = (self._key + (T if v == T else 1) * self._w[chosen]) & _KEY_MASK
 
-    def run_bulk(self, loads, pa, pb, ties):
-        mem, chosen = self._bulk(loads, pa, pb, ties)
+    def _adopt(self, mem, chosen):
+        super()._adopt(mem, chosen)
         if len(chosen):
             T = self.threshold
             self._nlisted = int(np.count_nonzero(mem >= T))

@@ -29,7 +29,6 @@ from ballast import (
     poisson_upper_tail,
     probe_states,
     run_phase_report,
-    run_phase_report_with_forbidden,
     simulate_run,
     sweep_placement_bounds,
     theoretical_bounds,
@@ -461,19 +460,6 @@ def test_probe_states_stops_at_the_cap(monkeypatch):
     assert len(states) == cap
     # every inspected step before the cap was a new state: one copy each
     assert len(calls) == cap
-
-
-@pytest.mark.parametrize("name", ["greedy", "clustered", "advice"])
-def test_live_forbidden_report_equals_record_and_replay(name):
-    n = 64
-    build = (lambda: make_policy(name, threshold=2)) if name == "advice" else (lambda: make_policy(name))
-    pc = PhaseConfig(n=n, phases=2)
-    config = SimConfig(n=n, seed=21, balls=2 * n)
-    trace = simulate_run(SimConfig(n=n, seed=21, balls=2 * n, record_trace=True), build()).trace
-    stored = phase_report_with_forbidden(build(), trace, pc, Fraction(1, 4))
-    live = run_phase_report_with_forbidden(config, build(), pc, Fraction(1, 4))
-    assert live.to_dict() == stored.to_dict()
-    assert live.states_seen == forbidden_union_over_trace(build(), trace, n, Fraction(1, 4))[1]
 
 
 @pytest.mark.parametrize("name", ["greedy", "advice", "clustered"])

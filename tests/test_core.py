@@ -178,7 +178,7 @@ def test_run_bulk_matches_decide_update(build, n, extra, seed, cut):
     assert fast.memory_bits(n, balls) == slow.memory_bits(n, balls)
 
 
-LONG_WINDOW_POLICIES = {
+BLOCK_POLICIES = {
     "greedy": lambda: make_policy("greedy"),
     "clustered-default": lambda: make_policy("clustered"),
     # cap 1 and cap 2 saturate early; 7 does not divide n, so the last cluster is short
@@ -189,14 +189,14 @@ LONG_WINDOW_POLICIES = {
 }
 
 
-@pytest.mark.parametrize("n", [4096, 1 << 17])
-@pytest.mark.parametrize("name", sorted(LONG_WINDOW_POLICIES))
-def test_run_bulk_matches_decide_update_on_long_windows(name, n):
-    """At these n a conflict-free window holds tens to hundreds of steps.
-    run_bulk is split at 0, at cuts inside windows and at balls."""
-    balls = n + n // 2
+@pytest.mark.parametrize("n, balls", [(16, 5000), (4096, 6144), (1 << 17, 3 << 16)])
+@pytest.mark.parametrize("name", sorted(BLOCK_POLICIES))
+def test_run_bulk_matches_decide_update_across_blocks(name, n, balls):
+    """At n = 16 every step of a block is decided in order; at the larger n
+    most steps are batched, over several rounds per block.
+    run_bulk is split at 0, at cuts inside blocks and at balls."""
     pa, pb, ties = draw_run_streams(SimConfig(n=n, seed=n + 11, balls=balls))
-    fast, slow = LONG_WINDOW_POLICIES[name](), LONG_WINDOW_POLICIES[name]()
+    fast, slow = BLOCK_POLICIES[name](), BLOCK_POLICIES[name]()
     fast.reset(n, balls)
     slow.reset(n, balls)
     fast_loads = [0] * n
