@@ -51,6 +51,10 @@ def parse_epsilon_grid(text: str) -> list[Fraction]:
 
 def _add_policy_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
     p.add_argument("--policy", required=required, help="policy name (see `ballast run --help`)")
+    _add_param_flags(p)
+
+
+def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cluster-size", type=int, help="clustered: bins per cluster")
     p.add_argument("--counter-cap", type=int, help="clustered: counter saturation value")
     p.add_argument("--advice-threshold", type=int, help="advice: overload threshold")
@@ -62,7 +66,7 @@ def _policy_params(args) -> dict:
         params["cluster_size"] = args.cluster_size
     if args.counter_cap is not None:
         params["counter_cap"] = args.counter_cap
-    if getattr(args, "advice_threshold", None) is not None:
+    if args.advice_threshold is not None:
         params["threshold"] = args.advice_threshold
     return params
 
@@ -113,16 +117,10 @@ def cmd_scan(args) -> int:
         spec_dict["n_values"] = args.n
     if args.policy:
         params = _policy_params(args)
-        pols = []
-        for name in args.policy:
-            rel = {
-                k: v
-                for k, v in params.items()
-                if (name == "clustered" and k in ("cluster_size", "counter_cap"))
-                or (name == "advice" and k == "threshold")
-            }
-            pols.append({"name": name, **rel})
-        spec_dict["policies"] = pols
+        spec_dict["policies"] = [
+            {"name": name, **{k: v for k, v in params.items() if k in policies.policy_params(name)}}
+            for name in args.policy
+        ]
     if args.delta is not None:
         spec_dict["delta"] = args.delta
     if args.trials is not None:
@@ -153,24 +151,24 @@ def cmd_verify(args) -> int:
     if n > core.PAIR_GUARD:
         print(f"verify needs n <= {core.PAIR_GUARD}", file=sys.stderr)
         return 2
-    if args.subsets is not None and args.subsets < 1:
-        print(f"verify --subsets needs a count >= 1, got {args.subsets}", file=sys.stderr)
-        return 2
+    for flag, count in (("--subsets", args.subsets), ("--balls", args.balls),
+                        ("--max-states", args.max_states)):
+        if count is not None and count < 1:
+            print(f"verify {flag} needs a count >= 1, got {count}", file=sys.stderr)
+            return 2
+    balls = n if args.balls is None else args.balls
     policy = _build_policy(args, n)
-    policy.reset(n, args.balls or n)
+    policy.reset(n, balls)
 
     states: list = [policy.snapshot()]
     if isinstance(policy, policies.ClusteredPolicy) and n <= 16:
         cfg = policy.config
+        depth = 8 if args.balls is None else min(balls, 8)
         states = list(
-            analysis.enumerate_clustered_states(
-                cfg.num_clusters(n), cfg.counter_cap, min(args.balls or 8, 8)
-            )
+            analysis.enumerate_clustered_states(cfg.num_clusters(n), cfg.counter_cap, depth)
         )
-    elif policy.state_space_size(n, args.balls or n) != 1:
-        states = analysis.probe_states(
-            policy, n, args.balls or n, args.seed, max_states=args.max_states
-        )
+    elif policy.state_space_size(n, balls) != 1:
+        states = analysis.probe_states(policy, n, balls, args.seed, max_states=args.max_states)
 
     epsilons = parse_epsilon_grid(args.epsilon_grid) if args.epsilon_grid else ()
     subsets = analysis.all_subsets(n) if args.all_subsets else None
@@ -276,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fill runtime_ms with wall-clock times (breaks byte determinism)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for trials")
     p.add_argument("--policy", action="append", help="repeatable policy name")
-    p.add_argument("--cluster-size", type=int)
-    p.add_argument("--counter-cap", type=int)
-    p.add_argument("--advice-threshold", type=int)
+    _add_param_flags(p)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("verify", help="exact placement-bound sweep; exit 1 on violations")

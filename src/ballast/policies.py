@@ -16,20 +16,23 @@ distinguishes them is what they are allowed to remember between balls:
 
 Tie-breaks consume the engine's per-step tie bit: bit 0 keeps the first
 offered bin, bit 1 takes the second. Each policy states its rule once, in
-``decide``. ``choice_dist``, the exact per-pair choice distribution the
+``decide`` (advice in the key and comparison its inherited ``decide``
+applies). ``choice_dist``, the exact per-pair choice distribution the
 enumeration-based analysis reads (probabilities in half-units, so a fair
 tie is ``(bin_a, 1), (bin_b, 1)``), is derived from ``decide`` under both
-tie bits and has no per-policy copy. Greedy, clustered and advice decide by
-``prefer_second`` on one key per memory slot (a bin, or a cluster for
-clustered); ``rank_keys`` is the vector of those keys, so the analysis can
-count ranks instead of enumerating pairs. Their ``run_bulk`` applies the
-same ``prefer_second`` to whole arrays of steps: every step of a block
-that offers no slot an earlier step of the block offered reads the memory
-from before the block (see ``_decide_blocks``).
+tie bits and has no per-policy copy.
 
-``state_id`` labels the current memory state in O(1): greedy, clustered
-and advice keep a key that is linear in their memory vector and that
-``update`` adjusts by one weight per ball (see ``_LinearKeyPolicy``).
+Greedy, clustered and advice share one memory model, stated once in
+``GreedyTwoChoicePolicy``: one value per memory slot, compared by
+``prefer_second`` on one key per slot. Clustered is greedy whose slots are
+clusters of bins with capped counters; advice is greedy whose key is a
+bin's load only once the bin is listed. ``rank_keys`` is the vector of the
+keys, so the analysis can count ranks instead of enumerating pairs.
+``run_bulk`` applies the same comparison to whole arrays of steps: every
+step of a block that offers no slot an earlier step of the block offered
+reads the memory from before the block (see ``_decide_blocks``).
+``state_id`` labels the current memory state in O(1) by a key linear in
+the slot keys, which ``update`` adjusts by one weight per ball.
 """
 
 from __future__ import annotations
@@ -252,64 +255,6 @@ def _decide_blocks(mem: np.ndarray, sa, sb, ties, prefer, cap=None) -> np.ndarra
     return won
 
 
-class _LinearKeyPolicy(Policy):
-    """A policy whose memory is an integer vector m, with an O(1) state key.
-
-    ``state_id()`` is ``sum_k m_k * W_k mod 2^64``. Each ``update`` adds the
-    change of m times its weight, so the key costs O(1) per ball. ``reset``,
-    ``restore`` and ``run_bulk`` only mark the key stale (``None``); the next
-    ``state_id()`` recomputes it from the memory once, which also builds the
-    weights on first use, so untraced runs never allocate them. Equal
-    memories get equal ids in any process; distinct ones may collide.
-
-    m is the list ``_mem``, one value per memory slot; bin x uses slot
-    ``_slot(x)``. A step takes the second offered bin where
-    ``_prefer(m[slot a], m[slot b], tie)`` is 1, and the chosen slot's
-    value grows by one, up to ``_cap()``. ``run_bulk`` applies ``_prefer``
-    to arrays (``_decide_blocks``); ``decide`` calls it, or ``prefer_second``
-    when that is ``_prefer``, on Python ints.
-    """
-
-    def reset(self, n, balls):
-        super().reset(n, balls)
-        self._key = None
-        self._wv = None
-
-    def _slot(self, bins):
-        return bins
-
-    def _cap(self):
-        return None
-
-    _prefer = staticmethod(prefer_second)
-
-    def run_bulk(self, loads, pa, pb, ties):
-        pa = np.asarray(pa, dtype=np.int64)
-        pb = np.asarray(pb, dtype=np.int64)
-        mem = np.fromiter(self._mem, dtype=np.int64, count=len(self._mem))
-        second = _decide_blocks(
-            mem, self._slot(pa), self._slot(pb), np.asarray(ties, dtype=bool), self._prefer, self._cap()
-        )
-        chosen = np.where(second, pb, pa)
-        _add_counts(loads, np.bincount(chosen, minlength=self.n))
-        self._adopt(mem, chosen)
-
-    def _adopt(self, mem: np.ndarray, chosen: np.ndarray) -> None:
-        """Take over the memory ``run_bulk`` left after the chosen bins."""
-        self._mem = mem.tolist()
-        self._key = None
-
-    def _key_weights(self) -> np.ndarray:
-        return key_weights(self.n)
-
-    def _linear_key(self, memory) -> int:
-        """The key of the memory vector m, computed from scratch."""
-        if self._wv is None:
-            self._wv = self._key_weights()
-            self._w = self._wv.tolist()
-        return int(np.dot(np.asarray(memory, dtype=np.uint64), self._wv))
-
-
 class OneChoicePolicy(Policy):
     """Ignores the second option: ball goes to the first offered bin."""
 
@@ -325,44 +270,101 @@ class OneChoicePolicy(Policy):
         return 0
 
 
-class GreedyTwoChoicePolicy(_LinearKeyPolicy):
+class GreedyTwoChoicePolicy(Policy):
     """Full-knowledge baseline: pick the less loaded of the two bins.
 
     Memory is the entire load vector, declared as n * width(balls) bits.
     Ties are broken by the per-step tie bit.
+
+    Greedy is also the memory model that clustered and advice refine. The
+    memory is the list ``_mem`` of one value per slot of ``_width`` bins
+    (bin x uses slot x // _width); the chosen slot's value grows by one, up
+    to ``_top`` when that is set. A slot value m has the key ``_rank(m)``,
+    and a step takes the second offered bin where ``_prefer(m_a, m_b, tie)``
+    is 1. Greedy's slots are single bins with no cap, its key is the load
+    itself and ``_prefer`` is ``prefer_second``. ``decide`` and ``update``
+    index ``_mem`` by bin, with no slot map or cap, so clustered restates
+    them. ``run_bulk`` applies ``_prefer`` to arrays (``_decide_blocks``).
+
+    ``state_id()`` is ``sum_k _rank(m_k) * W_k mod 2^64``. Each ``update``
+    adds the change of the key vector times its weight, so the key costs
+    O(1) per ball. ``reset``, ``restore`` and ``run_bulk`` only mark the key
+    stale (``None``); the next ``state_id()`` recomputes it from the memory
+    once, which also builds the weights on first use, so untraced runs never
+    allocate them. Equal memories get equal ids in any process; distinct
+    ones may collide.
     """
 
     name = "greedy"
+    _width = 1
+    _top = None
+    _prefer = staticmethod(prefer_second)
+
+    @staticmethod
+    def _rank(m):
+        """A slot value's key; operators only, so it also maps arrays."""
+        return m
 
     def reset(self, n, balls):
         super().reset(n, balls)
-        self._mem = [0] * n
+        self._mem = [0] * -(-n // self._width)
+        self._key = None
+        self._wv = None
 
     def decide(self, pair, tie_bit):
         a, b = pair
-        return pair[prefer_second(self._mem[a], self._mem[b], tie_bit)]
+        return pair[self._prefer(self._mem[a], self._mem[b], tie_bit)]
 
     def update(self, pair, chosen):
         self._mem[chosen] += 1
         if self._key is not None:
             self._key = (self._key + self._w[chosen]) & _KEY_MASK
 
+    def _slot(self, bins: np.ndarray) -> np.ndarray:
+        return bins if self._width == 1 else bins // self._width
+
+    def run_bulk(self, loads, pa, pb, ties):
+        pa = np.asarray(pa, dtype=np.int64)
+        pb = np.asarray(pb, dtype=np.int64)
+        mem = np.fromiter(self._mem, dtype=np.int64, count=len(self._mem))
+        ties = np.asarray(ties, dtype=bool)
+        second = _decide_blocks(mem, self._slot(pa), self._slot(pb), ties, self._prefer, self._top)
+        chosen = np.where(second, pb, pa)
+        _add_counts(loads, np.bincount(chosen, minlength=self.n))
+        self._adopt(mem, chosen)
+
+    def _adopt(self, mem: np.ndarray, chosen: np.ndarray) -> None:
+        """Take over the memory ``run_bulk`` left after the chosen bins."""
+        self._mem = mem.tolist()
+        self._key = None
+
+    def _key_weights(self) -> np.ndarray:
+        return key_weights(len(self._mem))
+
     def state_id(self):
         if self._key is None:
-            self._key = self._linear_key(self._mem)
+            if self._wv is None:
+                self._wv = self._key_weights()
+                self._w = self._wv.tolist()
+            keys = self._rank(np.array(self._mem, dtype=np.uint64))
+            self._key = int(np.dot(keys, self._wv))
         return self._key
 
     def snapshot(self):
         return tuple(self._mem)
 
     def restore(self, state):
-        if len(state) != self.n:
-            raise ValueError("state length does not match n")
+        if len(state) != len(self._mem):
+            raise ValueError(f"state has {len(state)} values for {len(self._mem)} memory slots")
+        if self._top is not None and any(v < 0 or v > self._top for v in state):
+            raise ValueError("counter value out of range")
         self._mem = list(state)
         self._key = None
 
     def rank_keys(self):
-        return np.array(self._mem, dtype=np.int64)
+        keys = self._rank(np.array(self._mem, dtype=np.int64))
+        # the bins of one slot share its key, so their pairs are ties
+        return keys if self._width == 1 else np.repeat(keys, self._width)[: self.n]
 
     def memory_bits(self, n, balls):
         return n * int_width(balls)
@@ -402,13 +404,14 @@ def default_cluster_config(n: int) -> ClusterConfig:
     return ClusterConfig(cluster_size=c, counter_cap=4 * c)
 
 
-class ClusteredPolicy(_LinearKeyPolicy):
-    """Sublinear-memory policy: one saturating counter per bin cluster.
+class ClusteredPolicy(GreedyTwoChoicePolicy):
+    """Sublinear-memory policy: greedy on one saturating counter per bin cluster.
 
     Picks the offered bin whose cluster holds fewer balls; ties (including
     both bins in the same cluster) go to the tie bit. The chosen bin's
     cluster counter increments, clamping at the cap so comparisons stay
-    meaningful under bounded width.
+    meaningful under bounded width. A slot is a cluster of
+    ``config.cluster_size`` bins and ``config.counter_cap`` caps it.
 
     The state key weighs counter k by (cap+1)^k whenever all counters fit in
     63 bits, so the key is then the exact packed counter tuple.
@@ -420,24 +423,19 @@ class ClusteredPolicy(_LinearKeyPolicy):
         self._explicit = config
 
     def reset(self, n, balls):
-        super().reset(n, balls)
         self.config = self._explicit or default_cluster_config(n)
-        self._mem = [0] * self.config.num_clusters(n)
-
-    def _slot(self, bins):
-        return bins // self.config.cluster_size
-
-    def _cap(self):
-        return self.config.counter_cap
+        # set before greedy's reset, which sizes _mem by the slot width
+        self._width, self._top = self.config.cluster_size, self.config.counter_cap
+        super().reset(n, balls)
 
     def decide(self, pair, tie_bit):
         a, b = pair
-        c = self.config.cluster_size
+        c = self._width
         return pair[prefer_second(self._mem[a // c], self._mem[b // c], tie_bit)]
 
     def update(self, pair, chosen):
-        cc = chosen // self.config.cluster_size
-        if self._mem[cc] < self.config.counter_cap:
+        cc = chosen // self._width
+        if self._mem[cc] < self._top:
             self._mem[cc] += 1
             if self._key is not None:
                 self._key = (self._key + self._w[cc]) & _KEY_MASK
@@ -445,36 +443,18 @@ class ClusteredPolicy(_LinearKeyPolicy):
     def _key_weights(self):
         k = len(self._mem)
         if k * self.config.counter_width <= 63:
-            return (self.config.counter_cap + 1) ** np.arange(k, dtype=np.uint64)
-        return key_weights(k)
+            return (self._top + 1) ** np.arange(k, dtype=np.uint64)
+        return super()._key_weights()
 
-    def state_id(self):
-        if self._key is None:
-            self._key = self._linear_key(self._mem)
-        return self._key
-
-    def snapshot(self):
-        return tuple(self._mem)
-
-    def restore(self, state):
-        if len(state) != self.config.num_clusters(self.n):
-            raise ValueError("state length does not match cluster count")
-        if any(v < 0 or v > self.config.counter_cap for v in state):
-            raise ValueError("counter value out of range")
-        self._mem = list(state)
-        self._key = None
-
-    def rank_keys(self):
-        # same-cluster bins share a counter, so their pairs are ties
-        counters = np.array(self._mem, dtype=np.int64)
-        return np.repeat(counters, self.config.cluster_size)[: self.n]
+    def _geometry(self, n: int) -> ClusterConfig:
+        """The run's geometry after ``reset``, else the one a run at n would use."""
+        return getattr(self, "config", None) or self._explicit or default_cluster_config(n)
 
     def memory_bits(self, n, balls):
-        cfg = getattr(self, "config", None) or self._explicit or default_cluster_config(n)
-        return cfg.total_bits(n)
+        return self._geometry(n).total_bits(n)
 
     def state_space_size(self, n, balls):
-        cfg = getattr(self, "config", None) or self._explicit or default_cluster_config(n)
+        cfg = self._geometry(n)
         return (cfg.counter_cap + 1) ** cfg.num_clusters(n)
 
 
@@ -497,7 +477,7 @@ def build_advice(loads, threshold: int) -> AdviceList:
     return AdviceList(threshold=threshold, entries=entries)
 
 
-class AdvicePolicy(_LinearKeyPolicy):
+class AdvicePolicy(GreedyTwoChoicePolicy):
     """No persistent memory; a fresh advice list arrives before every ball.
 
     The list names every bin currently holding >= threshold balls, with
@@ -510,8 +490,9 @@ class AdvicePolicy(_LinearKeyPolicy):
     state before each ball. The advice channel cost is reported as the
     maximum over steps of |list| * (bin-index bits + count bits).
 
-    The memory state is the list itself: the key's memory vector holds the
-    load of every listed bin and 0 for every other bin.
+    The memory state is the list itself: a bin's key is its load if it is
+    listed and 0 otherwise, so the state key's vector holds the load of
+    every listed bin and 0 for every other bin.
     """
 
     name = "advice"
@@ -523,26 +504,21 @@ class AdvicePolicy(_LinearKeyPolicy):
 
     def reset(self, n, balls):
         super().reset(n, balls)
-        self._mem = [0] * n
         self._nlisted = 0
         self._prestep_max = 0
-        self._entry_bits = int_width(n - 1) + int_width(balls)
 
     def advice_list(self) -> AdviceList:
         return build_advice(self._mem, self.threshold)
 
-    def _listed(self, load):
+    def _rank(self, load):
         """A bin's key: its load if it is listed, else 0. Operators only."""
         return load * (load >= self.threshold)
 
     def _prefer(self, la, lb, tie):
-        ka, kb = self._listed(la), self._listed(lb)
-        # two unlisted bins (both keys 0) go to the first offered bin
+        ka, kb = self._rank(la), self._rank(lb)
+        # two unlisted bins (both keys 0) go to the first offered bin, which
+        # over both orders of the pair is an even split, like a tie
         return prefer_second(ka, kb, tie & (ka > 0))
-
-    def decide(self, pair, tie_bit):
-        a, b = pair
-        return pair[self._prefer(self._mem[a], self._mem[b], tie_bit)]
 
     def update(self, pair, chosen):
         if self._nlisted > self._prestep_max:
@@ -565,31 +541,12 @@ class AdvicePolicy(_LinearKeyPolicy):
             prestep = self._nlisted - int(mem[chosen[-1]] == T)
             self._prestep_max = max(self._prestep_max, prestep)
 
-    def state_id(self):
-        if self._key is None:
-            self._key = self._linear_key(self.rank_keys())
-        return self._key
-
     def memory_state(self):
         return self.advice_list().entries
 
-    def snapshot(self):
-        return tuple(self._mem)
-
     def restore(self, state):
-        if len(state) != self.n:
-            raise ValueError("state length does not match n")
-        self._mem = list(state)
+        super().restore(state)
         self._nlisted = sum(1 for v in state if v >= self.threshold)
-        self._key = None
-
-    def rank_keys(self):
-        """The listed loads, 0 for unlisted bins: the key memory vector.
-
-        Two unlisted bins go to the first offered one, which over both
-        orders of the pair is an even split, like a tie.
-        """
-        return self._listed(np.array(self._mem, dtype=np.int64))
 
     def memory_bits(self, n, balls):
         # advice channel cost, max over steps; 0 until a run has happened
@@ -642,15 +599,25 @@ class IllegalFixedBinPolicy(Policy):
         return 0
 
 
-POLICY_NAMES = (
-    "one-choice",
-    "greedy",
-    "clustered",
-    "advice",
-    "max-index",
-    "min-index",
-    "illegal-fixture",
-)
+# Each policy's class and the names of the parameters make_policy accepts.
+POLICY_TABLE = {
+    "one-choice": (OneChoicePolicy, ()),
+    "greedy": (GreedyTwoChoicePolicy, ()),
+    "clustered": (ClusteredPolicy, ("cluster_size", "counter_cap")),
+    "advice": (AdvicePolicy, ("threshold",)),
+    "max-index": (MaxIndexPolicy, ()),
+    "min-index": (MinIndexPolicy, ()),
+    "illegal-fixture": (IllegalFixedBinPolicy, ("target",)),
+}
+
+POLICY_NAMES = tuple(POLICY_TABLE)
+
+
+def policy_params(name: str) -> tuple[str, ...]:
+    """The parameter names ``make_policy`` accepts for policy ``name``."""
+    if name not in POLICY_TABLE:
+        raise ValueError(f"unknown policy: {name!r}")
+    return POLICY_TABLE[name][1]
 
 
 def make_policy(name: str, **params) -> Policy:
@@ -659,40 +626,16 @@ def make_policy(name: str, **params) -> Policy:
     clustered accepts cluster_size/counter_cap (both or neither); advice
     requires threshold.
     """
-    if name == "one-choice":
-        _reject_params(name, params)
-        return OneChoicePolicy()
-    if name == "greedy":
-        _reject_params(name, params)
-        return GreedyTwoChoicePolicy()
+    unexpected = sorted(set(params) - set(policy_params(name)))
+    if unexpected:
+        raise ValueError(f"unexpected parameters for {name}: {unexpected}")
     if name == "clustered":
-        cs = params.pop("cluster_size", None)
-        cap = params.pop("counter_cap", None)
-        _reject_params(name, params)
+        cs, cap = params.get("cluster_size"), params.get("counter_cap")
         if cs is None and cap is None:
             return ClusteredPolicy()
         if cs is None or cap is None:
             raise ValueError("clustered needs both cluster_size and counter_cap, or neither")
         return ClusteredPolicy(ClusterConfig(cluster_size=cs, counter_cap=cap))
-    if name == "advice":
-        t = params.pop("threshold", None)
-        _reject_params(name, params)
-        if t is None:
-            raise ValueError("advice policy needs a threshold")
-        return AdvicePolicy(threshold=t)
-    if name == "max-index":
-        _reject_params(name, params)
-        return MaxIndexPolicy()
-    if name == "min-index":
-        _reject_params(name, params)
-        return MinIndexPolicy()
-    if name == "illegal-fixture":
-        target = params.pop("target", 0)
-        _reject_params(name, params)
-        return IllegalFixedBinPolicy(target=target)
-    raise ValueError(f"unknown policy: {name!r}")
-
-
-def _reject_params(name, params):
-    if params:
-        raise ValueError(f"unexpected parameters for {name}: {sorted(params)}")
+    if name == "advice" and params.get("threshold") is None:
+        raise ValueError("advice policy needs a threshold")
+    return POLICY_TABLE[name][0](**params)

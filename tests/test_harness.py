@@ -234,6 +234,17 @@ def test_cli_scan_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cli_scan_gives_each_policy_only_its_own_parameters(tmp_path):
+    out = tmp_path / "rows.json"
+    argv = ["scan", "--n", "16", "--policy", "greedy", "--policy", "clustered", "--policy", "advice",
+            "--cluster-size", "2", "--counter-cap", "5", "--advice-threshold", "3",
+            "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    assert sorted({row.policy for row in read_rows_json(str(out))}) == [
+        "advice[threshold=3]", "clustered[cluster_size=2,counter_cap=5]", "greedy"
+    ]
+
+
 def test_cli_scan_spec_file_with_flag_override(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(
@@ -310,6 +321,16 @@ def test_cli_verify_rejects_subset_counts_below_one(capsys, count):
     assert main(["verify", "--policy", "greedy", "--n", "8", "--subsets", count]) == 2
     captured = capsys.readouterr()
     assert f"verify --subsets needs a count >= 1, got {count}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, count", [("--balls", "0"), ("--balls", "-3"), ("--max-states", "0"), ("--max-states", "-2")]
+)
+def test_cli_verify_rejects_ball_and_state_counts_below_one(capsys, flag, count):
+    assert main(["verify", "--policy", "clustered", "--n", "16", flag, count]) == 2
+    captured = capsys.readouterr()
+    assert f"verify {flag} needs a count >= 1, got {count}" in captured.err
     assert captured.out == ""
 
 

@@ -337,6 +337,39 @@ def test_choice_dist_is_stated_once():
             assert "choice_dist" not in vars(cls), cls.__name__
 
 
+@pytest.mark.parametrize("method", ["snapshot", "state_id", "rank_keys", "run_bulk"])
+def test_memory_method_is_stated_once(method):
+    """Greedy holds the memory model; clustered and advice only state how they differ."""
+    greedy = policies.GreedyTwoChoicePolicy
+    assert method in vars(greedy)
+    refined = [
+        cls for cls in vars(policies).values()
+        if isinstance(cls, type) and issubclass(cls, greedy) and cls is not greedy
+    ]
+    assert {policies.ClusteredPolicy, policies.AdvicePolicy} <= set(refined)
+    for cls in refined:
+        assert method not in vars(cls), cls.__name__
+
+
+@pytest.mark.parametrize("n, seed", [(8, 1), (64, 5), (1000, 9)])
+def test_clustered_with_single_bin_clusters_and_no_reachable_cap_is_greedy(n, seed):
+    """Clusters of one bin whose cap no run reaches are greedy's memory, on both paths."""
+    balls = 3 * n
+    runs = {}
+    for traced in (False, True):
+        config = SimConfig(n=n, seed=seed, balls=balls, record_trace=traced)
+        for name, policy in (
+            ("greedy", make_policy("greedy")),
+            ("clustered", ClusteredPolicy(ClusterConfig(cluster_size=1, counter_cap=balls))),
+        ):
+            result = simulate_run(config, policy)
+            chosen = [rec.chosen for rec in result.trace] if traced else None
+            runs[name, traced] = (result.loads, chosen, policy.snapshot())
+    for traced in (False, True):
+        assert runs["clustered", traced] == runs["greedy", traced]
+    assert runs["greedy", False][0] == runs["greedy", True][0]
+
+
 def test_choice_dist_gives_each_tie_bit_one_half():
     p = make_policy("greedy")
     p.reset(4, 8)
