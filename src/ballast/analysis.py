@@ -270,13 +270,24 @@ class SweepResult:
 
 
 _EXACT_FLOAT = 1 << 53  # float64 holds every integer below this exactly
-_PRODUCT_BLOCK = 1 << 21  # float64 entries in one block of the sampled product
+_PRODUCT_BLOCK = 1 << 20  # float64 entries in one block of the sampled product
 
 
 def random_subsets(n: int, count: int, seed: int) -> np.ndarray:
     """count x n 0/1 matrix of uniformly random subsets (each bin i.i.d. fair)."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     return rng.integers(0, 2, size=(count, n), dtype=np.int64)
+
+
+def random_subset_blocks(n: int, count: int, seed: int, rows: int) -> Iterator[np.ndarray]:
+    """The rows of ``random_subsets(n, count, seed)``, ``rows`` at a time.
+
+    Each 0/1 value takes one 32-bit word of the generator, whatever the
+    block, so the blocks are the one-shot matrix cut into pieces.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for start in range(0, count, rows):
+        yield rng.integers(0, 2, size=(min(rows, count - start), n), dtype=np.int64)
 
 
 def all_subsets(n: int) -> np.ndarray:
@@ -318,8 +329,9 @@ def sweep_placement_bounds(
     ``subsets`` (a 0/1 matrix, one subset a row) or ``n_subsets`` random
     subsets add a sampled cross-check: the reported subset margin is then
     the worst over those rows, and a sampled sum below the exact minimum
-    raises ``RuntimeError``. The sampled product runs in float64 blocks of
-    rows; its entries are integers of at most ``2 q n^2``, exact while
+    raises ``RuntimeError``. Random rows are drawn a block at a time, so
+    neither they nor the float64 product is ever held whole. The product's
+    entries are integers of at most ``2 q n^2``, exact while
     ``4 q n^2 < 2^53``, and a larger denominator raises ``ValueError``.
     """
     eps_list = [as_exact(e) for e in (epsilons or default_epsilon_grid())]
@@ -329,9 +341,9 @@ def sweep_placement_bounds(
                 f"epsilon {eps} is too fine for an exact sweep at n={n}: "
                 f"needs 4 q n^2 < 2^53 for its denominator q = {eps.denominator}"
             )
-    if subsets is None and n_subsets is not None:
-        subsets = random_subsets(n, n_subsets, subset_seed)
-    sampled = None if subsets is None else _SampledSubsets(subsets)
+    sampled = None
+    if subsets is not None or n_subsets is not None:
+        sampled = _SampledSubsets(n, subsets, n_subsets, subset_seed)
     result = SweepResult(
         policy=getattr(policy, "name", type(policy).__name__),
         n=n,
@@ -367,6 +379,7 @@ def sweep_placement_bounds(
             nums[ranked] = rank_numerators(nums[ranked])
 
         margins = np.full((len(batch), 2), np.inf)
+        worsts = []  # per epsilon, each state's lightest subset sum
         for eps in eps_list:
             q, pe = eps.denominator, eps.numerator
             qnums = q * nums
@@ -397,9 +410,11 @@ def sweep_placement_bounds(
                             "bins": np.nonzero(w[j] < 0)[0].tolist(),
                         }
                     )
-            if sampled is not None:
-                worst = sampled.worst(w, worst, ids, eps)
-            margins[:, 0] = np.minimum(margins[:, 0], worst / (q * 2 * n * n))
+            worsts.append(worst)
+        if sampled is not None:
+            worsts = sampled.worst(nums, eps_list, worsts, ids)
+        for eps, worst in zip(eps_list, worsts):
+            margins[:, 0] = np.minimum(margins[:, 0], worst / (eps.denominator * 2 * n * n))
 
         for j, sid in enumerate(ids):
             result.worst_margins[sid] = [float(margins[j, 0]), float(margins[j, 1])]
@@ -409,44 +424,65 @@ def sweep_placement_bounds(
 
 
 class _SampledSubsets:
-    """The sampled cross-check: the subset rows as a float64 0/1 matrix.
+    """The sampled cross-check: 0/1 subset rows, given or drawn from a seed.
 
-    The empty subset sums to 0. It takes part in the reported worst sum, as
-    every row does, but it is no test of the exact minimum, which is taken
-    over non-empty subsets only; so only the non-empty rows are multiplied.
+    Rows are taken a block at a time and turned into float64 per block, so
+    however many rows there are, the check holds one block of them at a
+    time. The empty subset sums to 0. It takes part in the reported worst
+    sum, as every row does, but it is no test of the exact minimum, which is
+    taken over non-empty subsets only; so only the non-empty rows are
+    multiplied.
     """
 
-    def __init__(self, subsets: np.ndarray):
-        if len(subsets) == 0:
+    def __init__(self, n: int, subsets: np.ndarray | None, count: int | None, seed: int):
+        self.n, self.subsets, self.seed = n, subsets, seed
+        self.count = len(subsets) if subsets is not None else count
+        if self.count == 0:
             raise ValueError("the sampled subset cross-check needs at least one subset")
-        self.count = len(subsets)
-        self.rows = np.flatnonzero(subsets.any(axis=1))
-        self.matrix = subsets.astype(np.float64)
-        if len(self.rows) < self.count:
-            self.matrix = self.matrix[self.rows]
 
-    def worst(self, w: np.ndarray, exact: np.ndarray, ids: list, eps) -> np.ndarray:
-        """Worst sum of w over the subset rows, per state, checked against ``exact``.
+    def _blocks(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(index of the first row, int64 0/1 block) over every row, in order."""
+        if self.subsets is not None:
+            for start in range(0, self.count, rows):
+                yield start, self.subsets[start : start + rows]
+        else:
+            blocks = random_subset_blocks(self.n, self.count, self.seed, rows)
+            yield from zip(range(0, self.count, rows), blocks)
 
-        The (rows x states) product runs in blocks of about ``_PRODUCT_BLOCK``
-        entries, so its memory stays bounded however many rows there are. A
-        non-empty row summing below the exact minimum means one of the two
-        computations is wrong: the first such (row, state) in row order is
-        raised as an internal error, never reported as a pass.
+    def worst(self, nums: np.ndarray, eps_list: list, exact: list, ids: list) -> list:
+        """Worst sum of w over the rows, per epsilon and state, checked against ``exact``.
+
+        A row S sums to ``q (S . num) - 2 n p |S \\ F|``. Each block of rows
+        is drawn once; its ``S . num`` serves every epsilon, and ``|S \\ F|``
+        is one product per epsilon. A block and its products hold about
+        ``_PRODUCT_BLOCK`` entries. A non-empty row summing below the exact
+        minimum means one of the two computations is wrong: the first such
+        (row, state) of the first block and epsilon that has one is raised
+        as an internal error, never reported as a pass.
         """
-        wf = w.T.astype(np.float64)
-        worst = np.full(w.shape[0], 0.0 if len(self.rows) < self.count else np.inf)
-        step = max(1, _PRODUCT_BLOCK // w.shape[0])
-        for start in range(0, len(self.rows), step):
-            diff = self.matrix[start : start + step] @ wf
-            low = diff.min(axis=0)
-            if (low < exact).any():
-                si, sj = np.nonzero(diff < exact)
-                raise RuntimeError(
-                    f"sampled subset {self.rows[start + si[0]]} of state {ids[sj[0]]} at "
-                    f"epsilon {eps} sums below the exact minimum over all subsets"
-                )
-            np.minimum(worst, low, out=worst)
+        n = self.n
+        nums_t = nums.T.astype(np.float64)  # exact: every entry is below 2^53
+        worst = [np.full(len(nums), np.inf) for _ in eps_list]
+        for start, block in self._blocks(max(1, _PRODUCT_BLOCK // max(n, len(nums)))):
+            filled = np.flatnonzero(block.any(axis=1))
+            if len(filled) < len(block):
+                for low in worst:
+                    np.minimum(low, 0.0, out=low)
+                block = block[filled]
+            rows = block.astype(np.float64)
+            taken = rows @ nums_t  # (rows, states)
+            for eps, floor, low in zip(eps_list, exact, worst):
+                q, pe = eps.denominator, eps.numerator
+                # i is outside F iff q num_i >= 2 n p, iff num_i >= ceil(2 n p / q)
+                outside = rows @ (nums_t >= -(-2 * n * pe // q)).astype(np.float64)
+                diff = q * taken - (2 * n * pe) * outside
+                if (diff < floor).any():
+                    si, sj = np.nonzero(diff < floor)
+                    raise RuntimeError(
+                        f"sampled subset {start + filled[si[0]]} of state {ids[sj[0]]} at "
+                        f"epsilon {eps} sums below the exact minimum over all subsets"
+                    )
+                np.minimum(low, diff.min(axis=0, initial=np.inf), out=low)
         return worst
 
 

@@ -60,14 +60,20 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--advice-threshold", type=int, help="advice: overload threshold")
 
 
+# each policy parameter and the flag that sets it
+_PARAM_FLAGS = {
+    "cluster_size": "--cluster-size",
+    "counter_cap": "--counter-cap",
+    "threshold": "--advice-threshold",
+}
+
+
 def _policy_params(args) -> dict:
     params = {}
-    if args.cluster_size is not None:
-        params["cluster_size"] = args.cluster_size
-    if args.counter_cap is not None:
-        params["counter_cap"] = args.counter_cap
-    if args.advice_threshold is not None:
-        params["threshold"] = args.advice_threshold
+    for param, flag in _PARAM_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            params[param] = value
     return params
 
 
@@ -112,11 +118,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    params = _policy_params(args)
+    unused = [
+        _PARAM_FLAGS[k] for k in params
+        if not any(k in policies.policy_params(name) for name in args.policy or ())
+    ]
+    if unused:
+        print(f"scan: {', '.join(unused)} applies to none of the --policy names given",
+              file=sys.stderr)
+        return 2
     spec_dict = harness.load_spec_file(args.spec) if args.spec else {}
     if args.n:
         spec_dict["n_values"] = args.n
     if args.policy:
-        params = _policy_params(args)
         spec_dict["policies"] = [
             {"name": name, **{k: v for k, v in params.items() if k in policies.policy_params(name)}}
             for name in args.policy

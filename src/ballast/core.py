@@ -6,11 +6,15 @@ fair tie-break bit. The policy picks one member of the pair; the engine
 maintains the ground-truth loads.
 
 Randomness comes from numpy's Philox bit generator (a counter-based 64-bit
-PRNG) keyed by ``SimConfig.seed``. Each run draws exactly three numpy
-vectors up front, in this order: first-offered bins, second-offered bins
-(int64) and tie bits (uint8). The fixed layout makes every run
-bit-replayable from its seed alone, independent of which branches a policy
-takes. An untraced run hands the arrays to the policy's ``run_bulk``.
+PRNG) keyed by ``SimConfig.seed``. A run's randomness is exactly three
+numpy vectors, drawn one after another from that generator, in this order:
+first-offered bins, second-offered bins (int64) and tie bits (uint8). The
+fixed layout makes every run bit-replayable from its seed alone,
+independent of which branches a policy takes. ``draw_run_streams`` draws
+them in one shot, as a traced run does. An untraced run walks the same
+values in chunks of ``STREAM_CHUNK`` balls (``stream_chunks``) and hands
+each chunk to the policy's ``run_bulk``, so its memory is O(n + chunk),
+not O(balls).
 
 A traced run records, before each ball, ``memory_state_id``: the policy's
 ``state_id()``. For a clustered geometry whose counters fit in 63 bits it
@@ -102,14 +106,52 @@ class RunResult:
         return cls(loads=list(d["loads"]), max_load=d["max_load"], trace=trace)
 
 
+STREAM_CHUNK = 1 << 16  # balls per chunk of an untraced run's stream walk
+
+
+def _draw(rng: np.random.Generator, n: int, stream: int, size: int) -> np.ndarray:
+    """``size`` values of stream 0 (bin_a) or 1 (bin_b), int64 in 0..n-1,
+    or of stream 2 (tie bits, uint8)."""
+    if stream == 2:
+        return rng.integers(0, 2, size=size, dtype=np.uint8)
+    return rng.integers(0, n, size=size, dtype=np.int64)
+
+
 def draw_run_streams(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw the run's three random vectors: bin_a, bin_b (int64), tie bits (uint8)."""
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    balls, n = config.balls, config.n
-    pa = rng.integers(0, n, size=balls, dtype=np.int64)
-    pb = rng.integers(0, n, size=balls, dtype=np.int64)
-    ties = rng.integers(0, 2, size=balls, dtype=np.uint8)
-    return pa, pb, ties
+    return tuple(_draw(rng, config.n, k, config.balls) for k in range(3))
+
+
+def stream_chunks(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield the ``draw_run_streams`` values as consecutive chunks of
+    ``STREAM_CHUNK`` balls (the last one shorter), value for value.
+
+    Each stream gets its own generator, placed where the one-shot draw
+    starts that stream. A draw of n-bounded integers may consume a varying
+    amount of the generator, so those places come from one discarded pass
+    over bin_a and bin_b, made only when the run has more than one chunk.
+    A chunked draw equals the one-shot draw only if every chunk but the last
+    is a multiple of 4 long: numpy draws uint8 values four to a 32-bit word
+    and drops the unused ones at the end of each call.
+    """
+    n, balls = config.n, config.balls
+    if balls <= STREAM_CHUNK:
+        yield draw_run_streams(config)
+        return
+    sizes = [min(STREAM_CHUNK, balls - s) for s in range(0, balls, STREAM_CHUNK)]
+    walker = np.random.Philox(key=config.seed)
+    bitgens = [np.random.Philox(key=config.seed)]
+    for k in (0, 1):
+        rng = np.random.Generator(walker)
+        for size in sizes:
+            _draw(rng, n, k, size)
+        start = np.random.Philox(key=config.seed)
+        start.state = walker.state
+        bitgens.append(start)
+    rngs = [np.random.Generator(b) for b in bitgens]
+    for size in sizes:
+        yield tuple(_draw(rng, n, k, size) for k, rng in enumerate(rngs))
 
 
 def trial_seed(base_seed: int, trial: int) -> int:
@@ -121,28 +163,28 @@ def simulate_run(config: SimConfig, policy) -> RunResult:
     """Throw ``config.balls`` balls into ``config.n`` bins under ``policy``.
 
     The policy instance is (re)bound to this run and mutated in place; do
-    not share one instance between concurrent runs.
+    not share one instance between concurrent runs. An untraced run is
+    ``simulate_segmented`` with no boundaries.
     """
+    if not config.record_trace:
+        return simulate_segmented(config, policy, ())[0]
     pa, pb, ties = draw_run_streams(config)
     policy.reset(config.n, config.balls)
-    if config.record_trace:
-        loads = [0] * config.n
-        trace = []
-        for rec in play(policy, pa, pb, ties):
-            loads[rec.chosen] += 1
-            trace.append(rec)
-        return RunResult(loads=loads, max_load=max(loads), trace=trace)
-    counts = np.zeros(config.n, dtype=np.int64)
-    policy.run_bulk(counts, pa, pb, ties)
-    return RunResult(loads=counts.tolist(), max_load=int(counts.max()))
+    loads = [0] * config.n
+    trace = []
+    for rec in play(policy, pa, pb, ties):
+        loads[rec.chosen] += 1
+        trace.append(rec)
+    return RunResult(loads=loads, max_load=max(loads), trace=trace)
 
 
 def simulate_segmented(
     config: SimConfig, policy, boundaries: Sequence[int]
 ) -> tuple[RunResult, list[list[int]]]:
-    """Like simulate_run, but snapshot the loads at the given step counts.
+    """Like an untraced simulate_run, but snapshot the loads at the given step counts.
 
-    Streams are drawn once up front, so the result is bit-identical to an
+    The streams are walked in chunks (``stream_chunks``) and each chunk is
+    cut at the boundaries inside it, so the result is bit-identical to an
     unsegmented run with the same config. Returns (result, snapshots) with
     one copy of the loads per boundary, in order.
     """
@@ -152,19 +194,23 @@ def simulate_segmented(
         or any(y <= x for x, y in zip(bounds, bounds[1:]))
     ):
         raise ValueError(f"boundaries must be strictly increasing and within 1..{config.balls}")
-    pa, pb, ties = draw_run_streams(config)
     policy.reset(config.n, config.balls)
     counts = np.zeros(config.n, dtype=np.int64)
     snapshots = []
-    prev = 0
-    for b in bounds:
-        policy.run_bulk(counts, pa[prev:b], pb[prev:b], ties[prev:b])
-        snapshots.append(counts.tolist())
-        prev = b
-    if prev < config.balls:
-        policy.run_bulk(counts, pa[prev:], pb[prev:], ties[prev:])
-    loads = counts.tolist()
-    return RunResult(loads=loads, max_load=max(loads)), snapshots
+    pending = iter(bounds)
+    cut = next(pending, None)
+    start = 0  # step number of the chunk's first ball
+    for pa, pb, ties in stream_chunks(config):
+        lo, end = 0, start + len(pa)
+        while cut is not None and cut <= end:
+            hi = cut - start
+            policy.run_bulk(counts, pa[lo:hi], pb[lo:hi], ties[lo:hi])
+            snapshots.append(counts.tolist())
+            lo, cut = hi, next(pending, None)
+        if lo < len(pa):
+            policy.run_bulk(counts, pa[lo:], pb[lo:], ties[lo:])
+        start = end
+    return RunResult(loads=counts.tolist(), max_load=int(counts.max())), snapshots
 
 
 def play(policy, pa, pb, ties) -> Iterator[StepRecord]:

@@ -38,6 +38,7 @@ the slot keys, which ``update`` adjusts by one weight per ball.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +80,16 @@ class Policy:
         pass
 
     def run_bulk(self, loads, pa, pb, ties) -> None:
-        """Apply all steps of a run. Must match decide/update exactly."""
-        counts = [0] * len(loads)
+        """Apply the given steps of a run. Must match decide/update exactly.
+
+        A run may be applied in consecutive pieces, each in O(steps) time.
+        """
+        chosen = []
         for a, b, r in zip(*(np.asarray(v).tolist() for v in (pa, pb, ties))):
             c = self.decide((a, b), r)
-            counts[c] += 1
+            chosen.append(c)
             self.update((a, b), c)
-        _add_counts(loads, counts)
+        _add_balls(loads, chosen)
 
     # -- introspection for analysis ------------------------------------
 
@@ -153,12 +157,14 @@ def key_weights(count: int) -> np.ndarray:
     return np.random.Philox(key=_KEY_WEIGHT_SEED).random_raw(count)
 
 
-def _add_counts(loads, counts: np.ndarray) -> None:
-    """``loads += counts`` in place, for an int64 array or a list of ints."""
+def _add_balls(loads, chosen) -> None:
+    """Add one ball per entry of ``chosen`` to ``loads`` (an int64 array or a
+    list of ints) in place, in O(len(chosen)) time."""
     if isinstance(loads, np.ndarray):
-        loads += counts
+        np.add.at(loads, chosen, 1)
     else:
-        loads[:] = np.add(loads, counts).tolist()
+        for c in np.asarray(chosen).tolist():
+            loads[c] += 1
 
 
 def _repeat_steps(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
@@ -264,7 +270,7 @@ class OneChoicePolicy(Policy):
         return pair[0]
 
     def run_bulk(self, loads, pa, pb, ties):
-        _add_counts(loads, np.bincount(np.asarray(pa, dtype=np.int64), minlength=self.n))
+        _add_balls(loads, np.asarray(pa, dtype=np.int64))
 
     def memory_bits(self, n, balls):
         return 0
@@ -277,14 +283,17 @@ class GreedyTwoChoicePolicy(Policy):
     Ties are broken by the per-step tie bit.
 
     Greedy is also the memory model that clustered and advice refine. The
-    memory is the list ``_mem`` of one value per slot of ``_width`` bins
-    (bin x uses slot x // _width); the chosen slot's value grows by one, up
-    to ``_top`` when that is set. A slot value m has the key ``_rank(m)``,
-    and a step takes the second offered bin where ``_prefer(m_a, m_b, tie)``
-    is 1. Greedy's slots are single bins with no cap, its key is the load
-    itself and ``_prefer`` is ``prefer_second``. ``decide`` and ``update``
-    index ``_mem`` by bin, with no slot map or cap, so clustered restates
-    them. ``run_bulk`` applies ``_prefer`` to arrays (``_decide_blocks``).
+    memory is ``_mem``, an ``array("q")`` of one value per slot of
+    ``_width`` bins (bin x uses slot x // _width); the chosen slot's value
+    grows by one, up to ``_top`` when that is set. A slot value m has the
+    key ``_rank(m)``, and a step takes the second offered bin where
+    ``_prefer(m_a, m_b, tie)`` is 1. Greedy's slots are single bins with no
+    cap, its key is the load itself and ``_prefer`` is ``prefer_second``.
+    ``decide`` and ``update`` index ``_mem`` by bin, with no slot map or
+    cap, so clustered restates them. ``run_bulk`` applies ``_prefer`` to
+    arrays (``_decide_blocks``) on a numpy view of ``_mem``, in place, so a
+    run applied chunk by chunk copies no memory and does O(chunk) work per
+    chunk.
 
     ``state_id()`` is ``sum_k _rank(m_k) * W_k mod 2^64``. Each ``update``
     adds the change of the key vector times its weight, so the key costs
@@ -307,7 +316,7 @@ class GreedyTwoChoicePolicy(Policy):
 
     def reset(self, n, balls):
         super().reset(n, balls)
-        self._mem = [0] * -(-n // self._width)
+        self._mem = array("q", bytes(8 * -(-n // self._width)))
         self._key = None
         self._wv = None
 
@@ -326,17 +335,17 @@ class GreedyTwoChoicePolicy(Policy):
     def run_bulk(self, loads, pa, pb, ties):
         pa = np.asarray(pa, dtype=np.int64)
         pb = np.asarray(pb, dtype=np.int64)
-        mem = np.fromiter(self._mem, dtype=np.int64, count=len(self._mem))
+        mem = np.frombuffer(self._mem, dtype=np.int64)
         ties = np.asarray(ties, dtype=bool)
         second = _decide_blocks(mem, self._slot(pa), self._slot(pb), ties, self._prefer, self._top)
         chosen = np.where(second, pb, pa)
-        _add_counts(loads, np.bincount(chosen, minlength=self.n))
+        _add_balls(loads, chosen)
+        self._key = None
         self._adopt(mem, chosen)
 
     def _adopt(self, mem: np.ndarray, chosen: np.ndarray) -> None:
-        """Take over the memory ``run_bulk`` left after the chosen bins."""
-        self._mem = mem.tolist()
-        self._key = None
+        """Account for the steps ``run_bulk`` just applied to ``mem`` (a view
+        of ``_mem``), whose chosen bins are ``chosen``; O(len(chosen))."""
 
     def _key_weights(self) -> np.ndarray:
         return key_weights(len(self._mem))
@@ -346,7 +355,7 @@ class GreedyTwoChoicePolicy(Policy):
             if self._wv is None:
                 self._wv = self._key_weights()
                 self._w = self._wv.tolist()
-            keys = self._rank(np.array(self._mem, dtype=np.uint64))
+            keys = self._rank(np.frombuffer(self._mem, dtype=np.uint64))
             self._key = int(np.dot(keys, self._wv))
         return self._key
 
@@ -356,9 +365,10 @@ class GreedyTwoChoicePolicy(Policy):
     def restore(self, state):
         if len(state) != len(self._mem):
             raise ValueError(f"state has {len(state)} values for {len(self._mem)} memory slots")
-        if self._top is not None and any(v < 0 or v > self._top for v in state):
+        mem = array("q", state)
+        if self._top is not None and (min(mem) < 0 or max(mem) > self._top):
             raise ValueError("counter value out of range")
-        self._mem = list(state)
+        self._mem = mem
         self._key = None
 
     def rank_keys(self):
@@ -532,10 +542,13 @@ class AdvicePolicy(GreedyTwoChoicePolicy):
             self._key = (self._key + (T if v == T else 1) * self._w[chosen]) & _KEY_MASK
 
     def _adopt(self, mem, chosen):
-        super()._adopt(mem, chosen)
         if len(chosen):
             T = self.threshold
-            self._nlisted = int(np.count_nonzero(mem >= T))
+            # a bin chosen k times that now holds v joined the list in these
+            # steps iff v >= T > v - k; only bins now listed can have
+            listed = chosen[mem[chosen] >= T]
+            bins, k = np.unique(listed, return_counts=True)
+            self._nlisted += int(np.count_nonzero(mem[bins] - k < T))
             # max over steps of the pre-step list size; the list only grows,
             # so that is the size before the final ball
             prestep = self._nlisted - int(mem[chosen[-1]] == T)

@@ -1,7 +1,9 @@
 """Exact probability reconstruction, bound checks, phases, tails."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -295,11 +297,50 @@ def test_sampled_sum_below_the_exact_minimum_raises():
         sweep_placement_bounds(p, n, [p.snapshot()], subsets=-all_subsets(n))
 
 
+# sha256 of json.dumps(random_subsets(n, count, seed).tolist()), the one-shot rows
+SUBSET_DIGESTS = {
+    (16, 4001, 0x5B5E7): "8025fc2b865c94b1656094ec2e3ca44ddc6d0fc05bd28b1e77d8c7cb435e31b2",
+    (4096, 33, 0xF00D): "4b407293d2fb01a77b4a6e547db743b72cb805e961a8a51a683fd9376386a11c",
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3, 512, 5000])
+@pytest.mark.parametrize("n, count, seed", sorted(SUBSET_DIGESTS))
+def test_subset_blocks_are_the_one_shot_rows(n, count, seed, rows):
+    blocks = list(analysis.random_subset_blocks(n, count, seed, rows))
+    assert all(len(b) == rows for b in blocks[:-1])
+    matrix = np.concatenate(blocks)
+    assert matrix.dtype == np.int64
+    assert np.array_equal(matrix, analysis.random_subsets(n, count, seed))
+    digest = hashlib.sha256(json.dumps(matrix.tolist()).encode()).hexdigest()
+    assert digest == SUBSET_DIGESTS[(n, count, seed)]
+
+
+def test_sampled_cross_check_holds_one_block_of_rows(monkeypatch):
+    """Seeded rows are drawn and multiplied a block at a time, for a group of
+    states at a time, and give the report the whole matrix gives."""
+    n, count = 256, 4000
+    p = _bound_policy("greedy", n)
+    states = probe_states(p, n, 2 * n, seed=1, max_states=5)
+    whole = sweep_placement_bounds(p, n, states, subsets=analysis.random_subsets(n, count, 7))
+    monkeypatch.setattr(analysis, "_PRODUCT_BLOCK", 1 << 12)
+    tracemalloc.start()
+    try:
+        blocked = sweep_placement_bounds(p, n, states, n_subsets=count, subset_seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blocked.to_dict() == whole.to_dict()
+    assert blocked.n_subsets == count and blocked.ok
+    assert peak < 8 * n * count / 4  # the int64 matrix alone takes 8 n count bytes
+
+
 def test_default_sweep_and_verify_never_build_a_subset_matrix(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("subset matrix built on the default path")
 
     monkeypatch.setattr(analysis, "random_subsets", refuse)
+    monkeypatch.setattr(analysis, "random_subset_blocks", refuse)
     monkeypatch.setattr(analysis, "all_subsets", refuse)
     n = 16
     p = _bound_policy("greedy", n)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from ballast import (
     trial_seed,
     write_trace_csv,
 )
-from ballast.core import draw_run_streams, replay
+from ballast import core
+from ballast.core import STREAM_CHUNK, draw_run_streams, replay, stream_chunks
 
 from conftest import reference_two_choice
 
@@ -216,12 +218,15 @@ def test_run_bulk_matches_decide_update_across_blocks(name, n, balls):
         assert max(slow.snapshot()) == slow.config.counter_cap  # the cap was reached
 
 
-# sha256 of json.dumps([pa, pb, ties]) for the one-shot Philox lists that
-# draw_run_streams returned before it returned arrays: the bit-replay contract
+# sha256 of json.dumps([pa, pb, ties]) for the one-shot Philox draws: the
+# bit-replay contract (the first three date from when draw_run_streams
+# returned lists; the last two span several chunks of the stream walk)
 STREAM_DIGESTS = {
     (1000, 12345, 5000): "9df76da6c6c0f4ea5d2ee7d9c3f1080a47b83c452a0c6279ce8ab61868c1ead4",
     (1 << 20, 2**64 - 1, 4096): "a037df390db909ca14c70ec7d2c882c58bf3ed26a947b35b25d2f6c058d6d2c4",
     (3, 0, 4097): "0300d8d30521e45f9687cfbe4782a0a7c0407cf27037b61e7d72c38595702eac",
+    (999_983, 7, 3 * (1 << 16) + 1): "8d2fce78c3919c0506ed776d64775ba01640f836598ab5fc58524766afbd6dfe",
+    ((1 << 40) + 3, 5, (1 << 16) + 1): "2de2a37437594cab25bf3563c3a700c2e770ad2b0660681a083333202744830e",
 }
 
 
@@ -232,6 +237,101 @@ def test_stream_arrays_keep_the_one_shot_draws(n, seed, balls):
     assert all(len(v) == balls for v in (pa, pb, ties))
     values = json.dumps([pa.tolist(), pb.tolist(), ties.tolist()]).encode()
     assert hashlib.sha256(values).hexdigest() == STREAM_DIGESTS[(n, seed, balls)]
+
+
+def _walked(config):
+    chunks = list(stream_chunks(config))
+    assert all(len(c[0]) == core.STREAM_CHUNK for c in chunks[:-1])
+    return [np.concatenate([c[k] for c in chunks]) for k in range(3)]
+
+
+@pytest.mark.parametrize("n, seed, balls", sorted(STREAM_DIGESTS))
+def test_stream_walk_keeps_the_stream_digests(n, seed, balls):
+    pa, pb, ties = _walked(SimConfig(n=n, seed=seed, balls=balls))
+    values = json.dumps([pa.tolist(), pb.tolist(), ties.tolist()]).encode()
+    assert hashlib.sha256(values).hexdigest() == STREAM_DIGESTS[(n, seed, balls)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000, 999_983, 1 << 20, (1 << 32) + 7, 1 << 40])
+@pytest.mark.parametrize("balls", [1, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 1,
+                                   3 * STREAM_CHUNK + 5])
+def test_stream_walk_equals_the_one_shot_draw(n, balls):
+    config = SimConfig(n=n, seed=n * 31 + balls, balls=balls)
+    walked, drawn = _walked(config), draw_run_streams(config)
+    assert [v.dtype for v in walked] == [v.dtype for v in drawn]
+    assert all(np.array_equal(w, d) for w, d in zip(walked, drawn))
+
+
+def test_stream_chunk_is_a_multiple_of_four(monkeypatch):
+    """numpy draws the uint8 tie bits four to a 32-bit word and drops the
+    rest at the end of each call, so only such chunks keep the tie stream."""
+    assert STREAM_CHUNK > 0 and STREAM_CHUNK % 4 == 0
+    config = SimConfig(n=1000, seed=12345, balls=5 * 4097)
+    drawn = draw_run_streams(config)
+    for chunk, equal in ((4096, True), (4097, False)):
+        monkeypatch.setattr(core, "STREAM_CHUNK", chunk)
+        pa, pb, ties = _walked(config)
+        assert np.array_equal(pa, drawn[0]) and np.array_equal(pb, drawn[1])
+        assert np.array_equal(ties, drawn[2]) is equal
+
+
+def test_segmented_run_cuts_at_and_around_chunk_edges():
+    C = STREAM_CHUNK
+    n, balls = 4096, 2 * C + 3
+    config = SimConfig(n=n, seed=17, balls=balls)
+    bounds = [1, C - 1, C, C + 1, 2 * C, balls]
+    result, snaps = simulate_segmented(config, make_policy("greedy"), bounds)
+    streams = draw_run_streams(config)
+    p = make_policy("greedy")
+    p.reset(n, balls)
+    loads, expected = np.zeros(n, dtype=np.int64), []
+    for lo, hi in zip([0] + bounds, bounds):
+        p.run_bulk(loads, *(v[lo:hi] for v in streams))
+        expected.append(loads.tolist())
+    assert snaps == expected
+    assert result.loads == expected[-1]
+
+
+@pytest.mark.parametrize("name, boundaries", [("greedy", None), ("one-choice", (1, 174_763))])
+def test_untraced_run_memory_does_not_grow_with_balls(name, boundaries):
+    """The one-shot streams alone take 17 B per ball; the chunked walk holds
+    one chunk of them at a time (simulate_run, or simulate_segmented cut
+    inside chunks)."""
+    n, balls = 256, 8 * STREAM_CHUNK
+    config = SimConfig(n=n, seed=5, balls=balls)
+    expected = simulate_run(config, make_policy(name)).loads
+    tracemalloc.start()
+    try:
+        if boundaries is None:
+            result = simulate_run(config, make_policy(name))
+        else:
+            result, _ = simulate_segmented(config, make_policy(name), boundaries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.loads == expected
+    assert peak < 17 * balls / 3
+
+
+@pytest.mark.parametrize("n, threshold", [(4096, 2), (4096, 30), (1 << 17, 1), (16, 5)])
+def test_advice_run_over_many_chunks_matches_decide_update(n, threshold):
+    """The listed-bin count and pre-step list maximum advice keeps per chunk
+    equal the step-by-step ones."""
+    balls = 2 * STREAM_CHUNK + 3
+    config = SimConfig(n=n, seed=n + threshold, balls=balls)
+    fast = make_policy("advice", threshold=threshold)
+    result = simulate_run(config, fast)
+    slow = make_policy("advice", threshold=threshold)
+    slow.reset(n, balls)
+    loads = [0] * n
+    for a, b, r in zip(*(v.tolist() for v in draw_run_streams(config))):
+        c = slow.decide((a, b), r)
+        loads[c] += 1
+        slow.update((a, b), c)
+    assert result.loads == loads
+    assert fast.snapshot() == slow.snapshot()
+    assert fast.memory_state() == slow.memory_state()
+    assert fast.memory_bits(n, balls) == slow.memory_bits(n, balls) > 0
 
 
 @pytest.mark.parametrize("name", ["one-choice", "greedy", "clustered", "advice", "max-index"])

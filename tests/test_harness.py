@@ -245,6 +245,25 @@ def test_cli_scan_gives_each_policy_only_its_own_parameters(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("flags, names", [
+    (["--cluster-size", "3"], ["greedy"]),
+    (["--advice-threshold", "2", "--counter-cap", "4"], ["greedy", "one-choice"]),
+    (["--counter-cap", "4"], []),  # the spec file lists the policies
+])
+def test_cli_scan_refuses_a_parameter_no_listed_policy_takes(tmp_path, capsys, flags, names):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"n_values": [16], "policies": [{"name": "clustered"}]}))
+    out = tmp_path / "rows.csv"
+    argv = ["scan", "--spec", str(spec_path), "--trials", "1", "--out", str(out), *flags]
+    for name in names:
+        argv += ["--policy", name]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(f in err for f in flags if f.startswith("--"))
+    assert "applies to none of the --policy names given" in err
+    assert not out.exists()
+
+
 def test_cli_scan_spec_file_with_flag_override(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(

@@ -175,8 +175,18 @@ def test_advice_never_picks_listed_over_unlisted():
 def test_advice_mirror_matches_true_loads():
     p = AdvicePolicy(threshold=4)
     r = simulate_run(SimConfig(n=32, seed=3, balls=128), p)
-    assert p._mem == r.loads
+    assert list(p._mem) == r.loads
     assert p.advice_list() == build_advice(r.loads, 4)
+
+
+def test_advice_list_cost_is_the_list_before_the_last_ball():
+    """The advice cost is the largest list any ball saw before it was placed,
+    so a bin the last ball lists is not counted."""
+    n, balls = 4096, 10
+    p = AdvicePolicy(threshold=1)
+    simulate_run(SimConfig(n=n, seed=1, balls=balls), p)
+    assert len(p.advice_list().entries) == balls  # every ball listed a fresh bin
+    assert p.memory_bits(n, balls) == (balls - 1) * (int_width(n - 1) + int_width(balls))
 
 
 def test_memory_bits_examples():
