@@ -38,6 +38,7 @@ from .core import (
     RunResult,
     SimConfig,
     StepRecord,
+    Trace,
     load_histogram,
     read_trace_csv,
     simulate_run,

@@ -37,7 +37,16 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import PAIR_GUARD, RunResult, SimConfig, StepRecord, play, replay, simulate_segmented
+from .core import (
+    PAIR_GUARD,
+    RunResult,
+    SimConfig,
+    StepRecord,
+    Trace,
+    play,
+    replay,
+    simulate_segmented,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -649,43 +658,51 @@ def _report_from_sizes(pc: PhaseConfig, sizes: list[int]) -> PhaseReport:
     )
 
 
-def _phase_loads(chosen: Sequence[int], pc: PhaseConfig) -> Iterator[list[int]]:
+def _chosen(trace) -> np.ndarray:
+    """The chosen bins of a ``Trace``, a sequence of ``StepRecord`` or a plain
+    sequence of chosen bins, as int64."""
+    if isinstance(trace, Trace):
+        return trace.chosen
+    if len(trace) and isinstance(trace[0], StepRecord):
+        return np.array([r.chosen for r in trace], dtype=np.int64)
+    return np.asarray(trace, dtype=np.int64)
+
+
+def _phase_loads(chosen: np.ndarray, pc: PhaseConfig) -> Iterator[np.ndarray]:
     """Walk the chosen bins in step order; yield the loads at each phase's end.
 
-    The loads list is updated in place between yields. A trace shorter than
+    The loads array is updated in place between yields. A trace shorter than
     the phases, or a bin outside 0..n-1, raises ``ValueError``.
     """
     needed = pc.phases * pc.phase_size
     if len(chosen) < needed:
         raise ValueError(f"trace too short: {len(chosen)} < {needed} balls")
-    loads = [0] * pc.n
+    loads = np.zeros(pc.n, dtype=np.int64)
     for start in range(0, needed, pc.phase_size):
         phase = chosen[start : start + pc.phase_size]
-        if min(phase) < 0 or max(phase) >= pc.n:
-            t = start + next(i for i, c in enumerate(phase) if not 0 <= c < pc.n)
+        outside = np.flatnonzero((phase < 0) | (phase >= pc.n))
+        if len(outside):
+            t = start + int(outside[0])
             raise ValueError(f"trace step {t} chooses bin {chosen[t]} outside 0..{pc.n - 1}")
-        for c in phase:
-            loads[c] += 1
+        loads += np.bincount(phase, minlength=pc.n)
         yield loads
 
 
 def phase_report(source, pc: PhaseConfig, n: int | None = None) -> PhaseReport:
-    """Phase sizes from a stored trace (a RunResult with trace, a list of
-    StepRecords, or a plain sequence of chosen bins)."""
+    """Phase sizes from a stored trace (a RunResult with trace, a ``Trace``,
+    a list of StepRecords, or a plain sequence of chosen bins)."""
     if isinstance(source, RunResult):
         if source.trace is None:
             raise ValueError("RunResult has no trace; use run_phase_report instead")
-        chosen = [r.chosen for r in source.trace]
-        n = len(source.loads)
-    elif source and isinstance(source[0], StepRecord):
-        chosen = [r.chosen for r in source]
-    else:
-        chosen = list(source)
+        source, n = source.trace, len(source.loads)
+    chosen = _chosen(source)
     if n is None:
         raise ValueError("n is required when passing a bare trace")
     if n != pc.n:
         raise ValueError("phase config n does not match the trace's n")
-    sizes = [sum(1 for v in loads if v >= i) for i, loads in enumerate(_phase_loads(chosen, pc), 1)]
+    sizes = [
+        int(np.count_nonzero(loads >= i)) for i, loads in enumerate(_phase_loads(chosen, pc), 1)
+    ]
     return _report_from_sizes(pc, sizes)
 
 
@@ -736,8 +753,8 @@ def phase_report_with_forbidden(
     """
     eps = as_exact(epsilon if epsilon is not None else pc.epsilon)
     phase_sets = [
-        [b for b, v in enumerate(loads) if v >= i]
-        for i, loads in enumerate(_phase_loads([r.chosen for r in trace], pc), 1)
+        np.flatnonzero(loads >= i).tolist()
+        for i, loads in enumerate(_phase_loads(_chosen(trace), pc), 1)
     ]
     union, nstates = forbidden_union_over_trace(policy, trace, pc.n, eps)
     report = _report_from_sizes(pc, [len(s_i) for s_i in phase_sets])

@@ -103,7 +103,8 @@ def cmd_run(args) -> int:
         core.write_trace_csv(result.trace, args.trace_out)
     if args.out:
         with core.atomic_write(args.out) as f:
-            f.write(result.to_json() + "\n")
+            result.write_json(f)
+            f.write("\n")
     summary = {
         "policy": policy.name,
         "n": config.n,

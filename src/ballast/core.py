@@ -16,12 +16,16 @@ values in chunks of ``STREAM_CHUNK`` balls (``stream_chunks``) and hands
 each chunk to the policy's ``run_bulk``, so its memory is O(n + chunk),
 not O(balls).
 
-A traced run records, before each ball, ``memory_state_id``: the policy's
-``state_id()``. For a clustered geometry whose counters fit in 63 bits it
-is the exact packed counter tuple; otherwise it is a 64-bit key linear in
-the memory vector, with fixed pseudo-random weights. Equal states always
-get equal ids, in any process. Policies keep the key current in O(1) per
-ball, so tracing costs O(balls).
+A traced run is decided by the same ``run_bulk`` and records, before each
+ball, ``memory_state_id``: the policy's ``state_id()``. For a clustered
+geometry whose counters fit in 63 bits it is the exact packed counter
+tuple; otherwise it is a 64-bit key linear in the memory vector, with
+fixed pseudo-random weights. Equal states always get equal ids, in any
+process. The policy derives the whole id column from the chosen bins
+(``run_traced``), so tracing costs O(balls) array work. The trace is a
+``Trace``: columns of ids and bins, read as a sequence of ``StepRecord``
+views. Traces and run results are written, and traces read, a block of
+rows at a time through numpy, in the text ``csv`` and ``json`` would give.
 
 Every step-by-step walk goes through one of two generators. ``play``
 decides each step of drawn streams; ``replay`` walks a stored trace and
@@ -38,10 +42,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
+import io
 import json
 import os
+import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -79,31 +87,164 @@ class StepRecord:
     chosen: int
 
 
+class Trace(Sequence):
+    """A run's steps as columns: uint64 ``ids`` and int64 ``bin_a``,
+    ``bin_b`` and ``chosen``, one row per step, numbered by position.
+
+    As a sequence it holds ``StepRecord(t, ids[t], bin_a[t], bin_b[t],
+    chosen[t])`` views with Python ints: ``len``, iteration, indexing,
+    slicing (to a list) and ``==`` against any sequence of records.
+    """
+
+    def __init__(self, ids, bin_a, bin_b, chosen):
+        self.ids = np.asarray(ids, dtype=np.uint64)
+        self.bin_a, self.bin_b, self.chosen = (
+            np.asarray(v, dtype=np.int64) for v in (bin_a, bin_b, chosen)
+        )
+        if not len(self.ids) == len(self.bin_a) == len(self.bin_b) == len(self.chosen):
+            raise ValueError("trace columns differ in length")
+
+    @classmethod
+    def from_records(cls, records: Iterable[StepRecord]) -> "Trace":
+        """The trace of ``records``, whose steps must be numbered 0, 1, ..."""
+        columns = ([], [], [], [])
+        for t, r in enumerate(records):
+            if r.step != t:
+                raise ValueError(f"trace step {t} is numbered {r.step}")
+            for column, v in zip(columns, (r.memory_state_id, r.bin_a, r.bin_b, r.chosen)):
+                column.append(v)
+        return cls(*columns)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.ids, self.bin_a, self.bin_b, self.chosen
+
+    def numbered(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The step numbers and columns of rows lo..hi-1."""
+        return [np.arange(lo, min(hi, len(self))), *(c[lo:hi] for c in self.columns)]
+
+    def __len__(self) -> int:
+        return len(self.chosen)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[t] for t in range(*i.indices(len(self)))]
+        t = range(len(self))[i]
+        return StepRecord(t, *(int(c[t]) for c in self.columns))
+
+    def __iter__(self) -> Iterator[StepRecord]:
+        for lo in range(0, len(self), _IO_ROWS):
+            yield from map(StepRecord, *(c.tolist() for c in self.numbered(lo, lo + _IO_ROWS)))
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return all(np.array_equal(x, y) for x, y in zip(self.columns, other.columns))
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+        return NotImplemented
+
+
 @dataclass
 class RunResult:
     loads: list[int]
     max_load: int
-    trace: list[StepRecord] | None = None
+    trace: Trace | None = None
 
-    def to_dict(self) -> dict:
-        d = {"n": len(self.loads), "max_load": self.max_load, "loads": self.loads}
+    def write_json(self, f) -> None:
+        """Write the result to ``f`` as one JSON object, a block of rows at a
+        time: ``n``, ``max_load``, ``loads`` and, for a traced run, ``trace``
+        as [step, memory_state_id, bin_a, bin_b, chosen] rows."""
+        def loads(lo, hi):
+            return [np.array(self.loads[lo:hi], dtype=np.int64)]
+
+        f.write(f'{{"n": {len(self.loads)}, "max_load": {self.max_load}, "loads": [')
+        _write_rows(f, len(self.loads), loads, ("", ""), join=", ")
+        f.write("]")
         if self.trace is not None:
-            d["trace"] = [
-                [r.step, r.memory_state_id, r.bin_a, r.bin_b, r.chosen]
-                for r in self.trace
-            ]
-        return d
+            f.write(', "trace": [')
+            _write_rows(f, len(self.trace), self.trace.numbered, ("[", *[", "] * 4, "]"), join=", ")
+            f.write("]")
+        f.write("}")
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        f = io.StringIO()
+        self.write_json(f)
+        return f.getvalue()
 
     @classmethod
     def from_json(cls, s: str) -> "RunResult":
         d = json.loads(s)
         trace = None
         if "trace" in d:
-            trace = [StepRecord(*row) for row in d["trace"]]
+            trace = Trace.from_records(StepRecord(*row) for row in d["trace"])
         return cls(loads=list(d["loads"]), max_load=d["max_load"], trace=trace)
+
+
+_IO_ROWS = 1 << 12  # rows per block of trace and result text
+_QUAD_ALL = 0x01010101  # four significant digits, as a packed mask
+
+
+@functools.cache
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The 4 ASCII digits of each of 0..9999 and the mask of its significant
+    ones, each packed in a uint32, so one gather places 4 bytes."""
+    places = np.array([1000, 100, 10, 1], dtype=np.int16)
+    quads = np.arange(10_000, dtype=np.int16)[:, None] // places
+    text = (quads % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    return text, (quads > 0).view(np.uint32).ravel()
+
+
+def _decimal(column: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each value's decimal text as (uint8 matrix, mask of its text bytes)
+    pieces, one row per value: a minus sign if any value is negative, then
+    the digits, right-aligned, 4 to a uint32."""
+    negative = column < 0
+    magnitude = column.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)  # wraps to |value|
+    quads = -(-len(str(int(magnitude.max()))) // 4)
+    quad_text, quad_keep = _quad_tables()
+    text = np.empty((len(column), quads), dtype=np.uint32)
+    keep = np.empty((len(column), quads), dtype=np.uint32)
+    for q in range(quads - 1, -1, -1):
+        high = magnitude // 10_000
+        low = magnitude - high * 10_000
+        magnitude = high
+        text[:, q] = quad_text.take(low)
+        if q == quads - 1:
+            np.maximum(low, 1, out=low)  # a value of 0 still shows one digit
+        # every digit of a quad below the leading one is significant
+        keep[:, q] = np.where(magnitude > 0, _QUAD_ALL, quad_keep.take(low))
+    pieces = [(text.view(np.uint8), keep.view(bool))]
+    if negative.any():
+        pieces.insert(0, (np.full((len(column), 1), ord("-"), dtype=np.uint8), negative[:, None]))
+    return pieces
+
+
+def _rows_text(columns: Sequence[np.ndarray], seps: Sequence[str]) -> str:
+    """Row i is seps[0], columns[0][i], seps[1], ..., seps[-1], in decimal."""
+    rows = len(columns[0])
+    text, keep = [], []
+    for k, sep in enumerate(seps):
+        if sep:
+            sep_bytes = np.frombuffer(sep.encode(), dtype=np.uint8)
+            text.append(np.broadcast_to(sep_bytes, (rows, len(sep))))
+            keep.append(np.broadcast_to(True, (rows, len(sep))))
+        for piece, mask in _decimal(columns[k]) if k < len(columns) else ():
+            text.append(piece)
+            keep.append(mask)
+    return np.concatenate(text, axis=1)[np.concatenate(keep, axis=1)].tobytes().decode()
+
+
+def _write_rows(
+    f, rows: int, columns: Callable[[int, int], list], seps: Sequence[str], join: str = ""
+) -> None:
+    """Write ``rows`` rows to ``f``, ``_IO_ROWS`` at a time, ``join``
+    between rows; ``columns(lo, hi)`` gives the integer columns of rows
+    lo..hi-1 and ``seps`` the text around them (see ``_rows_text``)."""
+    seps = (*seps[:-1], seps[-1] + join)
+    for lo in range(0, rows, _IO_ROWS):
+        text = _rows_text(columns(lo, lo + _IO_ROWS), seps)
+        f.write(text if lo + _IO_ROWS < rows else text[: len(text) - len(join)])
 
 
 STREAM_CHUNK = 1 << 16  # balls per chunk of an untraced run's stream walk
@@ -164,18 +305,18 @@ def simulate_run(config: SimConfig, policy) -> RunResult:
 
     The policy instance is (re)bound to this run and mutated in place; do
     not share one instance between concurrent runs. An untraced run is
-    ``simulate_segmented`` with no boundaries.
+    ``simulate_segmented`` with no boundaries. A traced run applies the
+    one-shot streams with the policy's ``run_traced`` and keeps them: its
+    offers are the trace's bin columns.
     """
     if not config.record_trace:
         return simulate_segmented(config, policy, ())[0]
     pa, pb, ties = draw_run_streams(config)
     policy.reset(config.n, config.balls)
-    loads = [0] * config.n
-    trace = []
-    for rec in play(policy, pa, pb, ties):
-        loads[rec.chosen] += 1
-        trace.append(rec)
-    return RunResult(loads=loads, max_load=max(loads), trace=trace)
+    counts = np.zeros(config.n, dtype=np.int64)
+    ids, chosen = policy.run_traced(counts, pa, pb, ties)
+    trace = Trace(ids, pa, pb, chosen)
+    return RunResult(loads=counts.tolist(), max_load=int(counts.max()), trace=trace)
 
 
 def simulate_segmented(
@@ -254,10 +395,9 @@ def load_histogram(loads: Sequence[int]) -> dict[int, int]:
     """Map load level -> number of bins at that level; counts sum to n."""
     if len(loads) == 0:
         raise ValueError("empty load vector")
-    hist: dict[int, int] = {}
-    for v in loads:
-        hist[v] = hist.get(v, 0) + 1
-    return dict(sorted(hist.items()))
+    counts = np.bincount(np.asarray(loads, dtype=np.int64))
+    levels = np.flatnonzero(counts)
+    return dict(zip(levels.tolist(), counts[levels].tolist()))
 
 
 @contextlib.contextmanager
@@ -282,30 +422,72 @@ def atomic_write(path: str, newline: str | None = None):
 
 
 def write_trace_csv(trace: Iterable[StepRecord], path: str) -> None:
+    """Write ``trace`` (a ``Trace``, or records numbered 0, 1, ...) as CSV
+    under a ``TRACE_COLUMNS`` header."""
+    if not isinstance(trace, Trace):
+        trace = Trace.from_records(trace)
     with atomic_write(path, newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(TRACE_COLUMNS)
-        for r in trace:
-            w.writerow((r.step, r.memory_state_id, r.bin_a, r.bin_b, r.chosen))
+        f.write(",".join(TRACE_COLUMNS) + "\n")
+        _write_rows(f, len(trace), trace.numbered, ("", ",", ",", ",", ",", "\n"))
 
 
-def read_trace_csv(path: str) -> list[StepRecord]:
-    """Read a trace written by ``write_trace_csv``; each row must be 5 integers."""
-    with open(path, newline="") as f:
-        rd = csv.reader(f)
-        header = next(rd, [])
+_TRACE_ROW = np.dtype(
+    [(name, np.uint64 if name == "memory_state_id" else np.int64) for name in TRACE_COLUMNS]
+)
+
+
+def _parse_rows(text: str) -> np.ndarray | None:
+    """The trace rows of ``text``, whole lines, or None unless each line is
+    5 integers."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on blank text
+            rows = np.loadtxt(
+                io.StringIO(text), delimiter=",", dtype=_TRACE_ROW, comments=None, ndmin=1
+            )
+    except ValueError:
+        return None
+    lines = text.removesuffix("\n").count("\n") + 1
+    return rows if len(rows) == lines else None  # loadtxt skips blank lines
+
+
+def read_trace_csv(path: str) -> Trace:
+    """Read a trace written by ``write_trace_csv``, a block of rows at a time.
+
+    Each row must be 5 integers, the id in 0..2^64-1 and the bins in int64,
+    and row t must be step t; ``ValueError`` names the first line or step
+    that is not.
+    """
+    with open(path) as f:
+        header = next(csv.reader([f.readline()]), [])
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace header: {header}")
-        trace = []
-        for row in rd:
-            try:
-                values = [int(x) for x in row]
-            except ValueError:
-                values = []
-            if len(values) != len(TRACE_COLUMNS):
+        # count the lines first, so each column is allocated once
+        lines, last = 0, "\n"
+        while text := f.read(1 << 20):
+            lines, last = lines + text.count("\n"), text[-1]
+        lines += last != "\n"
+        columns = [np.empty(lines, dtype=_TRACE_ROW[name]) for name in TRACE_COLUMNS[1:]]
+        f.seek(0)
+        f.readline()
+        start = 0  # step number of the block's first row, which is on line start + 2
+        while text := f.read(1 << 20) + f.readline():
+            rows = _parse_rows(text)
+            if rows is None:
+                block = text.removesuffix("\n").split("\n")
+                k = next((k for k, line in enumerate(block) if _parse_rows(line) is None), 0)
                 raise ValueError(
-                    f"{path}:{rd.line_num}: a trace row needs {len(TRACE_COLUMNS)} "
-                    f"integer fields, got {row}"
+                    f"{path}:{start + k + 2}: a trace row needs {len(TRACE_COLUMNS)} "
+                    f"integer fields, got {next(csv.reader([block[k]]), [])}"
                 )
-            trace.append(StepRecord(*values))
-        return trace
+            stop = start + len(rows)
+            misnumbered = np.flatnonzero(rows["step"] != np.arange(start, stop))
+            if len(misnumbered):
+                t = start + int(misnumbered[0])
+                raise ValueError(f"trace step {t} is numbered {rows['step'][t - start]}")
+            for column, name in zip(columns, TRACE_COLUMNS[1:]):
+                column[start:stop] = rows[name]
+            start = stop
+    return Trace(*columns)
+
+

@@ -33,6 +33,8 @@ step of a block that offers no slot an earlier step of the block offered
 reads the memory from before the block (see ``_decide_blocks``).
 ``state_id`` labels the current memory state in O(1) by a key linear in
 the slot keys, which ``update`` adjusts by one weight per ball.
+``run_bulk`` returns the bins it chose, and ``run_traced`` derives from
+them the key before every step, with no per-step call.
 """
 
 from __future__ import annotations
@@ -79,17 +81,28 @@ class Policy:
     def update(self, pair: tuple[int, int], chosen: int) -> None:
         pass
 
-    def run_bulk(self, loads, pa, pb, ties) -> None:
-        """Apply the given steps of a run. Must match decide/update exactly.
+    def run_bulk(self, loads, pa, pb, ties) -> np.ndarray:
+        """Apply the given steps of a run; return their chosen bins (int64).
 
-        A run may be applied in consecutive pieces, each in O(steps) time.
+        Must match decide/update exactly. A run may be applied in
+        consecutive pieces, each in O(steps) time.
         """
         chosen = []
         for a, b, r in zip(*(np.asarray(v).tolist() for v in (pa, pb, ties))):
             c = self.decide((a, b), r)
             chosen.append(c)
             self.update((a, b), c)
+        chosen = np.array(chosen, dtype=np.int64)
         _add_balls(loads, chosen)
+        return chosen
+
+    def run_traced(self, loads, pa, pb, ties) -> tuple[np.ndarray, np.ndarray]:
+        """``run_bulk``, plus the state id before each step: (uint64 ids, chosen).
+
+        A policy whose memory no step changes, as here, keeps its id.
+        """
+        ids = np.full(len(pa), self.state_id(), dtype=np.uint64)
+        return ids, self.run_bulk(loads, pa, pb, ties)
 
     # -- introspection for analysis ------------------------------------
 
@@ -261,6 +274,19 @@ def _decide_blocks(mem: np.ndarray, sa, sb, ties, prefer, cap=None) -> np.ndarra
     return won
 
 
+def _earlier_choices(slots: np.ndarray) -> np.ndarray:
+    """For each step, how many earlier steps chose its slot."""
+    order = np.argsort(slots, kind="stable")
+    grouped = slots[order]
+    earlier = np.empty(len(slots), dtype=np.int64)
+    # a step's place in its slot's group, less the place of the group's first step
+    earlier[order] = np.arange(len(slots)) - np.searchsorted(grouped, grouped)
+    return earlier
+
+
+_ID_CHUNK = 1 << 14  # steps per piece of a traced run's id column
+
+
 class OneChoicePolicy(Policy):
     """Ignores the second option: ball goes to the first offered bin."""
 
@@ -270,7 +296,9 @@ class OneChoicePolicy(Policy):
         return pair[0]
 
     def run_bulk(self, loads, pa, pb, ties):
-        _add_balls(loads, np.asarray(pa, dtype=np.int64))
+        chosen = np.asarray(pa, dtype=np.int64)
+        _add_balls(loads, chosen)
+        return chosen
 
     def memory_bits(self, n, balls):
         return 0
@@ -301,7 +329,8 @@ class GreedyTwoChoicePolicy(Policy):
     stale (``None``); the next ``state_id()`` recomputes it from the memory
     once, which also builds the weights on first use, so untraced runs never
     allocate them. Equal memories get equal ids in any process; distinct
-    ones may collide.
+    ones may collide. ``run_traced`` derives the key before every step of a
+    run from its chosen bins, with no call per step.
     """
 
     name = "greedy"
@@ -316,9 +345,9 @@ class GreedyTwoChoicePolicy(Policy):
 
     def reset(self, n, balls):
         super().reset(n, balls)
-        self._mem = array("q", bytes(8 * -(-n // self._width)))
+        self._mem = array("q", [0]) * -(-n // self._width)  # no bytes copy of the zeros
         self._key = None
-        self._wv = None
+        self._wv = self._w = None
 
     def decide(self, pair, tie_bit):
         a, b = pair
@@ -342,6 +371,33 @@ class GreedyTwoChoicePolicy(Policy):
         _add_balls(loads, chosen)
         self._key = None
         self._adopt(mem, chosen)
+        return chosen
+
+    def run_traced(self, loads, pa, pb, ties):
+        # Step t's slot s held v: its value before the run plus the earlier
+        # choices of s, capped at _top. The step adds (_rank(min(v + 1, top))
+        # - _rank(v)) * W_s to the key, so the ids are the key before the run
+        # plus the running sum of those terms, mod 2^64.
+        key = self._memory_key()
+        held = np.frombuffer(self._mem, dtype=np.int64).copy()
+        chosen = self.run_bulk(loads, pa, pb, ties)
+        ids = np.empty(len(chosen), dtype=np.uint64)
+        for lo in range(0, len(chosen), _ID_CHUNK):
+            slots = self._slot(chosen[lo : lo + _ID_CHUNK])
+            v = held[slots] + _earlier_choices(slots)
+            grown = v + 1
+            if self._top is not None:
+                np.minimum(v, self._top, out=v)
+                np.minimum(grown, self._top, out=grown)
+            gain = (self._rank(grown) - self._rank(v)).astype(np.uint64)
+            gain *= self._wv[slots]
+            np.cumsum(gain, out=gain)
+            gain += key  # the key after each step of the chunk
+            ids[lo] = key
+            ids[lo + 1 : lo + len(gain)] = gain[:-1]
+            key = int(gain[-1])
+            _add_balls(held, slots)
+        return ids, chosen
 
     def _adopt(self, mem: np.ndarray, chosen: np.ndarray) -> None:
         """Account for the steps ``run_bulk`` just applied to ``mem`` (a view
@@ -350,13 +406,18 @@ class GreedyTwoChoicePolicy(Policy):
     def _key_weights(self) -> np.ndarray:
         return key_weights(len(self._mem))
 
+    def _memory_key(self) -> int:
+        """The state key recomputed from the memory; builds the weights once."""
+        if self._wv is None:
+            self._wv = self._key_weights()
+        keys = self._rank(np.frombuffer(self._mem, dtype=np.uint64))
+        return int(np.dot(keys, self._wv))
+
     def state_id(self):
         if self._key is None:
-            if self._wv is None:
-                self._wv = self._key_weights()
-                self._w = self._wv.tolist()
-            keys = self._rank(np.frombuffer(self._mem, dtype=np.uint64))
-            self._key = int(np.dot(keys, self._wv))
+            self._key = self._memory_key()
+            if self._w is None:
+                self._w = self._wv.tolist()  # update's weights, as Python ints
         return self._key
 
     def snapshot(self):

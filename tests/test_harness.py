@@ -434,6 +434,28 @@ def test_cli_phases_refuses_a_malformed_trace_file(tmp_path, capsys, edit, messa
     _assert_refused(capsys, argv, message)
 
 
+@pytest.mark.parametrize("forbidden", [[], ["--policy", "greedy", "--forbidden"]])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], "trace step 1 is numbered 2"),
+        (lambda lines: lines[:5] + ["99" + lines[5][lines[5].index(","):]] + lines[6:],
+         "trace step 4 is numbered 99"),
+        (lambda lines: lines[:1], "trace too short: 0 < 16 balls"),
+    ],
+    ids=["swapped-rows", "renumbered-99", "header-only"],
+)
+def test_cli_phases_refuses_misnumbered_and_empty_traces(
+    tmp_path, capsys, forbidden, edit, message
+):
+    """Without --forbidden the steps used to go unchecked: such files exited 0."""
+    trace = _traced_run(tmp_path, capsys, "greedy", 16)
+    lines = edit(trace.read_text().splitlines())
+    trace.write_text("".join(line + "\n" for line in lines))
+    argv = ["phases", "--n", "16", "--phases", "2", "--trace-in", str(trace), *forbidden]
+    _assert_refused(capsys, argv, message)
+
+
 def test_cli_phases_forbidden_refuses_a_trace_of_another_policy(tmp_path, capsys):
     trace = _traced_run(tmp_path, capsys, "clustered", 64, balls=128)
     argv = ["phases", "--n", "64", "--phases", "2", "--trace-in", str(trace), "--forbidden"]
