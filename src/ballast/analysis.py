@@ -843,8 +843,8 @@ def poisson_upper_tail(lam: float, t: int) -> PoissonTail:
     The pmf follows the stable recurrence p_k = p_{k-1} * lam / k; tiny
     negative complements from rounding clamp to 0.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
     if t < 0 or int(t) != t:
         raise ValueError("t must be a non-negative integer")
     t = int(t)

@@ -10,12 +10,17 @@ reported quantities are base 2.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import analysis, core, harness, policies
+# Only what build_parser needs loads here; each cmd_* imports the modules it
+# runs, so a parse error or --help never pays for numpy.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .analysis import PhaseConfig
+    from .policies import Policy
 
 
 def _env_seed() -> int:
@@ -32,6 +37,8 @@ def parse_epsilon_grid(text: str) -> list[Fraction]:
     Decimal strings convert exactly (Fraction("0.05") == 1/20), so grid
     boundaries behave exactly in the strict forbidden-set comparison.
     """
+    from fractions import Fraction
+
     if ":" in text:
         start_s, stop_s, step_s = text.split(":")
         start, stop, step = Fraction(start_s), Fraction(stop_s), Fraction(step_s)
@@ -77,12 +84,18 @@ def _policy_params(args) -> dict:
     return params
 
 
-def _build_policy(args, n: int) -> policies.Policy:
-    spec = harness.PolicySpec.from_dict({"name": args.policy, **_policy_params(args)})
+def _build_policy(args, n: int) -> Policy:
+    from .policies import PolicySpec
+
+    spec = PolicySpec.from_dict({"name": args.policy, **_policy_params(args)})
     return spec.build(n, args.delta)
 
 
 def _dump(obj: dict, out: str | None) -> None:
+    import json
+
+    from . import core
+
     text = json.dumps(obj, indent=1)
     if out:
         with core.atomic_write(out) as f:
@@ -94,6 +107,10 @@ def _dump(obj: dict, out: str | None) -> None:
 
 
 def cmd_run(args) -> int:
+    import json
+
+    from . import core
+
     config = core.SimConfig(
         n=args.n, seed=args.seed, balls=args.balls, record_trace=bool(args.trace_out)
     )
@@ -119,6 +136,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import harness, policies
+
     params = _policy_params(args)
     unused = [
         _PARAM_FLAGS[k] for k in params
@@ -162,6 +181,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import analysis, core, policies
+
     n = args.n
     if n > core.PAIR_GUARD:
         print(f"verify needs n <= {core.PAIR_GUARD}", file=sys.stderr)
@@ -201,6 +222,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_phases(args) -> int:
+    from . import analysis, core
+
     if not args.policy and (not args.trace_in or args.forbidden):
         print("phases needs --policy unless reading a trace without --forbidden", file=sys.stderr)
         return 2
@@ -230,25 +253,36 @@ def cmd_phases(args) -> int:
     return 0
 
 
-def _phase_config(args) -> analysis.PhaseConfig:
-    if args.phases:
+def _phase_config(args) -> PhaseConfig:
+    from . import analysis
+
+    if args.phases is not None:
         return analysis.PhaseConfig(n=args.n, phases=args.phases, delta=args.delta)
     return analysis.PhaseConfig.from_delta(args.n, args.delta)
 
 
 def cmd_bounds(args) -> int:
+    from . import analysis
+
     rows = [analysis.theoretical_bounds(n, args.delta).to_dict() for n in args.n]
     _dump({"bounds": rows}, args.out)
     return 0
 
 
 def cmd_tail(args) -> int:
+    import json
+
+    from . import analysis, core
+
+    if args.t_max < 0:
+        print(f"tail --t-max needs a value >= 0, got {args.t_max}", file=sys.stderr)
+        return 2
+    tails = [analysis.poisson_upper_tail(args.lam, t) for t in range(args.t_max + 1)]
     rows = []
     print(f"{'t':>4} {'tail P(X>=t)':>16} {'leading term':>16}   lambda={args.lam}")
-    for t in range(args.t_max + 1):
-        pt = analysis.poisson_upper_tail(args.lam, t)
-        rows.append({"t": t, "tail": pt.probability, "leading_term": pt.leading_term})
-        print(f"{t:4d} {pt.probability:16.12f} {pt.leading_term:16.12f}")
+    for pt in tails:
+        rows.append({"t": pt.t, "tail": pt.probability, "leading_term": pt.leading_term})
+        print(f"{pt.t:4d} {pt.probability:16.12f} {pt.leading_term:16.12f}")
     if args.out:
         with core.atomic_write(args.out) as f:
             json.dump({"lambda": args.lam, "rows": rows}, f, indent=1)

@@ -12,12 +12,11 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .analysis import advice_threshold, theoretical_bounds
+from .analysis import theoretical_bounds
 from .core import SimConfig, atomic_write, simulate_run, trial_seed
-from .policies import Policy, make_policy
+from .policies import PolicySpec
 
 CSV_COLUMNS = (
     "policy",
@@ -32,32 +31,26 @@ CSV_COLUMNS = (
     "runtime_ms",
 )
 
+# the JSON types each scalar ExperimentSpec field accepts
+_SPEC_FIELD_TYPES = {
+    "delta": (int, float),
+    "trials": (int,),
+    "base_seed": (int,),
+    "output_path": (str, type(None)),
+    "format": (str,),
+    "measure_runtime": (bool,),
+}
 
-@dataclass(frozen=True)
-class PolicySpec:
-    """A policy name plus explicit parameters, as named in scan output."""
 
-    name: str
-    params: tuple[tuple[str, int], ...] = ()
+def _typed(field: str, value, types: tuple[type, ...]):
+    """``value`` if it has one of ``types``, else a ValueError naming ``field``.
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolicySpec":
-        d = dict(d)
-        name = d.pop("name")
-        return cls(name=name, params=tuple(sorted(d.items())))
-
-    @property
-    def label(self) -> str:
-        if not self.params:
-            return self.name
-        inner = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.name}[{inner}]"
-
-    def build(self, n: int, delta: float) -> Policy:
-        params = dict(self.params)
-        if self.name == "advice" and "threshold" not in params:
-            params["threshold"] = advice_threshold(n, delta)
-        return make_policy(self.name, **params)
+    JSON true/false are not numbers here, though Python's bool is an int.
+    """
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ValueError(f"spec field {field} must be {names}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,9 +82,19 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        """A spec from its JSON form; a missing, unknown or mistyped field is a ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a spec must be a JSON object, got {type(d).__name__}")
         d = dict(d)
+        unknown = sorted(map(str, set(d) - set(_SPEC_FIELD_TYPES) - {"n_values", "policies"}))
+        if unknown:
+            raise ValueError(f"unknown spec field(s): {', '.join(unknown)}")
+        for key in ("n_values", "policies"):
+            _typed(key, d.get(key), (list, tuple))
+        ns = tuple(_typed(f"n_values[{i}]", n, (int,)) for i, n in enumerate(d.pop("n_values")))
         pols = tuple(PolicySpec.from_dict(p) for p in d.pop("policies"))
-        ns = tuple(int(n) for n in d.pop("n_values"))
+        for key, value in d.items():
+            _typed(key, value, _SPEC_FIELD_TYPES[key])
         return cls(n_values=ns, policies=pols, **d)
 
 
@@ -157,6 +160,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ScalingRow]:
         for t in range(spec.trials)
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_trial_star, tasks, chunksize=1))
     else:
@@ -199,4 +204,7 @@ def read_rows_json(path: str) -> list[ScalingRow]:
 def load_spec_file(path: str) -> dict:
     """Raw spec dict from a JSON file; flag overrides happen at the CLI."""
     with open(path) as f:
-        return json.load(f)
+        spec = json.load(f)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: a spec must be a JSON object, got {type(spec).__name__}")
+    return spec

@@ -35,6 +35,9 @@ reads the memory from before the block (see ``_decide_blocks``).
 the slot keys, which ``update`` adjusts by one weight per ball.
 ``run_bulk`` returns the bins it chose, and ``run_traced`` derives from
 them the key before every step, with no per-step call.
+
+``PolicySpec`` is a policy's name and parameters, as the CLI and scan
+specs give them; its ``build`` defaults advice's threshold from (n, delta).
 """
 
 from __future__ import annotations
@@ -713,3 +716,39 @@ def make_policy(name: str, **params) -> Policy:
     if name == "advice" and params.get("threshold") is None:
         raise ValueError("advice policy needs a threshold")
     return POLICY_TABLE[name][0](**params)
+
+
+@dataclass(frozen=True)
+class PolicySpec:
+    """A policy name plus explicit parameters, as named in scan output."""
+
+    name: str
+    params: tuple[tuple[str, int], ...] = ()
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "PolicySpec":
+        """``{"name": ..., <param>: <int>, ...}``; a malformed entry is a ValueError."""
+        if not isinstance(d, dict) or not isinstance(d.get("name"), str):
+            raise ValueError(f"a policy entry must be an object with a string name, got {d!r}")
+        d = dict(d)
+        name = d.pop("name")
+        for key, value in d.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} parameter {key} must be an integer, got {value!r}")
+        return cls(name=name, params=tuple(sorted(d.items())))
+
+    @property
+    def label(self) -> str:
+        if not self.params:
+            return self.name
+        inner = ",".join(f"{k}={v}" for k, v in self.params)
+        return f"{self.name}[{inner}]"
+
+    def build(self, n: int, delta: float) -> Policy:
+        """The policy for n bins; advice defaults its threshold from (n, delta)."""
+        params = dict(self.params)
+        if self.name == "advice" and "threshold" not in params:
+            from .analysis import advice_threshold
+
+            params["threshold"] = advice_threshold(n, delta)
+        return make_policy(self.name, **params)

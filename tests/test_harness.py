@@ -284,6 +284,31 @@ def test_cli_scan_spec_file_with_flag_override(tmp_path):
     assert len(rows) == 2  # flag wins over the spec file's 5
 
 
+_GOOD_SPEC = {"n_values": [16], "policies": [{"name": "greedy"}]}
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({**_GOOD_SPEC, "bogus": 1}, "bogus"),
+        ({**_GOOD_SPEC, "policies": [{"threshold": 2}]}, "name"),
+        ([_GOOD_SPEC], "JSON object"),
+        ({**_GOOD_SPEC, "trials": "2"}, "trials"),
+        ({**_GOOD_SPEC, "policies": [{"name": "advice", "threshold": "a"}]}, "threshold"),
+    ],
+    ids=["unknown-key", "policy-without-name", "array", "string-trials", "string-threshold"],
+)
+def test_cli_scan_refuses_a_malformed_spec(tmp_path, capsys, spec, field):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "rows.csv"
+    assert main(["scan", "--spec", str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_scan_requires_inputs(tmp_path):
     assert main(["scan", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["scan", "--n", "16", "--policy", "greedy"]) == 2
@@ -379,12 +404,12 @@ def test_cli_phases_forbidden(capsys, monkeypatch):
     assert report["states_seen"] >= 1
 
     # above the enumeration guard it refuses before simulating anything
-    from ballast import PAIR_GUARD, cli
+    from ballast import PAIR_GUARD, core
 
     def no_run(*args, **kwargs):
         raise AssertionError("simulated a run that the guard must refuse")
 
-    monkeypatch.setattr(cli.core, "simulate_run", no_run)
+    monkeypatch.setattr(core, "simulate_run", no_run)
     code = main(["phases", "--policy", "greedy", "--n", str(PAIR_GUARD + 1), "--phases", "2",
                  "--forbidden"])
     assert code == 2
@@ -463,6 +488,11 @@ def test_cli_phases_forbidden_refuses_a_trace_of_another_policy(tmp_path, capsys
     assert main(argv + ["--policy", "clustered"]) == 0
 
 
+def test_cli_phases_refuses_zero_phases(capsys):
+    assert main(["phases", "--policy", "greedy", "--n", "64", "--phases", "0"]) == 2
+    assert "phases must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_bounds_reports_log_base(capsys):
     assert main(["bounds", "--n", "65536", "--delta", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -478,6 +508,23 @@ def test_cli_tail_table(tmp_path, capsys):
     assert len(text.splitlines()) == 5  # header + 4 rows
     payload = json.loads(out.read_text())
     assert payload["rows"][0]["tail"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lam", "nan"], "lambda must be finite"),
+        (["--lam", "inf"], "lambda must be finite"),
+        (["--t-max", "-1"], "--t-max needs a value >= 0"),
+    ],
+)
+def test_cli_tail_refuses_bad_input(tmp_path, capsys, flags, message):
+    out = tmp_path / "tail.json"
+    assert main(["tail", *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_env_seed(tmp_path, monkeypatch, capsys):
