@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -521,31 +522,25 @@ def probe_states(policy, n: int, balls: int, seed: int, max_states: int = 256) -
     config = SimConfig(n=n, seed=seed, balls=balls)
     pa, pb, ties = draw_run_streams(config)
     policy.reset(n, balls)
-    seen: dict = {}
-    kept = []
-    for rec in play(policy, pa, pb, ties):
-        if _first_visit(seen, rec.memory_state_id, policy):
-            kept.append(policy.snapshot())
-            if len(kept) >= max_states:
-                break
-    if len(kept) < max_states and _first_visit(seen, policy.state_id(), policy):
-        kept.append(policy.snapshot())
-    return kept
+    states = _new_states(policy, play(policy, pa, pb, ties))
+    # islice stops at the cap without walking on to the next state
+    return [policy.snapshot() for _ in islice(states, max_states)]
 
 
-def _first_visit(seen: dict, state_id: int, policy) -> bool:
-    """Record the policy's current memory state; True on its first visit.
-
-    ``seen`` maps each ``state_id`` (the policy's id of its current state)
-    to the exact memory states that carried it, so two states whose 64-bit
-    ids collide are still told apart.
-    """
-    same_id = seen.setdefault(state_id, [])
-    mem = policy.memory_state()
-    if mem in same_id:
-        return False
-    same_id.append(mem)
-    return True
+def _new_states(policy, records: Iterator[StepRecord]) -> Iterator[StepRecord | None]:
+    """Walk ``records`` (``play`` or ``replay`` of ``policy``); yield, with the
+    policy in it, the record of each step whose pre-step state is new, then
+    None if the final state is. The memory only grows, so a state is new iff
+    it is the first or the step before it changed the memory
+    (``Policy.changes_memory``). No state is copied or compared, so no id
+    collision can merge two states."""
+    changed = True  # the fresh state is new
+    for rec in records:
+        if changed:
+            yield rec
+        changed = policy.changes_memory(rec.chosen)
+    if changed:
+        yield None
 
 
 # ---------------------------------------------------------------------------
@@ -724,21 +719,20 @@ def run_phase_report(config: SimConfig, policy, pc: PhaseConfig) -> tuple[PhaseR
 
 
 def forbidden_union_over_trace(policy, trace: Sequence[StepRecord], n: int, epsilon):
-    """Union of forbidden sets over the distinct memory states a run visited.
+    """Union of forbidden sets over the distinct memory states in which a run
+    decided a step (the state after its last ball decides none).
 
     Replays the trace through a fresh policy binding (``core.replay``, which
     refuses a trace the policy could not have made); needs the enumeration
     guard (n <= 4096). Returns (union set, number of distinct states).
     """
     eps = as_exact(epsilon)
-    seen: dict = {}
     distinct = 0
     union: set[int] = set()
-    for rec in replay(policy, trace, n):
-        if _first_visit(seen, rec.memory_state_id, policy):
+    for rec in _new_states(policy, replay(policy, trace, n)):
+        if rec is not None:
             distinct += 1
-            probs = exact_placement_probs(policy, n)
-            union |= forbidden_set(probs, eps).members
+            union |= forbidden_set(exact_placement_probs(policy, n), eps).members
     return union, distinct
 
 

@@ -244,8 +244,7 @@ def cmd_phases(args) -> int:
         if args.forbidden:
             config = core.SimConfig(n=args.n, seed=args.seed, balls=args.balls, record_trace=True)
             result = core.simulate_run(config, policy)
-            replay = _build_policy(args, args.n)
-            report = analysis.phase_report_with_forbidden(replay, result.trace, pc, args.epsilon)
+            report = analysis.phase_report_with_forbidden(policy, result.trace, pc, args.epsilon)
         else:
             config = core.SimConfig(n=args.n, seed=args.seed, balls=args.balls)
             report, _ = analysis.run_phase_report(config, policy, pc)

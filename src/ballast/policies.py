@@ -32,7 +32,8 @@ keys, so the analysis can count ranks instead of enumerating pairs.
 step of a block that offers no slot an earlier step of the block offered
 reads the memory from before the block (see ``_decide_blocks``).
 ``state_id`` labels the current memory state in O(1) by a key linear in
-the slot keys, which ``update`` adjusts by one weight per ball.
+the slot keys, which ``update`` adjusts by one weight per ball. The memory
+only grows, so ``changes_memory`` alone tells when a run reaches a new state.
 ``run_bulk`` returns the bins it chose, and ``run_traced`` derives from
 them the key before every step, with no per-step call.
 
@@ -67,6 +68,9 @@ def prefer_second(ka, kb, tie):
 
 class Policy:
     """Base class: a decision rule plus a memory-update rule.
+
+    The update rule only grows the memory, so a run never returns to a state
+    it has left; a policy whose memory can fall needs its states compared.
 
     Instances are single-run-owned and mutable; constructors are cheap and
     a fresh instance should be used per run.
@@ -113,13 +117,10 @@ class Policy:
         """Integer label of the memory state: equal states, equal ids."""
         return 0
 
-    def memory_state(self):
-        """The exact memory the decision rule reads, as a comparable tuple.
-
-        Two steps are in the same memory state iff these compare equal;
-        ``state_id`` is a label of this value that may collide.
-        """
-        return self.snapshot()
+    def changes_memory(self, chosen: int) -> bool:
+        """Whether a ball in bin ``chosen`` changes the memory the rule reads,
+        asked before the step; the state after it is then new."""
+        return False
 
     def snapshot(self):
         return ()
@@ -360,6 +361,13 @@ class GreedyTwoChoicePolicy(Policy):
         self._mem[chosen] += 1
         if self._key is not None:
             self._key = (self._key + self._w[chosen]) & _KEY_MASK
+
+    def changes_memory(self, chosen):
+        # iff the chosen slot's key changes: always for greedy, below the cap
+        # for clustered, once the load reaches the threshold for advice
+        v = self._mem[chosen // self._width]
+        grown = v + 1 if self._top is None else min(v + 1, self._top)
+        return self._rank(grown) != self._rank(v)
 
     def _slot(self, bins: np.ndarray) -> np.ndarray:
         return bins if self._width == 1 else bins // self._width
@@ -617,9 +625,6 @@ class AdvicePolicy(GreedyTwoChoicePolicy):
             # so that is the size before the final ball
             prestep = self._nlisted - int(mem[chosen[-1]] == T)
             self._prestep_max = max(self._prestep_max, prestep)
-
-    def memory_state(self):
-        return self.advice_list().entries
 
     def restore(self, state):
         super().restore(state)

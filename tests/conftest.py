@@ -15,9 +15,13 @@ import random
 import time
 
 import pytest
+from hypothesis import strategies as st
 
 from ballast import (
+    POLICY_NAMES,
+    AdvicePolicy,
     ClusterConfig,
+    ClusteredPolicy,
     SimConfig,
     make_policy,
     simulate_run,
@@ -35,6 +39,29 @@ def poisson_tail_oracle(lam: float, t: int, terms: int = 64) -> float:
     for k in range(t, t + terms):
         total += math.exp(-lam) * lam**k / float(math.factorial(k))
     return total
+
+
+@st.composite
+def any_policy_builder(draw):
+    """A zero-argument builder for any registered policy, parameters drawn."""
+    name = draw(st.sampled_from(POLICY_NAMES))
+    if name == "advice":
+        threshold = draw(st.integers(1, 3))
+        return lambda: make_policy(name, threshold=threshold)
+    if name == "clustered" and draw(st.booleans()):
+        cfg = ClusterConfig(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+        return lambda: ClusteredPolicy(cfg)
+    return lambda: make_policy(name)
+
+
+def exact_memory(policy):
+    """The exact memory a policy's rule reads, as a comparable value: its
+    snapshot, or for advice the listed bins with their loads. Two steps are
+    in the same memory state iff these compare equal; the oracle for the
+    state counts that ``Policy.changes_memory`` gives without comparing."""
+    if isinstance(policy, AdvicePolicy):
+        return policy.advice_list().entries
+    return policy.snapshot()
 
 
 def reference_two_choice(n: int, balls: int, seed: int) -> list[int]:

@@ -39,7 +39,7 @@ from ballast import analysis
 from ballast.analysis import enumerate_choice_numerators, placement_numerators, rank_numerators
 from ballast.cli import main
 
-from conftest import poisson_tail_oracle
+from conftest import exact_memory, poisson_tail_oracle
 
 
 def _bound_policy(name, n, **params):
@@ -491,21 +491,22 @@ def test_probe_states_dedup_and_cap():
 
 def test_probe_states_stops_at_the_cap(monkeypatch):
     """Once max_states states are kept the walk ends; the final state is not
-    inspected, so no memory_state copy is made for it."""
+    inspected, and only kept states are copied."""
     n, balls, cap = 16, 40, 5
     calls = []
     policy = make_policy("greedy")
-    original = type(policy).memory_state
-    monkeypatch.setattr(type(policy), "memory_state", lambda self: calls.append(1) or original(self))
+    original = type(policy).snapshot
+    monkeypatch.setattr(type(policy), "snapshot", lambda self: calls.append(1) or original(self))
     states = probe_states(policy, n, balls, seed=1, max_states=cap)
     assert len(states) == cap
-    # every inspected step before the cap was a new state: one copy each
+    # one snapshot per kept state, and none for a state the walk did not keep
     assert len(calls) == cap
 
 
-@pytest.mark.parametrize("name", ["greedy", "advice", "clustered"])
+@pytest.mark.parametrize("name", POLICY_NAMES)
 def test_dedup_is_exact_when_every_state_id_collides(name, monkeypatch):
-    """Distinct memory states are counted exactly even if all ids collide."""
+    """The states counted without comparing are the distinct exact memories
+    (the oracle compares them), even if all ids collide."""
     n, balls = 16, 40
 
     def build():
@@ -516,10 +517,11 @@ def test_dedup_is_exact_when_every_state_id_collides(name, monkeypatch):
     replay.reset(n, balls)
     before_steps = set()
     for rec in trace:
-        before_steps.add(replay.memory_state())
+        before_steps.add(exact_memory(replay))
         replay.update((rec.bin_a, rec.bin_b), rec.chosen)
-    expect_probed = len(before_steps | {replay.memory_state()})
-    assert len(before_steps) > 2
+    expect_probed = len(before_steps | {exact_memory(replay)})
+    # the policies with memory visit many states, the stateless ones one
+    assert len(before_steps) > 2 or exact_memory(replay) == ()
 
     for collide in (False, True):
         if collide:
@@ -527,6 +529,43 @@ def test_dedup_is_exact_when_every_state_id_collides(name, monkeypatch):
         assert len(probe_states(build(), n, balls, seed=5)) == expect_probed
         _, distinct = forbidden_union_over_trace(build(), trace, n, Fraction(1, 4))
         assert distinct == len(before_steps)
+
+
+# sha256 of stdout at the commit before states were counted by monotone growth
+# (by an exact compare of the memory at every step), with the states each checked
+PINNED_STATE_OUTPUTS = [
+    (["verify", "--policy", "greedy", "--n", "64", "--balls", "128"],
+     "states_checked", 64, "66e7d56a7378b4e868bd4589cc85b1350d9e9dee7360aa541d41c7d1daa11395"),
+    (["verify", "--policy", "advice", "--advice-threshold", "2", "--n", "64", "--balls", "128"],
+     "states_checked", 64, "87d7e393fc0dd7c4971c6953226216ce2c2c80275bbadc879b37b47c3829c50b"),
+    (["verify", "--policy", "clustered", "--cluster-size", "3", "--counter-cap", "2",
+      "--n", "30", "--balls", "200"],
+     "states_checked", 21, "f49bce6c34d786772b956816a434a1c150e85690eb911ef92d0db72c31105bbb"),
+    (["phases", "--forbidden", "--phases", "2", "--policy", "greedy", "--n", "64"],
+     "states_seen", 64, "6459aed791f58a90f4e5d9e27ced84f71779f61c5d771bba70e4784ac75dc5ba"),
+    (["phases", "--forbidden", "--phases", "2", "--policy", "greedy", "--n", "64",
+      "--balls", "128"],
+     "states_seen", 128, "4ff2bd5ffe46e77ca5e2d550b82f25d1ba4c00c1624529c3a6bee987b85eeeca"),
+    (["phases", "--forbidden", "--phases", "2", "--policy", "advice", "--advice-threshold", "2",
+      "--n", "64", "--balls", "256"],
+     "states_seen", 192, "4c45551501a84da477c7f5dbf3b98257dc02e48aaf8e19cd7ac50d2abb52adc2"),
+    (["phases", "--forbidden", "--phases", "2", "--policy", "clustered", "--cluster-size", "3",
+      "--counter-cap", "2", "--n", "30"],
+     "states_seen", 21, "1102bed9d4704061fb9e16e68bf56bcecc97a50cc071a4ee1da5c964573b69f2"),
+    (["phases", "--forbidden", "--phases", "2", "--policy", "clustered", "--cluster-size", "3",
+      "--counter-cap", "2", "--n", "30", "--balls", "200"],
+     "states_seen", 21, "3a9f16ed3465c6ca5f461c2243d67fb7e63b14ca6c571f318804efe48f9cf569"),
+]
+
+
+@pytest.mark.parametrize("argv, field, states, digest", PINNED_STATE_OUTPUTS)
+def test_state_counting_outputs_are_pinned(argv, field, states, digest, capsys):
+    """verify and phases --forbidden print the bytes they printed when every
+    state was compared exactly."""
+    assert main(argv + ["--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)[field] == states
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @settings(max_examples=15, deadline=None)

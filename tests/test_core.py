@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballast import (
-    POLICY_NAMES,
     ClusterConfig,
     ClusteredPolicy,
     RunResult,
@@ -27,7 +26,7 @@ from ballast import (
 from ballast import core
 from ballast.core import STREAM_CHUNK, draw_run_streams, replay, stream_chunks
 
-from conftest import reference_two_choice
+from conftest import any_policy_builder, exact_memory, reference_two_choice
 
 LEGAL_POLICIES = ["one-choice", "greedy", "clustered", "max-index", "min-index"]
 
@@ -138,19 +137,6 @@ def test_bulk_path_equals_traced_path(name):
         assert fast.loads == slow.loads
 
 
-@st.composite
-def any_policy_builder(draw):
-    """A zero-argument builder for any registered policy, parameters drawn."""
-    name = draw(st.sampled_from(POLICY_NAMES))
-    if name == "advice":
-        threshold = draw(st.integers(1, 3))
-        return lambda: make_policy(name, threshold=threshold)
-    if name == "clustered" and draw(st.booleans()):
-        cfg = ClusterConfig(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
-        return lambda: ClusteredPolicy(cfg)
-    return lambda: make_policy(name)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     build=any_policy_builder(),
@@ -176,7 +162,7 @@ def test_run_bulk_matches_decide_update(build, n, extra, seed, cut):
         slow.update((a, b), c)
     assert fast_loads == slow_loads
     assert fast.snapshot() == slow.snapshot()
-    assert fast.memory_state() == slow.memory_state()
+    assert exact_memory(fast) == exact_memory(slow)
     assert fast.memory_bits(n, balls) == slow.memory_bits(n, balls)
 
 
@@ -212,7 +198,7 @@ def test_run_bulk_matches_decide_update_across_blocks(name, n, balls):
         slow.update((a, b), c)
     assert fast_loads == slow_loads
     assert fast.snapshot() == slow.snapshot()
-    assert fast.memory_state() == slow.memory_state()
+    assert exact_memory(fast) == exact_memory(slow)
     assert fast.memory_bits(n, balls) == slow.memory_bits(n, balls)
     if name.startswith("clustered-cap"):
         assert max(slow.snapshot()) == slow.config.counter_cap  # the cap was reached
@@ -330,7 +316,7 @@ def test_advice_run_over_many_chunks_matches_decide_update(n, threshold):
         slow.update((a, b), c)
     assert result.loads == loads
     assert fast.snapshot() == slow.snapshot()
-    assert fast.memory_state() == slow.memory_state()
+    assert exact_memory(fast) == exact_memory(slow)
     assert fast.memory_bits(n, balls) == slow.memory_bits(n, balls) > 0
 
 
@@ -374,7 +360,7 @@ def test_replay_accepts_own_traces_and_refuses_impossible_steps(build, n, extra,
     trace = simulate_run(SimConfig(n=n, seed=seed, balls=balls, record_trace=True), live).trace
     replayed = build()
     assert list(replay(replayed, trace, n)) == trace
-    assert replayed.memory_state() == live.memory_state()
+    assert exact_memory(replayed) == exact_memory(live)
 
     t = where % balls
     probe = build()

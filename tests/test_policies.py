@@ -21,6 +21,8 @@ from ballast import (
 )
 from ballast import policies
 
+from conftest import any_policy_builder, exact_memory
+
 
 def test_one_choice_takes_first():
     p = make_policy("one-choice")
@@ -273,10 +275,10 @@ def key_oracle(p) -> int:
     """sum_k m_k * W_k mod 2^64 in Python integers, from the exact memory."""
     if isinstance(p, AdvicePolicy):
         m = [0] * p.n
-        for i, v in p.memory_state():
+        for i, v in p.advice_list().entries:
             m[i] = v
     else:
-        m = list(p.memory_state())
+        m = list(p.snapshot())
     if isinstance(p, ClusteredPolicy) and len(m) * p.config.counter_width <= 63:
         w = [(p.config.counter_cap + 1) ** k for k in range(len(m))]
     else:
@@ -331,6 +333,47 @@ def test_incremental_state_key_matches_recomputation(name, seed, balls, cuts, op
         else:
             p.restore(history[arg % len(history)])
             check()
+
+
+_grow_op = st.tuples(st.sampled_from(["steps", "bulk"]), st.lists(_step, max_size=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(build=any_policy_builder(), ops=st.lists(_grow_op, min_size=1, max_size=20))
+def test_memory_only_grows(build, ops):
+    """For every policy in POLICY_TABLE, no update and no run_bulk lowers a
+    memory slot, and advice's list only gains bins; a step changes the exact
+    memory iff ``changes_memory`` said so.
+
+    The state walks of the analysis count a state as new when the step before
+    it changed the memory, which is exact only because no policy's memory can
+    return to an earlier state. A policy whose memory can fall fails here, and
+    would need its states compared again.
+    """
+    p = build()
+    p.reset(KEY_N, 256)
+    sink = [0] * KEY_N  # run_bulk's loads argument
+
+    def grown_from(old_slots, old_exact):
+        slots, exact = p.snapshot(), exact_memory(p)
+        assert len(slots) == len(old_slots)
+        assert all(x <= y for x, y in zip(old_slots, slots))
+        if isinstance(p, AdvicePolicy):
+            assert {i for i, _ in old_exact} <= {i for i, _ in exact}
+        return exact
+
+    for kind, steps in ops:
+        if kind == "bulk":
+            old = p.snapshot(), exact_memory(p)
+            p.run_bulk(sink, *([s[i] for s in steps] for i in range(3)))
+            grown_from(*old)
+            continue
+        for a, b, r in steps:
+            old = p.snapshot(), exact_memory(p)
+            c = p.decide((a, b), r)
+            changes = p.changes_memory(c)
+            p.update((a, b), c)
+            assert changes == (grown_from(*old) != old[1])
 
 
 def test_no_state_id_hashes_the_memory():
