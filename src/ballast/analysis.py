@@ -527,18 +527,18 @@ def probe_states(policy, n: int, balls: int, seed: int, max_states: int = 256) -
     return [policy.snapshot() for _ in islice(states, max_states)]
 
 
-def _new_states(policy, records: Iterator[StepRecord]) -> Iterator[StepRecord | None]:
-    """Walk ``records`` (``play`` or ``replay`` of ``policy``); yield, with the
-    policy in it, the record of each step whose pre-step state is new, then
-    None if the final state is. The memory only grows, so a state is new iff
-    it is the first or the step before it changed the memory
-    (``Policy.changes_memory``). No state is copied or compared, so no id
-    collision can merge two states."""
+def _new_states(policy, steps: Iterator[int]) -> Iterator[int | None]:
+    """Walk ``steps`` (``play`` or ``replay`` of ``policy``, which yield each
+    step's chosen bin); yield, with the policy in it, the chosen bin of each
+    step whose pre-step state is new, then None if the final state is. The
+    memory only grows, so a state is new iff it is the first or the step
+    before it changed the memory (``Policy.changes_memory``). No state is
+    copied or compared, so no id collision can merge two states."""
     changed = True  # the fresh state is new
-    for rec in records:
+    for c in steps:
         if changed:
-            yield rec
-        changed = policy.changes_memory(rec.chosen)
+            yield c
+        changed = policy.changes_memory(c)
     if changed:
         yield None
 
@@ -654,12 +654,9 @@ def _report_from_sizes(pc: PhaseConfig, sizes: list[int]) -> PhaseReport:
 
 
 def _chosen(trace) -> np.ndarray:
-    """The chosen bins of a ``Trace``, a sequence of ``StepRecord`` or a plain
-    sequence of chosen bins, as int64."""
+    """The chosen bins of a ``Trace`` or a plain sequence of chosen bins, as int64."""
     if isinstance(trace, Trace):
         return trace.chosen
-    if len(trace) and isinstance(trace[0], StepRecord):
-        return np.array([r.chosen for r in trace], dtype=np.int64)
     return np.asarray(trace, dtype=np.int64)
 
 
@@ -684,8 +681,8 @@ def _phase_loads(chosen: np.ndarray, pc: PhaseConfig) -> Iterator[np.ndarray]:
 
 
 def phase_report(source, pc: PhaseConfig, n: int | None = None) -> PhaseReport:
-    """Phase sizes from a stored trace (a RunResult with trace, a ``Trace``,
-    a list of StepRecords, or a plain sequence of chosen bins)."""
+    """Phase sizes from a stored trace (a RunResult with trace, a ``Trace``
+    or a plain sequence of chosen bins)."""
     if isinstance(source, RunResult):
         if source.trace is None:
             raise ValueError("RunResult has no trace; use run_phase_report instead")
@@ -729,15 +726,15 @@ def forbidden_union_over_trace(policy, trace: Sequence[StepRecord], n: int, epsi
     eps = as_exact(epsilon)
     distinct = 0
     union: set[int] = set()
-    for rec in _new_states(policy, replay(policy, trace, n)):
-        if rec is not None:
+    for c in _new_states(policy, replay(policy, trace, n)):
+        if c is not None:
             distinct += 1
             union |= forbidden_set(exact_placement_probs(policy, n), eps).members
     return union, distinct
 
 
 def phase_report_with_forbidden(
-    policy, trace: Sequence[StepRecord], pc: PhaseConfig, epsilon=None
+    policy, trace: Trace, pc: PhaseConfig, epsilon=None
 ) -> PhaseReport:
     """Phase report plus the worst observed forbidden-set overlap per phase.
 

@@ -29,9 +29,10 @@ rows at a time through numpy, in the text ``csv`` and ``json`` would give.
 
 Every step-by-step walk goes through one of two generators. ``play``
 decides each step of drawn streams; ``replay`` walks a stored trace and
-proves it on the way. Both yield a step's ``StepRecord`` while the policy
-is still in the state that decided it, with that state's own id, and apply
-the step when the next record is asked for. A trace replays under a policy
+proves it on the way. Both yield a step's chosen bin while the policy is
+still in the state that decided it, and apply the step when the next one
+is asked for; a caller that wants the state's id asks the policy between
+yields, so a walk costs no id per step. A trace replays under a policy
 for n bins only if its steps are numbered 0, 1, ..., both offered bins of
 every step lie in 0..n-1, and every ``chosen`` is ``decide(pair, 0)`` or
 ``decide(pair, 1)`` in the replayed state; ``replay`` raises ``ValueError``
@@ -354,26 +355,24 @@ def simulate_segmented(
     return RunResult(loads=counts.tolist(), max_load=int(counts.max())), snapshots
 
 
-def play(policy, pa, pb, ties) -> Iterator[StepRecord]:
+def play(policy, pa, pb, ties) -> Iterator[int]:
     """Decide every step of the streams under ``policy``, as it is bound now.
 
-    Each step's record is yielded before the policy applies it, so between
-    two records the policy is in the state that decided the last one. The
-    streams are ``draw_run_streams`` arrays; records hold Python ints.
+    Each step's chosen bin is yielded before the policy applies the step, so
+    between two yields the policy is in the state that decided the last one.
+    The streams are ``draw_run_streams`` arrays; the bins are Python ints.
     """
-    for t, (a, b, r) in enumerate(zip(pa.tolist(), pb.tolist(), ties.tolist())):
-        sid = policy.state_id()
+    for a, b, r in zip(pa.tolist(), pb.tolist(), ties.tolist()):
         c = policy.decide((a, b), r)
-        yield StepRecord(t, sid, a, b, c)
+        yield c
         policy.update((a, b), c)
 
 
-def replay(policy, trace: Sequence[StepRecord], n: int) -> Iterator[StepRecord]:
+def replay(policy, trace: Sequence[StepRecord], n: int) -> Iterator[int]:
     """Rebind ``policy`` to n bins and walk ``trace`` through it, like ``play``.
 
-    Each yielded record carries the replayed policy's own state id, not the
-    one stored in the trace. A step the policy could not have taken raises
-    ``ValueError`` naming it (see the module docstring).
+    A step the policy could not have taken raises ``ValueError`` naming it
+    (see the module docstring).
     """
     policy.reset(n, max(len(trace), 1))
     for t, rec in enumerate(trace):
@@ -387,7 +386,7 @@ def replay(policy, trace: Sequence[StepRecord], n: int) -> Iterator[StepRecord]:
                 f"trace step {t} chooses bin {c} from ({a}, {b}), "
                 f"which the {policy.name} policy could not have chosen"
             )
-        yield StepRecord(t, policy.state_id(), a, b, c)
+        yield c
         policy.update((a, b), c)
 
 

@@ -31,8 +31,8 @@ keys, so the analysis can count ranks instead of enumerating pairs.
 ``run_bulk`` applies the same comparison to whole arrays of steps: every
 step of a block that offers no slot an earlier step of the block offered
 reads the memory from before the block (see ``_decide_blocks``).
-``state_id`` labels the current memory state in O(1) by a key linear in
-the slot keys, which ``update`` adjusts by one weight per ball. The memory
+``state_id`` labels the current memory state by a key linear in the slot
+keys, computed from the memory when asked; no step keeps it. The memory
 only grows, so ``changes_memory`` alone tells when a run reaches a new state.
 ``run_bulk`` returns the bins it chose, and ``run_traced`` derives from
 them the key before every step, with no per-step call.
@@ -160,7 +160,6 @@ class Policy:
         return 1
 
 
-_KEY_MASK = (1 << 64) - 1
 _KEY_WEIGHT_SEED = 0x57A7E1D  # Philox key of the state-key weights
 
 
@@ -321,20 +320,18 @@ class GreedyTwoChoicePolicy(Policy):
     key ``_rank(m)``, and a step takes the second offered bin where
     ``_prefer(m_a, m_b, tie)`` is 1. Greedy's slots are single bins with no
     cap, its key is the load itself and ``_prefer`` is ``prefer_second``.
-    ``decide`` and ``update`` index ``_mem`` by bin, with no slot map or
-    cap, so clustered restates them. ``run_bulk`` applies ``_prefer`` to
-    arrays (``_decide_blocks``) on a numpy view of ``_mem``, in place, so a
-    run applied chunk by chunk copies no memory and does O(chunk) work per
+    ``decide`` and ``update`` read the slot map and honour the cap, so every
+    refinement inherits them. ``run_bulk`` applies ``_prefer`` to arrays
+    (``_decide_blocks``) on a numpy view of ``_mem``, in place, so a run
+    applied chunk by chunk copies no memory and does O(chunk) work per
     chunk.
 
-    ``state_id()`` is ``sum_k _rank(m_k) * W_k mod 2^64``. Each ``update``
-    adds the change of the key vector times its weight, so the key costs
-    O(1) per ball. ``reset``, ``restore`` and ``run_bulk`` only mark the key
-    stale (``None``); the next ``state_id()`` recomputes it from the memory
-    once, which also builds the weights on first use, so untraced runs never
-    allocate them. Equal memories get equal ids in any process; distinct
-    ones may collide. ``run_traced`` derives the key before every step of a
-    run from its chosen bins, with no call per step.
+    ``state_id()`` is ``sum_k _rank(m_k) * W_k mod 2^64``, computed from the
+    memory in O(slots) when asked, so no step keeps it; the weights are
+    built on first use, and untraced runs never allocate them. Equal
+    memories get equal ids in any process; distinct ones may collide.
+    ``run_traced`` derives the key before every step of a run from its
+    chosen bins, with no call per step.
     """
 
     name = "greedy"
@@ -350,17 +347,17 @@ class GreedyTwoChoicePolicy(Policy):
     def reset(self, n, balls):
         super().reset(n, balls)
         self._mem = array("q", [0]) * -(-n // self._width)  # no bytes copy of the zeros
-        self._key = None
-        self._wv = self._w = None
+        self._wv = None
 
     def decide(self, pair, tie_bit):
         a, b = pair
-        return pair[self._prefer(self._mem[a], self._mem[b], tie_bit)]
+        c = self._width
+        return pair[self._prefer(self._mem[a // c], self._mem[b // c], tie_bit)]
 
     def update(self, pair, chosen):
-        self._mem[chosen] += 1
-        if self._key is not None:
-            self._key = (self._key + self._w[chosen]) & _KEY_MASK
+        s = chosen // self._width
+        if self._top is None or self._mem[s] < self._top:
+            self._mem[s] += 1
 
     def changes_memory(self, chosen):
         # iff the chosen slot's key changes: always for greedy, below the cap
@@ -380,8 +377,7 @@ class GreedyTwoChoicePolicy(Policy):
         second = _decide_blocks(mem, self._slot(pa), self._slot(pb), ties, self._prefer, self._top)
         chosen = np.where(second, pb, pa)
         _add_balls(loads, chosen)
-        self._key = None
-        self._adopt(mem, chosen)
+        self._adopt(chosen)
         return chosen
 
     def run_traced(self, loads, pa, pb, ties):
@@ -410,9 +406,9 @@ class GreedyTwoChoicePolicy(Policy):
             _add_balls(held, slots)
         return ids, chosen
 
-    def _adopt(self, mem: np.ndarray, chosen: np.ndarray) -> None:
-        """Account for the steps ``run_bulk`` just applied to ``mem`` (a view
-        of ``_mem``), whose chosen bins are ``chosen``; O(len(chosen))."""
+    def _adopt(self, chosen: np.ndarray) -> None:
+        """Account for the steps ``run_bulk`` just applied, whose chosen bins
+        are ``chosen``."""
 
     def _key_weights(self) -> np.ndarray:
         return key_weights(len(self._mem))
@@ -425,11 +421,7 @@ class GreedyTwoChoicePolicy(Policy):
         return int(np.dot(keys, self._wv))
 
     def state_id(self):
-        if self._key is None:
-            self._key = self._memory_key()
-            if self._w is None:
-                self._w = self._wv.tolist()  # update's weights, as Python ints
-        return self._key
+        return self._memory_key()
 
     def snapshot(self):
         return tuple(self._mem)
@@ -441,7 +433,6 @@ class GreedyTwoChoicePolicy(Policy):
         if self._top is not None and (min(mem) < 0 or max(mem) > self._top):
             raise ValueError("counter value out of range")
         self._mem = mem
-        self._key = None
 
     def rank_keys(self):
         keys = self._rank(np.array(self._mem, dtype=np.int64))
@@ -510,18 +501,6 @@ class ClusteredPolicy(GreedyTwoChoicePolicy):
         self._width, self._top = self.config.cluster_size, self.config.counter_cap
         super().reset(n, balls)
 
-    def decide(self, pair, tie_bit):
-        a, b = pair
-        c = self._width
-        return pair[prefer_second(self._mem[a // c], self._mem[b // c], tie_bit)]
-
-    def update(self, pair, chosen):
-        cc = chosen // self._width
-        if self._mem[cc] < self._top:
-            self._mem[cc] += 1
-            if self._key is not None:
-                self._key = (self._key + self._w[cc]) & _KEY_MASK
-
     def _key_weights(self):
         k = len(self._mem)
         if k * self.config.counter_width <= 63:
@@ -570,7 +549,10 @@ class AdvicePolicy(GreedyTwoChoicePolicy):
     The oracle is realized as an exact incremental mirror of the true
     loads, which is equivalent to rebuilding the list from the simulator
     state before each ball. The advice channel cost is reported as the
-    maximum over steps of |list| * (bin-index bits + count bits).
+    maximum over steps of |list| * (bin-index bits + count bits). The list
+    only grows, so its largest pre-step size is its size before the last
+    ball, which ``memory_bits`` reads from the memory and the last ball's
+    bin, the only thing advice keeps besides greedy's memory.
 
     The memory state is the list itself: a bin's key is its load if it is
     listed and 0 otherwise, so the state key's vector holds the load of
@@ -586,8 +568,7 @@ class AdvicePolicy(GreedyTwoChoicePolicy):
 
     def reset(self, n, balls):
         super().reset(n, balls)
-        self._nlisted = 0
-        self._prestep_max = 0
+        self._last = None  # the bin of the last ball, once one is thrown
 
     def advice_list(self) -> AdviceList:
         return build_advice(self._mem, self.threshold)
@@ -603,36 +584,21 @@ class AdvicePolicy(GreedyTwoChoicePolicy):
         return prefer_second(ka, kb, tie & (ka > 0))
 
     def update(self, pair, chosen):
-        if self._nlisted > self._prestep_max:
-            self._prestep_max = self._nlisted
-        self._mem[chosen] += 1
-        v, T = self._mem[chosen], self.threshold
-        if v == T:
-            self._nlisted += 1
-        if v >= T and self._key is not None:
-            # reaching T lists the bin with all T balls; above T it gains one
-            self._key = (self._key + (T if v == T else 1) * self._w[chosen]) & _KEY_MASK
+        super().update(pair, chosen)
+        self._last = chosen
 
-    def _adopt(self, mem, chosen):
+    def _adopt(self, chosen):
         if len(chosen):
-            T = self.threshold
-            # a bin chosen k times that now holds v joined the list in these
-            # steps iff v >= T > v - k; only bins now listed can have
-            listed = chosen[mem[chosen] >= T]
-            bins, k = np.unique(listed, return_counts=True)
-            self._nlisted += int(np.count_nonzero(mem[bins] - k < T))
-            # max over steps of the pre-step list size; the list only grows,
-            # so that is the size before the final ball
-            prestep = self._nlisted - int(mem[chosen[-1]] == T)
-            self._prestep_max = max(self._prestep_max, prestep)
-
-    def restore(self, state):
-        super().restore(state)
-        self._nlisted = sum(1 for v in state if v >= self.threshold)
+            self._last = int(chosen[-1])
 
     def memory_bits(self, n, balls):
-        # advice channel cost, max over steps; 0 until a run has happened
-        prestep = getattr(self, "_prestep_max", 0)
+        # advice channel cost, max over steps; 0 until a ball is thrown
+        last = getattr(self, "_last", None)
+        if last is None:
+            return 0
+        mem, T = np.frombuffer(self._mem, dtype=np.int64), self.threshold
+        # the list before the last ball lacks its bin iff that ball listed it
+        prestep = int(np.count_nonzero(mem >= T)) - int(mem[last] == T)
         return prestep * (int_width(n - 1) + int_width(balls))
 
     def state_space_size(self, n, balls):

@@ -43,7 +43,7 @@ from ballast import (
 )
 from ballast.cli import main
 
-from conftest import poisson_tail_oracle
+from oracles import poisson_tail_oracle
 
 
 def _report(criterion, ok, detail):

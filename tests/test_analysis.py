@@ -39,7 +39,7 @@ from ballast import analysis
 from ballast.analysis import enumerate_choice_numerators, placement_numerators, rank_numerators
 from ballast.cli import main
 
-from conftest import exact_memory, poisson_tail_oracle
+from oracles import exact_memory, poisson_tail_oracle
 
 
 def _bound_policy(name, n, **params):
@@ -503,13 +503,16 @@ def test_probe_states_stops_at_the_cap(monkeypatch):
     assert len(calls) == cap
 
 
-@pytest.mark.parametrize("name", POLICY_NAMES)
+@pytest.mark.parametrize("name", [*POLICY_NAMES, "clustered-capped"])
 def test_dedup_is_exact_when_every_state_id_collides(name, monkeypatch):
     """The states counted without comparing are the distinct exact memories
-    (the oracle compares them), even if all ids collide."""
+    (the oracle compares them), even if all ids collide. The capped geometry
+    runs its counters into the cap, where a ball changes no memory."""
     n, balls = 16, 40
 
     def build():
+        if name == "clustered-capped":
+            return ClusteredPolicy(ClusterConfig(3, 2))
         return make_policy(name, threshold=2) if name == "advice" else make_policy(name)
 
     trace = simulate_run(SimConfig(n=n, seed=5, balls=balls, record_trace=True), build()).trace

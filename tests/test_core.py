@@ -15,6 +15,7 @@ from ballast import (
     ClusteredPolicy,
     RunResult,
     SimConfig,
+    StepRecord,
     load_histogram,
     make_policy,
     read_trace_csv,
@@ -23,10 +24,10 @@ from ballast import (
     trial_seed,
     write_trace_csv,
 )
-from ballast import core
-from ballast.core import STREAM_CHUNK, draw_run_streams, replay, stream_chunks
+from ballast import core, policies
+from ballast.core import STREAM_CHUNK, draw_run_streams, play, replay, stream_chunks
 
-from conftest import any_policy_builder, exact_memory, reference_two_choice
+from oracles import any_policy_builder, exact_memory, reference_two_choice
 
 LEGAL_POLICIES = ["one-choice", "greedy", "clustered", "max-index", "min-index"]
 
@@ -81,7 +82,7 @@ def test_same_seed_bit_identical():
 
 def test_greedy_mean_matches_reference_band():
     # Band frozen from 20 trials of reference_two_choice at n=2^17
-    # (per-trial maxima all in {3, 4}, mean 3.35); see conftest.
+    # (per-trial maxima all in {3, 4}, mean 3.35); see oracles.py.
     n = 1 << 17
     maxima = []
     for t in range(20):
@@ -359,20 +360,41 @@ def test_replay_accepts_own_traces_and_refuses_impossible_steps(build, n, extra,
     live = build()
     trace = simulate_run(SimConfig(n=n, seed=seed, balls=balls, record_trace=True), live).trace
     replayed = build()
-    assert list(replay(replayed, trace, n)) == trace
+    walked = []
+    for t, c in enumerate(replay(replayed, trace, n)):
+        # between yields the policy is in the state that decided the step
+        walked.append(StepRecord(t, replayed.state_id(), trace[t].bin_a, trace[t].bin_b, c))
+    assert walked == trace
     assert exact_memory(replayed) == exact_memory(live)
 
     t = where % balls
     probe = build()
-    for rec in replay(probe, trace, n):
-        if rec.step == t:
+    for step, _ in enumerate(replay(probe, trace, n)):
+        if step == t:
             break
-    pair = (rec.bin_a, rec.bin_b)
+    pair = (trace[t].bin_a, trace[t].bin_b)
     possible = {probe.decide(pair, 0), probe.decide(pair, 1)}
     impossible = [b for b in range(n) if b not in possible]
     bad = dataclasses.replace(trace[t], chosen=impossible[pick % len(impossible)])
     with pytest.raises(ValueError, match=rf"^trace step {t} chooses bin "):
         list(replay(build(), trace[:t] + [bad] + trace[t + 1 :], n))
+
+
+@pytest.mark.parametrize("name", ["greedy", "clustered", "advice"])
+def test_step_walks_ask_no_state_id(name, monkeypatch):
+    """play and replay yield the chosen bins without asking for a state id."""
+    n, balls = 16, 64
+    config = SimConfig(n=n, seed=3, balls=balls, record_trace=True)
+    trace = simulate_run(config, _policy(name)).trace
+
+    def refuse(self):
+        raise AssertionError("a step walk asked for a state id")
+
+    monkeypatch.setattr(policies.GreedyTwoChoicePolicy, "state_id", refuse)
+    p = _policy(name)
+    p.reset(n, balls)
+    assert list(play(p, *draw_run_streams(config))) == trace.chosen.tolist()
+    assert list(replay(_policy(name), trace, n)) == trace.chosen.tolist()
 
 
 def test_replay_refuses_misnumbered_steps_and_foreign_bins():

@@ -1,5 +1,6 @@
 """Policy decision rules, memory accounting, and the advice oracle."""
 
+import dataclasses
 import inspect
 import math
 
@@ -20,8 +21,9 @@ from ballast import (
     simulate_segmented,
 )
 from ballast import policies
+from ballast.core import STREAM_CHUNK, draw_run_streams, play
 
-from conftest import any_policy_builder, exact_memory
+from oracles import any_policy_builder, exact_memory
 
 
 def test_one_choice_takes_first():
@@ -214,6 +216,58 @@ def test_advice_bits_reflect_max_prestep_list():
     assert p.memory_bits(cfg.n, cfg.balls) == biggest * (int_width(n - 1) + int_width(balls))
 
 
+def _largest_advice_list_bits(n, balls, T, chosen):
+    """The advice cost by its definition: ``build_advice`` before every ball
+    of the run that chose ``chosen``, keeping the largest list."""
+    loads = [0] * n
+    biggest = 0
+    for c in chosen:
+        biggest = max(biggest, len(build_advice(loads, T).entries))
+        loads[c] += 1
+    return biggest * (int_width(n - 1) + int_width(balls))
+
+
+def _advice_bits_by_every_path(n, balls, T, seed, cuts=()):
+    """The advice cost after one seeded run walked step by step, run untraced,
+    run traced and applied by ``run_bulk`` in pieces cut at ``cuts``, and
+    the definition's value for it."""
+    config = SimConfig(n=n, seed=seed, balls=balls)
+    streams = draw_run_streams(config)
+    walked = AdvicePolicy(T)
+    walked.reset(n, balls)
+    chosen = list(play(walked, *streams))
+    untraced, traced, pieces = AdvicePolicy(T), AdvicePolicy(T), AdvicePolicy(T)
+    simulate_run(config, untraced)
+    simulate_run(dataclasses.replace(config, record_trace=True), traced)
+    pieces.reset(n, balls)
+    bounds = sorted(c % (balls + 1) for c in cuts)
+    for lo, hi in zip([0, *bounds], [*bounds, balls]):
+        pieces.run_bulk(np.zeros(n, dtype=np.int64), *(v[lo:hi] for v in streams))
+    bits = [p.memory_bits(n, balls) for p in (walked, untraced, traced, pieces)]
+    return bits, _largest_advice_list_bits(n, balls, T, chosen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    T=st.integers(1, 6),
+    balls=st.integers(1, 256),
+    seed=st.integers(0, 2**64 - 1),
+    cuts=st.lists(st.integers(0, 256), max_size=4),
+)
+def test_advice_bits_are_the_largest_list_before_a_ball(n, T, balls, seed, cuts):
+    bits, expect = _advice_bits_by_every_path(n, balls, T, seed, cuts)
+    assert bits == [expect] * 4
+
+
+def test_advice_bits_over_chunks_are_the_largest_list_before_a_ball():
+    """A run of two stream chunks whose list grows in both."""
+    balls = STREAM_CHUNK + 4096
+    bits, expect = _advice_bits_by_every_path(64, balls, 1070, 11, [STREAM_CHUNK - 1])
+    assert bits == [expect] * 4
+    assert 0 < expect < 64 * (int_width(63) + int_width(balls))
+
+
 def test_advice_bits_zero_before_any_run():
     p = AdvicePolicy(threshold=2)
     assert p.memory_bits(16, 16) == 0
@@ -304,9 +358,9 @@ _op = st.one_of(
     ops=st.lists(_op, min_size=1, max_size=40),
 )
 def test_incremental_state_key_matches_recomputation(name, seed, balls, cuts, ops):
-    """The O(1) key kept by update equals the key recomputed from the memory,
-    after run_bulk segments and then after every decide/update step, run_bulk
-    call and restore."""
+    """state_id equals the key computed in Python from the exact memory, and
+    a fresh policy's after restoring that memory, after run_bulk segments and
+    then after every decide/update step, run_bulk call and restore."""
     p = KEYED_POLICIES[name]()
     warmup = sorted({max(1, round(c * balls)) for c in cuts})
     simulate_segmented(SimConfig(n=KEY_N, seed=seed, balls=balls), p, warmup)
@@ -377,7 +431,7 @@ def test_memory_only_grows(build, ops):
 
 
 def test_no_state_id_hashes_the_memory():
-    """State ids are packed tuples or O(1) linear keys, never a hash() of the memory."""
+    """State ids are packed tuples or linear keys, never a hash() of the memory."""
     for cls in vars(policies).values():
         if isinstance(cls, type) and "state_id" in vars(cls):
             assert "hash(" not in inspect.getsource(vars(cls)["state_id"]), cls.__name__
@@ -390,7 +444,9 @@ def test_choice_dist_is_stated_once():
             assert "choice_dist" not in vars(cls), cls.__name__
 
 
-@pytest.mark.parametrize("method", ["snapshot", "state_id", "rank_keys", "run_bulk"])
+@pytest.mark.parametrize(
+    "method", ["decide", "snapshot", "restore", "state_id", "rank_keys", "run_bulk"]
+)
 def test_memory_method_is_stated_once(method):
     """Greedy holds the memory model; clustered and advice only state how they differ."""
     greedy = policies.GreedyTwoChoicePolicy

@@ -51,18 +51,22 @@ def _assert_traced_run_is_the_step_walk(build, n, balls, seed):
     result = simulate_run(config, live)
     oracle = build()
     oracle.reset(n, balls)
+    pa, pb, ties = draw_run_streams(config)
     loads = [0] * n
-    records = []
-    for rec in play(oracle, *draw_run_streams(config)):
-        records.append(rec)
-        loads[rec.chosen] += 1
+    ids, chosen = [], []
+    for c in play(oracle, pa, pb, ties):
+        # between yields the oracle is in the state that decided the step
+        ids.append(oracle.state_id())
+        chosen.append(c)
+        loads[c] += 1
+    records = list(map(StepRecord, range(balls), ids, pa.tolist(), pb.tolist(), chosen))
     trace = result.trace
     assert isinstance(trace, Trace)
     assert trace.ids.dtype == np.uint64 and trace.chosen.dtype == np.int64
-    assert trace.ids.tolist() == [r.memory_state_id for r in records]
-    assert trace.bin_a.tolist() == [r.bin_a for r in records]
-    assert trace.bin_b.tolist() == [r.bin_b for r in records]
-    assert trace.chosen.tolist() == [r.chosen for r in records]
+    assert trace.ids.tolist() == ids
+    assert trace.bin_a.tolist() == pa.tolist()
+    assert trace.bin_b.tolist() == pb.tolist()
+    assert trace.chosen.tolist() == chosen
     assert trace == records
     assert result.loads == loads
     assert live.snapshot() == oracle.snapshot()
