@@ -270,9 +270,16 @@ def stream_chunks(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray, n
     ``STREAM_CHUNK`` balls (the last one shorter), value for value.
 
     Each stream gets its own generator, placed where the one-shot draw
-    starts that stream. A draw of n-bounded integers may consume a varying
-    amount of the generator, so those places come from one discarded pass
-    over bin_a and bin_b, made only when the run has more than one chunk.
+    starts that stream. numpy draws bins by Lemire's method, which for a
+    power-of-two n never rejects: each bin value takes exactly one 32-bit
+    half of a Philox output when n <= 2^32, one 64-bit output above that,
+    and none for n = 1. There the places are found by arithmetic: a Philox
+    counter step makes 4 outputs, so ``Philox.advance`` skips whole steps
+    and a draw of the remaining values lands on the place, leaving the
+    buffered 32-bit half an odd count leaves. For any other n a draw may
+    consume a varying amount of the generator, so the places come from one
+    discarded pass over bin_a and bin_b. Either is made only when the run
+    has more than one chunk.
     A chunked draw equals the one-shot draw only if every chunk but the last
     is a multiple of 4 long: numpy draws uint8 values four to a 32-bit word
     and drops the unused ones at the end of each call.
@@ -282,15 +289,20 @@ def stream_chunks(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray, n
         yield draw_run_streams(config)
         return
     sizes = [min(STREAM_CHUNK, balls - s) for s in range(0, balls, STREAM_CHUNK)]
-    walker = np.random.Philox(key=config.seed)
-    bitgens = [np.random.Philox(key=config.seed)]
-    for k in (0, 1):
+    bitgens = [np.random.Philox(key=config.seed) for _ in range(3)]
+    if n & (n - 1) == 0:
+        per_step = 8 if n <= 1 << 32 else 4  # bin values per counter step of 4 outputs
+        for k in (1, 2):
+            skip = k * balls if n > 1 else 0  # the values that use output before stream k
+            bitgens[k].advance(skip // per_step)
+            _draw(np.random.Generator(bitgens[k]), n, 0, skip % per_step)
+    else:
+        walker = np.random.Philox(key=config.seed)
         rng = np.random.Generator(walker)
-        for size in sizes:
-            _draw(rng, n, k, size)
-        start = np.random.Philox(key=config.seed)
-        start.state = walker.state
-        bitgens.append(start)
+        for k in (0, 1):
+            for size in sizes:
+                _draw(rng, n, k, size)
+            bitgens[k + 1].state = walker.state
     rngs = [np.random.Generator(b) for b in bitgens]
     for size in sizes:
         yield tuple(_draw(rng, n, k, size) for k, rng in enumerate(rngs))
@@ -336,6 +348,13 @@ def simulate_segmented(
         or any(y <= x for x, y in zip(bounds, bounds[1:]))
     ):
         raise ValueError(f"boundaries must be strictly increasing and within 1..{config.balls}")
+    counts, snapshots = _walk_counts(config, policy, bounds)
+    return RunResult(loads=counts.tolist(), max_load=int(counts.max())), snapshots
+
+
+def _walk_counts(config: SimConfig, policy, bounds: Sequence[int] = ()) -> tuple[np.ndarray, list]:
+    """The untraced run of ``simulate_segmented``, on valid ``bounds``:
+    its final loads as an int64 array and the loads at each bound as lists."""
     policy.reset(config.n, config.balls)
     counts = np.zeros(config.n, dtype=np.int64)
     snapshots = []
@@ -352,7 +371,7 @@ def simulate_segmented(
         if lo < len(pa):
             policy.run_bulk(counts, pa[lo:], pb[lo:], ties[lo:])
         start = end
-    return RunResult(loads=counts.tolist(), max_load=int(counts.max())), snapshots
+    return counts, snapshots
 
 
 def play(policy, pa, pb, ties) -> Iterator[int]:
@@ -406,15 +425,22 @@ def atomic_write(path: str, newline: str | None = None):
     Writes go to a fresh temporary file in the target's directory, which
     ``os.replace`` renames over ``path`` when the block exits normally. If
     the block raises, the temporary file is removed and whatever was at
-    ``path`` stays as it was.
+    ``path`` stays as it was. An ``OSError`` from creating the temporary
+    file or renaming it names ``path``, the file the caller asked for.
     """
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", newline=newline) as f:
             yield f
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise

@@ -247,8 +247,11 @@ def _decide_blocks(mem: np.ndarray, sa, sb, ties, prefer, cap=None) -> np.ndarra
     written, and no other such step touches its slots. Those steps are
     decided together: one gather, one ``prefer`` and one scatter, whose
     chosen slots are distinct, so it never repeats an index. The rest wait
-    for the next round. Once a round would batch fewer than ``_BATCH_MIN``
-    steps, the rest are decided one at a time, in order. Blocks hold
+    for the next round. Once fewer than ``_BATCH_MIN`` steps are left, too
+    few to batch, they wait at the head of the next block, where
+    ``_repeat_steps`` orders them before its steps. Only in the last block,
+    or when a round would batch fewer than ``_BATCH_MIN`` of more steps
+    than that, are the rest decided one at a time, in order. Blocks hold
     4 * sqrt(slots) + 1024 steps: with many slots a few rounds decide
     nearly all of them, and with few slots, where nearly every step
     waits its turn, the per-block cost is spread over many steps.
@@ -256,13 +259,21 @@ def _decide_blocks(mem: np.ndarray, sa, sb, ties, prefer, cap=None) -> np.ndarra
     """
     won = np.empty(len(sa), dtype=bool)
     block = 4 * math.isqrt(len(mem)) + 1024
+    steps = np.arange(0)  # the steps still to decide, carried from block to block
     for s in range(0, len(sa), block):
-        a, b, r = sa[s : s + block], sb[s : s + block], ties[s : s + block]
-        steps = np.arange(s, s + len(a))
+        e = min(s + block, len(sa))
+        if len(steps):
+            a, b = np.concatenate((a, sa[s:e])), np.concatenate((b, sb[s:e]))
+            r, steps = np.concatenate((r, ties[s:e])), np.concatenate((steps, np.arange(s, e)))
+        else:
+            a, b, r, steps = sa[s:e], sb[s:e], ties[s:e], np.arange(s, e)
         while len(steps):
+            if len(steps) < _BATCH_MIN and e < len(sa):
+                break  # too few to batch: they head the next block
             late = _repeat_steps(a, b)
             if len(steps) - np.count_nonzero(late) < _BATCH_MIN:
                 won[steps] = _decide_in_order(mem, a, b, r, prefer, cap)
+                steps = steps[:0]
                 break
             free = ~late
             fa, fb = a[free], b[free]

@@ -205,15 +205,83 @@ def test_run_bulk_matches_decide_update_across_blocks(name, n, balls):
         assert max(slow.snapshot()) == slow.config.counter_cap  # the cap was reached
 
 
+def _carry_offers(slots, width, block, blocks, tail, seed):
+    """Offers over ``blocks`` blocks of ``block`` steps on ``slots`` memory
+    slots of ``width`` bins. Each block's last ``tail`` steps offer slots its
+    middle steps offered, so they are left over once the rest are batched,
+    and each next block's first ``tail`` steps offer the slots of those."""
+    rng = np.random.default_rng(seed)
+    sa, sb, left = [], [], None
+    for _ in range(blocks):
+        pairs = rng.permutation(slots)[: 2 * (block - tail)].reshape(-1, 2)
+        if left is not None:
+            pairs[:tail, 0] = left
+        repeats = np.stack((pairs[tail : 2 * tail, 0], pairs[2 * tail : 3 * tail, 1]), axis=1)
+        pairs = np.concatenate((pairs, repeats))
+        left = repeats[:, 0]
+        sa.append(pairs[:, 0])
+        sb.append(pairs[:, 1])
+    slot_a, slot_b = np.concatenate(sa), np.concatenate(sb)
+    bins = [s * width + rng.integers(0, width, len(s)) for s in (slot_a, slot_b)]
+    return (*bins, rng.integers(0, 2, len(slot_a)).astype(np.uint8))
+
+
+CARRY_POLICIES = {
+    "greedy": (lambda: make_policy("greedy"), 1),
+    "clustered-cap1": (lambda: ClusteredPolicy(ClusterConfig(3, 1)), 3),
+    "advice-T1": (lambda: make_policy("advice", threshold=1), 1),
+}
+
+
+@pytest.mark.parametrize("cut_blocks", [(), (1,), (1, 2)])
+@pytest.mark.parametrize("name", sorted(CARRY_POLICIES))
+def test_steps_carried_to_the_next_block_match_decide_update(name, cut_blocks, monkeypatch):
+    """A block's last steps are too few to batch, so they wait at the head of
+    the next block, whose first steps share their slots. Only the last block
+    of each run_bulk call decides steps in order, including a call cut right
+    after a block that carried steps."""
+    slots, tail, blocks = 4096, 8, 3
+    block = 4 * math.isqrt(slots) + 1024  # the block length of _decide_blocks
+    build, width = CARRY_POLICIES[name]
+    n, balls = slots * width, blocks * block
+    pa, pb, ties = _carry_offers(slots, width, block, blocks, tail, seed=len(name))
+    in_order = []
+    decide_in_order = policies._decide_in_order
+
+    def counted(mem, sa, *rest):
+        in_order.append(len(sa))
+        return decide_in_order(mem, sa, *rest)
+
+    monkeypatch.setattr(policies, "_decide_in_order", counted)
+    fast, slow = build(), build()
+    fast.reset(n, balls)
+    slow.reset(n, balls)
+    fast_loads = np.zeros(n, dtype=np.int64)
+    cuts = [0, *(k * block for k in cut_blocks), balls]
+    for lo, hi in zip(cuts, cuts[1:]):
+        fast.run_bulk(fast_loads, pa[lo:hi], pb[lo:hi], ties[lo:hi])
+    assert len(in_order) == len(cuts) - 1 and max(in_order) < policies._BATCH_MIN
+    slow_loads = [0] * n
+    for a, b, r in zip(pa.tolist(), pb.tolist(), ties.tolist()):
+        c = slow.decide((a, b), r)
+        slow_loads[c] += 1
+        slow.update((a, b), c)
+    assert fast_loads.tolist() == slow_loads
+    assert fast.snapshot() == slow.snapshot()
+    assert exact_memory(fast) == exact_memory(slow)
+
+
 # sha256 of json.dumps([pa, pb, ties]) for the one-shot Philox draws: the
 # bit-replay contract (the first three date from when draw_run_streams
-# returned lists; the last two span several chunks of the stream walk)
+# returned lists; the last three span several chunks of the stream walk, the
+# last one at a power-of-two n)
 STREAM_DIGESTS = {
     (1000, 12345, 5000): "9df76da6c6c0f4ea5d2ee7d9c3f1080a47b83c452a0c6279ce8ab61868c1ead4",
     (1 << 20, 2**64 - 1, 4096): "a037df390db909ca14c70ec7d2c882c58bf3ed26a947b35b25d2f6c058d6d2c4",
     (3, 0, 4097): "0300d8d30521e45f9687cfbe4782a0a7c0407cf27037b61e7d72c38595702eac",
     (999_983, 7, 3 * (1 << 16) + 1): "8d2fce78c3919c0506ed776d64775ba01640f836598ab5fc58524766afbd6dfe",
     ((1 << 40) + 3, 5, (1 << 16) + 1): "2de2a37437594cab25bf3563c3a700c2e770ad2b0660681a083333202744830e",
+    (1 << 20, 11, 2 * (1 << 16) + 3): "cef8b0e88fb32662b6a44538c070178f528922ff81af71ffdba07689dd187d55",
 }
 
 
@@ -239,14 +307,35 @@ def test_stream_walk_keeps_the_stream_digests(n, seed, balls):
     assert hashlib.sha256(values).hexdigest() == STREAM_DIGESTS[(n, seed, balls)]
 
 
-@pytest.mark.parametrize("n", [1, 3, 1000, 999_983, 1 << 20, (1 << 32) + 7, 1 << 40])
+# powers of two (1, 2, 2^20, 2^31, 2^32, 2^33, 2^40, 2^62) place the streams by
+# arithmetic, through numpy's 32-bit Lemire path, its full-range 32-bit path at
+# 2^32 and its 64-bit path; the other n walk a discarded pass
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 999_983, 1 << 20, 1 << 31, 1 << 32,
+                               (1 << 32) + 7, 1 << 33, 1 << 40, 1 << 62])
 @pytest.mark.parametrize("balls", [1, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 1,
-                                   3 * STREAM_CHUNK + 5])
+                                   2 * STREAM_CHUNK + 6, 3 * STREAM_CHUNK + 5])
 def test_stream_walk_equals_the_one_shot_draw(n, balls):
-    config = SimConfig(n=n, seed=n * 31 + balls, balls=balls)
+    config = SimConfig(n=n, seed=(n * 31 + balls) % 2**64, balls=balls)
     walked, drawn = _walked(config), draw_run_streams(config)
     assert [v.dtype for v in walked] == [v.dtype for v in drawn]
     assert all(np.array_equal(w, d) for w, d in zip(walked, drawn))
+
+
+@pytest.mark.parametrize("n, passes", [(1 << 20, 0), (1 << 40, 0), (1, 0), (1000, 2), (3, 2)])
+def test_only_other_n_walk_a_discarded_pass(n, passes, monkeypatch):
+    """A power-of-two n draws the three streams and at most 7 values to place
+    each generator; any other n also draws bin_a and bin_b once to discard."""
+    drawn = []
+    draw = core._draw
+
+    def counted(rng, n, k, size):
+        drawn.append(size)
+        return draw(rng, n, k, size)
+
+    monkeypatch.setattr(core, "_draw", counted)
+    balls = 2 * STREAM_CHUNK + 7
+    list(stream_chunks(SimConfig(n=n, seed=1, balls=balls)))
+    assert 0 <= sum(drawn) - (3 + passes) * balls < 2 * 8
 
 
 def test_stream_chunk_is_a_multiple_of_four(monkeypatch):

@@ -548,6 +548,23 @@ def test_cli_error_paths(tmp_path):
     assert main(["run", "--policy", "greedy", "--n", "0"]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--policy", "greedy", "--n", "16", "--trace-out"],
+    ["scan", "--policy", "greedy", "--n", "16", "--out"],
+])
+@pytest.mark.parametrize("target", ["missing/out.csv", "a-directory"])
+def test_cli_write_errors_name_the_given_path(tmp_path, capsys, command, target):
+    """A missing directory, or a directory in the way, is reported with the
+    path the user gave, not the temporary file written beside it."""
+    (tmp_path / "a-directory").mkdir()
+    path = str(tmp_path / target)
+    assert main(command + [path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{path}'" in err
+    assert ".tmp" not in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["a-directory"]
+
+
 def test_parse_epsilon_grid():
     grid = parse_epsilon_grid("0.05:0.95:0.05")
     assert len(grid) == 19
