@@ -18,7 +18,6 @@ _EXPORTS = {
         "ForbiddenSet",
         "PhaseConfig",
         "PhaseReport",
-        "PlacementBoundsReport",
         "PlacementProbs",
         "PoissonTail",
         "SweepResult",
@@ -26,7 +25,6 @@ _EXPORTS = {
         "advice_list_size_check",
         "advice_threshold",
         "all_subsets",
-        "check_placement_bounds",
         "default_epsilon_grid",
         "enumerate_clustered_states",
         "exact_placement_probs",
@@ -65,7 +63,6 @@ _EXPORTS = {
     ),
     "policies": (
         "POLICY_NAMES",
-        "AdviceList",
         "AdvicePolicy",
         "ClusterConfig",
         "ClusteredPolicy",
@@ -76,7 +73,6 @@ _EXPORTS = {
         "OneChoicePolicy",
         "Policy",
         "PolicySpec",
-        "build_advice",
         "default_cluster_config",
         "int_width",
         "make_policy",

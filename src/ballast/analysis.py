@@ -5,7 +5,7 @@ and choice probabilities in half-units, every placement probability p_i is
 an exact integer numerator over 2*n^2. All bound checks therefore run in
 exact integer or `fractions.Fraction` arithmetic with zero tolerance.
 
-The numerators come from one of two paths (``placement_numerators``):
+The numerators come from one walk (``_numerator_blocks``), by one of two paths:
 
 * Rank counting, for policies whose rule compares one key per bin
   (``Policy.rank_keys``: greedy, clustered, advice). Bin i takes 2 from the
@@ -70,14 +70,6 @@ class PlacementProbs:
     def denominator(self) -> int:
         return 2 * self.n * self.n
 
-    def fractions(self) -> list[Fraction]:
-        d = self.denominator
-        return [Fraction(x, d) for x in self.numerators]
-
-    def floats(self) -> list[float]:
-        d = self.denominator
-        return [x / d for x in self.numerators]
-
 
 def enumerate_choice_numerators(policy, n: int) -> tuple[list[int], list]:
     """Walk all ordered pairs once; accumulate choice mass per bin.
@@ -109,11 +101,12 @@ def rank_numerators(keys: np.ndarray) -> np.ndarray:
     """Exact numerators over 2n^2 for a block of rank keys, one state a row.
 
     ``keys`` has shape (states, n); row r gets ``num_i = 2 + 4 #{j : k_j >
-    k_i} + 2 #{j != i : k_j = k_i}`` over that row's keys. Each row is
-    sorted once; shifting row r by r times the block's key span lays the
-    sorted rows end to end in one ascending array, so one ``searchsorted``
-    per side serves the whole block. A block whose shifted keys would not
-    fit in int64 is split in two.
+    k_i} + 2 #{j != i : k_j = k_i} = 2 (2n - #{j : k_j <= k_i} - #{j : k_j <
+    k_i})`` over that row's keys. Each row is sorted once; shifting row r by
+    r times the block's key span lays the sorted rows end to end in one
+    ascending array, so one ``searchsorted`` per side serves the whole
+    block, each count a position less its row's start. A block whose
+    shifted keys would not fit in int64 is split in two.
     """
     keys = np.asarray(keys, dtype=np.int64)
     rows, n = keys.shape
@@ -125,48 +118,62 @@ def rank_numerators(keys: np.ndarray) -> np.ndarray:
             half = rows // 2
             return np.concatenate((rank_numerators(keys[:half]), rank_numerators(keys[half:])))
         shift = np.arange(rows, dtype=np.int64)[:, None] * span
-        keys = (keys - lo) + shift
-        ordered = (ordered - lo) + shift
+        keys = keys - lo
+        keys += shift
+        ordered -= lo
+        ordered += shift
     flat = ordered.ravel()
-    row_start = np.arange(0, rows * n, n, dtype=np.int64)[:, None]
-    at_most = np.searchsorted(flat, keys, side="right") - row_start
-    below = np.searchsorted(flat, keys, side="left") - row_start
-    return 2 + 4 * (n - at_most) + 2 * (at_most - below - 1)
+    counts = np.searchsorted(flat, keys, side="right")
+    counts += np.searchsorted(flat, keys, side="left")
+    return 2 * (2 * (n + np.arange(0, rows * n, n, dtype=np.int64)[:, None]) - counts)
 
 
-def placement_numerators(policy, n: int) -> tuple[np.ndarray, list]:
-    """Exact numerators over 2n^2 for the policy's current state.
+_BLOCK = 1 << 15  # numerator entries counted at a time: 2048 states at n = 16
 
-    Returns (int64 numerators, support violations). Policies with
-    ``rank_keys`` are rank-counted by ``rank_numerators`` and cannot place
-    outside the offered pair; every other policy is enumerated pair by pair.
-    """
-    keys = policy.rank_keys()
-    if keys is None:
-        num, violations = enumerate_choice_numerators(policy, n)
-        return np.array(num, dtype=np.int64), violations
-    return rank_numerators(keys[None, :])[0], []
+
+def _bind(policy, n: int, state) -> None:
+    """Put ``policy`` in ``state`` at n bins, resetting it first if it is bound to another n."""
+    if getattr(policy, "n", None) != n:
+        policy.reset(n, n)
+    policy.restore(state)
+
+
+def _numerator_blocks(policy, n: int, visits: Iterable) -> Iterator[tuple[list, np.ndarray, list]]:
+    """Numerators over 2n^2 of each state that pulling an item from ``visits``
+    leaves ``policy`` in, taken before the next item is pulled: rank-counted
+    from ``rank_keys()`` a block at a time, or else enumerated pair by pair.
+    Yields (items, int64 rows, each row's support violations or None), at
+    most ``_BLOCK`` numerator entries at a time; needs n <= 4096."""
+    if n > PAIR_GUARD:
+        raise ValueError(f"n={n} exceeds the n^2 enumeration guard ({PAIR_GUARD})")
+    visits, rows = iter(visits), max(1, _BLOCK // n)
+    while True:
+        nums, items, support = np.empty((rows, n), dtype=np.int64), [], []
+        for j, item in enumerate(islice(visits, rows)):  # pulls no item past the block
+            keys = policy.rank_keys()
+            nums[j], bad = (keys, None) if keys is not None else enumerate_choice_numerators(policy, n)
+            items.append(item)
+            support.append(bad)
+        if not items:
+            return
+        nums = nums[: len(items)]
+        ranked = [j for j, bad in enumerate(support) if bad is None]
+        if ranked:
+            nums[ranked] = rank_numerators(nums[ranked])
+        yield items, nums, support
 
 
 def exact_placement_probs(policy, n: int, state=None) -> PlacementProbs:
-    """Reconstruct the placement-probability vector exactly.
-
-    Greedy, clustered and advice are rank-counted in O(n log n); other
-    policies fall back to the n^2 pair enumeration, which stays the oracle
-    the rank path is tested against. The policy must already be bound to
-    ``n`` bins (via ``reset``) unless a ``state`` to restore is supplied, in
-    which case it is rebound first. Both paths are guarded at n <= 4096.
-    """
-    if n > PAIR_GUARD:
-        raise ValueError(f"n={n} exceeds the n^2 enumeration guard ({PAIR_GUARD})")
+    """Reconstruct the placement-probability vector exactly, by the walk of
+    ``_numerator_blocks`` over this one state. The policy must already be
+    bound to ``n`` bins (via ``reset``) unless a ``state`` to restore is
+    supplied, in which case it is rebound first."""
     if state is not None:
-        if getattr(policy, "n", None) != n:
-            policy.reset(n, n)
-        policy.restore(state)
+        _bind(policy, n, state)
     elif getattr(policy, "n", None) != n:
         raise ValueError("policy is not bound to this n; reset it or pass a state")
-    num, _ = placement_numerators(policy, n)
-    return PlacementProbs(n=n, memory_state_id=policy.state_id(), numerators=tuple(num.tolist()))
+    ((_, nums, _),) = _numerator_blocks(policy, n, [None])
+    return PlacementProbs(n=n, memory_state_id=policy.state_id(), numerators=tuple(nums[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -189,50 +196,16 @@ class ForbiddenSet:
     members: frozenset[int]
 
 
+def _forbidden(nums: np.ndarray, n: int, eps: Fraction) -> np.ndarray:
+    """F's mask: p_i < eps/n iff q num_i < 2 n p iff num_i < ceil(2 n p / q),
+    a bound of at most 2n, so no product is taken and no q overflows."""
+    return nums < -(-2 * n * eps.numerator // eps.denominator)
+
+
 def forbidden_set(p: PlacementProbs, epsilon) -> ForbiddenSet:
     eps = as_exact(epsilon)
-    q, pe = eps.denominator, eps.numerator
-    two_n_p = 2 * p.n * pe
-    members = frozenset(i for i, x in enumerate(p.numerators) if q * x < two_n_p)
-    return ForbiddenSet(epsilon=eps, members=members)
-
-
-@dataclass(frozen=True)
-class PlacementBoundsReport:
-    """Result of the two placement-probability guarantees for one subset.
-
-    subset_ok: P(ball lands in S) >= eps * |S \\ F| / n
-    size_ok:   |F| <= eps * n
-    """
-
-    epsilon: Fraction
-    subset_ok: bool
-    size_ok: bool
-    lhs: Fraction
-    rhs: Fraction
-    forbidden_size: int
-    forbidden_limit: Fraction
-
-
-def check_placement_bounds(p: PlacementProbs, epsilon, subset: Iterable[int]) -> PlacementBoundsReport:
-    """Exact check of both guarantees for one (state, epsilon, subset)."""
-    eps = as_exact(epsilon)
-    fs = forbidden_set(p, eps)
-    s = set(subset)
-    if any(i < 0 or i >= p.n for i in s):
-        raise ValueError("subset contains out-of-range bins")
-    lhs = Fraction(sum(p.numerators[i] for i in s), p.denominator)
-    rhs = eps * len(s - fs.members) / p.n
-    limit = eps * p.n
-    return PlacementBoundsReport(
-        epsilon=eps,
-        subset_ok=lhs >= rhs,
-        size_ok=len(fs.members) <= limit,
-        lhs=lhs,
-        rhs=rhs,
-        forbidden_size=len(fs.members),
-        forbidden_limit=limit,
-    )
+    mask = _forbidden(np.array(p.numerators, dtype=np.int64), p.n, eps)
+    return ForbiddenSet(epsilon=eps, members=frozenset(np.flatnonzero(mask).tolist()))
 
 
 def default_epsilon_grid() -> tuple[Fraction, ...]:
@@ -316,7 +289,6 @@ def sweep_placement_bounds(
     subsets: np.ndarray | None = None,
     subset_seed: int = 0xF00D,
     n_subsets: int | None = None,
-    chunk: int = 2048,
 ) -> SweepResult:
     """Verify both placement bounds over many states in exact integer math.
 
@@ -324,14 +296,12 @@ def sweep_placement_bounds(
     "current state as-is"). Every epsilon is taken exactly; violations are
     counted with zero tolerance. Support violations (probability mass
     outside the offered pair) are collected as well, so an illegal policy
-    cannot slip through. Rank-countable states are counted a batch at a
-    time by ``rank_numerators``.
+    cannot slip through. The states are walked once, a block of rows at a
+    time (``_numerator_blocks``), so no more than one block is held.
 
     For epsilon = p/q the subset check covers every non-empty subset S
-    exactly: with ``w_i = q num_i - 2 n p [i not in F]``, S passes iff
-    ``sum_{i in S} w_i >= 0``, and since every w_i >= 0 by F's definition
-    the lightest S is the lightest single bin, so the state's subset margin
-    is ``min_i w_i / (2 q n^2)`` (see the module docstring). A negative
+    exactly: the subset margin is ``min_i w_i / (2 q n^2)``, with ``w_i =
+    q num_i - 2 n p [i not in F]`` (see the module docstring). A negative
     w_i, which no non-negative numerator vector produces, counts as one
     subset violation per (state, epsilon), and the margin is then the sum
     of the negative w_i.
@@ -362,38 +332,23 @@ def sweep_placement_bounds(
         n_subsets=None if sampled is None else sampled.count,
     )
 
-    state_list = list(states)
-    for start in range(0, len(state_list), chunk):
-        batch = state_list[start : start + chunk]
-        nums = np.empty((len(batch), n), dtype=np.int64)
-        ranked = []  # rows of nums that hold rank keys until counted below
-        ids = []
-        for j, st in enumerate(batch):
+    def visits():
+        for st in states:
             if st is not None:
-                if getattr(policy, "n", None) != n:
-                    policy.reset(n, n)
-                policy.restore(st)
-            keys = policy.rank_keys()
-            if keys is None:
-                nums[j], support = enumerate_choice_numerators(policy, n)
-                if support:
-                    result.support_violations += len(support)
-                    result.violation_samples.append(
-                        {"kind": "support", "state": policy.state_id(), "sample": support[0]}
-                    )
-            else:
-                nums[j] = keys
-                ranked.append(j)
-            ids.append(policy.state_id())
-        if ranked:
-            nums[ranked] = rank_numerators(nums[ranked])
+                _bind(policy, n, st)
+            yield policy.state_id()
 
-        margins = np.full((len(batch), 2), np.inf)
+    for ids, nums, support in _numerator_blocks(policy, n, visits()):
+        for sid, bad in zip(ids, support):
+            if bad:
+                result.support_violations += len(bad)
+                result.violation_samples.append({"kind": "support", "state": sid, "sample": bad[0]})
+
+        margins = np.full((len(ids), 2), np.inf)
         worsts = []  # per epsilon, each state's lightest subset sum
         for eps in eps_list:
             q, pe = eps.denominator, eps.numerator
-            qnums = q * nums
-            forbidden = qnums < (2 * n * pe)  # (batch, n)
+            forbidden = _forbidden(nums, n, eps)
             fsize = forbidden.sum(axis=1)
             # size bound: |F| <= eps * n, exactly q*|F| <= p*n
             size_bad = q * fsize > pe * n
@@ -405,7 +360,7 @@ def sweep_placement_bounds(
             margins[:, 1] = np.minimum(margins[:, 1], (pe * n - q * fsize) / q)
 
             # subset bound over every non-empty S: q * sum_S num - 2 n p |S \ F| >= 0
-            w = qnums - (2 * n * pe) * ~forbidden
+            w = q * nums - (2 * n * pe) * ~forbidden
             worst = w.min(axis=1)
             negative = worst < 0
             if negative.any():
@@ -428,7 +383,7 @@ def sweep_placement_bounds(
 
         for j, sid in enumerate(ids):
             result.worst_margins[sid] = [float(margins[j, 0]), float(margins[j, 1])]
-        result.states_checked += len(batch)
+        result.states_checked += len(ids)
 
     return result
 
@@ -483,8 +438,7 @@ class _SampledSubsets:
             taken = rows @ nums_t  # (rows, states)
             for eps, floor, low in zip(eps_list, exact, worst):
                 q, pe = eps.denominator, eps.numerator
-                # i is outside F iff q num_i >= 2 n p, iff num_i >= ceil(2 n p / q)
-                outside = rows @ (nums_t >= -(-2 * n * pe // q)).astype(np.float64)
+                outside = rows @ (~_forbidden(nums_t, n, eps)).astype(np.float64)
                 diff = q * taken - (2 * n * pe) * outside
                 if (diff < floor).any():
                     si, sj = np.nonzero(diff < floor)
@@ -720,17 +674,16 @@ def forbidden_union_over_trace(policy, trace: Sequence[StepRecord], n: int, epsi
     decided a step (the state after its last ball decides none).
 
     Replays the trace through a fresh policy binding (``core.replay``, which
-    refuses a trace the policy could not have made); needs the enumeration
-    guard (n <= 4096). Returns (union set, number of distinct states).
+    refuses a trace the policy could not have made); n <= 4096. Returns
+    (union set, number of distinct states).
     """
     eps = as_exact(epsilon)
-    distinct = 0
-    union: set[int] = set()
-    for c in _new_states(policy, replay(policy, trace, n)):
-        if c is not None:
-            distinct += 1
-            union |= forbidden_set(exact_placement_probs(policy, n), eps).members
-    return union, distinct
+    steps = (c for c in _new_states(policy, replay(policy, trace, n)) if c is not None)
+    union, distinct = np.zeros(n, dtype=bool), 0
+    for _, nums, _ in _numerator_blocks(policy, n, steps):
+        union |= _forbidden(nums, n, eps).any(axis=0)
+        distinct += len(nums)
+    return set(np.flatnonzero(union).tolist()), distinct
 
 
 def phase_report_with_forbidden(

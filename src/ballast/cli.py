@@ -136,7 +136,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from . import harness, policies
+    from . import core, harness, policies
 
     params = _policy_params(args)
     unused = [
@@ -174,6 +174,7 @@ def cmd_scan(args) -> int:
     if not spec.output_path:
         print("scan needs an output path (--out or spec output_path)", file=sys.stderr)
         return 2
+    core._check_writable(spec.output_path)  # fail before the trials, not after them
     rows = harness.run_experiment(spec, jobs=args.jobs)
     harness.emit(rows, spec.format, spec.output_path)
     print(f"wrote {len(rows)} rows to {spec.output_path}")

@@ -418,6 +418,21 @@ def load_histogram(loads: Sequence[int]) -> dict[int, int]:
     return dict(zip(levels.tolist(), counts[levels].tolist()))
 
 
+def _naming(path: str, fn, *args):
+    """``fn(*args)``, re-raising an ``OSError`` with ``path``, the file the caller asked for."""
+    try:
+        return fn(*args)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _temp_beside(path: str) -> tuple[int, str]:
+    """A fresh temporary file in ``path``'s directory: (its open fd, its path)."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    return _naming(path, os.open, tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+
+
 @contextlib.contextmanager
 def atomic_write(path: str, newline: str | None = None):
     """Open a text file that replaces ``path`` only once writing succeeds.
@@ -428,22 +443,31 @@ def atomic_write(path: str, newline: str | None = None):
     ``path`` stays as it was. An ``OSError`` from creating the temporary
     file or renaming it names ``path``, the file the caller asked for.
     """
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
+    fd, tmp = _temp_beside(path)
     try:
         with open(fd, "w", newline=newline) as f:
             yield f
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from None
+        _naming(path, os.replace, tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _check_writable(path: str) -> None:
+    """Raise now the ``OSError`` that ``atomic_write(path)`` would raise for
+    a missing directory or a directory at ``path``; ``path`` stays as it is.
+
+    A file never replaces a directory, so that rename fails and moves
+    nothing. A symlink to a directory is not tried: renaming over it would
+    replace the link, as a write does.
+    """
+    fd, tmp = _temp_beside(path)
+    os.close(fd)
+    try:
+        if os.path.isdir(path) and not os.path.islink(path):
+            _naming(path, os.replace, tmp, path)
+    finally:
+        os.unlink(tmp)
 
 
 def write_trace_csv(trace: Iterable[StepRecord], path: str) -> None:

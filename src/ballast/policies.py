@@ -530,25 +530,6 @@ class ClusteredPolicy(GreedyTwoChoicePolicy):
         return (cfg.counter_cap + 1) ** cfg.num_clusters(n)
 
 
-@dataclass(frozen=True)
-class AdviceList:
-    """Exact list of bins at or above the threshold, with their counts."""
-
-    threshold: int
-    entries: tuple[tuple[int, int], ...]  # (bin, count), sorted by bin
-
-    def to_dict(self) -> dict:
-        return {"threshold": self.threshold, "entries": [list(e) for e in self.entries]}
-
-
-def build_advice(loads, threshold: int) -> AdviceList:
-    """Oracle for the advice channel: every bin with load >= threshold."""
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    entries = tuple((i, v) for i, v in enumerate(loads) if v >= threshold)
-    return AdviceList(threshold=threshold, entries=entries)
-
-
 class AdvicePolicy(GreedyTwoChoicePolicy):
     """No persistent memory; a fresh advice list arrives before every ball.
 
@@ -580,9 +561,6 @@ class AdvicePolicy(GreedyTwoChoicePolicy):
     def reset(self, n, balls):
         super().reset(n, balls)
         self._last = None  # the bin of the last ball, once one is thrown
-
-    def advice_list(self) -> AdviceList:
-        return build_advice(self._mem, self.threshold)
 
     def _rank(self, load):
         """A bin's key: its load if it is listed, else 0. Operators only."""

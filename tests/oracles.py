@@ -4,12 +4,19 @@ Empirical bands in the tests were frozen from an independent pre-build
 reference simulation (plain random.Random loops, 20 trials, disjoint from
 the engine's Philox streams); the reference implementation is kept in this
 file so the bands can be re-derived.
+
+The placement checks of one state and one subset in ``Fraction``s, and the
+advice list built by its definition, are here too: they restate what the
+program computes in another way, and no command reads them.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable
 
 from hypothesis import strategies as st
 
@@ -18,8 +25,11 @@ from ballast import (
     AdvicePolicy,
     ClusterConfig,
     ClusteredPolicy,
+    PlacementProbs,
+    forbidden_set,
     make_policy,
 )
+from ballast.analysis import as_exact
 
 
 def poisson_tail_oracle(lam: float, t: int, terms: int = 64) -> float:
@@ -49,7 +59,7 @@ def exact_memory(policy):
     in the same memory state iff these compare equal; the oracle for the
     state counts that ``Policy.changes_memory`` gives without comparing."""
     if isinstance(policy, AdvicePolicy):
-        return policy.advice_list().entries
+        return advice_list(policy).entries
     return policy.snapshot()
 
 
@@ -69,3 +79,81 @@ def reference_two_choice(n: int, balls: int, seed: int) -> list[int]:
             c = a if rng.random() < 0.5 else b
         loads[c] += 1
     return loads
+
+
+# ---------------------------------------------------------------------------
+# placement probabilities, one state and one subset at a time, in Fractions
+
+
+def fractions(p: PlacementProbs) -> list[Fraction]:
+    return [Fraction(x, p.denominator) for x in p.numerators]
+
+
+def floats(p: PlacementProbs) -> list[float]:
+    return [x / p.denominator for x in p.numerators]
+
+
+@dataclass(frozen=True)
+class PlacementBoundsReport:
+    """Result of the two placement-probability guarantees for one subset.
+
+    subset_ok: P(ball lands in S) >= eps * |S \\ F| / n
+    size_ok:   |F| <= eps * n
+    """
+
+    epsilon: Fraction
+    subset_ok: bool
+    size_ok: bool
+    lhs: Fraction
+    rhs: Fraction
+    forbidden_size: int
+    forbidden_limit: Fraction
+
+
+def check_placement_bounds(p: PlacementProbs, epsilon, subset: Iterable[int]) -> PlacementBoundsReport:
+    """Exact check of both guarantees for one (state, epsilon, subset)."""
+    eps = as_exact(epsilon)
+    fs = forbidden_set(p, eps)
+    s = set(subset)
+    if any(i < 0 or i >= p.n for i in s):
+        raise ValueError("subset contains out-of-range bins")
+    lhs = Fraction(sum(p.numerators[i] for i in s), p.denominator)
+    rhs = eps * len(s - fs.members) / p.n
+    limit = eps * p.n
+    return PlacementBoundsReport(
+        epsilon=eps,
+        subset_ok=lhs >= rhs,
+        size_ok=len(fs.members) <= limit,
+        lhs=lhs,
+        rhs=rhs,
+        forbidden_size=len(fs.members),
+        forbidden_limit=limit,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the advice channel
+
+
+@dataclass(frozen=True)
+class AdviceList:
+    """Exact list of bins at or above the threshold, with their counts."""
+
+    threshold: int
+    entries: tuple[tuple[int, int], ...]  # (bin, count), sorted by bin
+
+    def to_dict(self) -> dict:
+        return {"threshold": self.threshold, "entries": [list(e) for e in self.entries]}
+
+
+def build_advice(loads, threshold: int) -> AdviceList:
+    """The advice channel by its definition: every bin with load >= threshold."""
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1")
+    entries = tuple((i, v) for i, v in enumerate(loads) if v >= threshold)
+    return AdviceList(threshold=threshold, entries=entries)
+
+
+def advice_list(policy: AdvicePolicy) -> AdviceList:
+    """The list an advice policy's memory stands for: its mirror of the loads, listed."""
+    return build_advice(policy.snapshot(), policy.threshold)

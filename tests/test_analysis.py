@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ballast import (
     POLICY_NAMES,
@@ -19,7 +19,6 @@ from ballast import (
     advice_list_size_check,
     advice_threshold,
     all_subsets,
-    check_placement_bounds,
     default_epsilon_grid,
     enumerate_clustered_states,
     exact_placement_probs,
@@ -36,10 +35,17 @@ from ballast import (
     theoretical_bounds,
 )
 from ballast import analysis
-from ballast.analysis import enumerate_choice_numerators, placement_numerators, rank_numerators
+from ballast.analysis import enumerate_choice_numerators, rank_numerators
 from ballast.cli import main
 
-from oracles import exact_memory, poisson_tail_oracle
+from oracles import (
+    any_policy_builder,
+    check_placement_bounds,
+    exact_memory,
+    floats,
+    fractions,
+    poisson_tail_oracle,
+)
 
 
 def _bound_policy(name, n, **params):
@@ -54,19 +60,19 @@ def _bound_policy(name, n, **params):
 
 def test_one_choice_probs_uniform():
     pp = exact_placement_probs(_bound_policy("one-choice", 4), 4)
-    assert pp.fractions() == [Fraction(1, 4)] * 4
+    assert fractions(pp) == [Fraction(1, 4)] * 4
 
 
 def test_max_index_probs_n2():
     # 4 ordered pairs: (0,0)->0; (0,1),(1,0),(1,1)->1
     pp = exact_placement_probs(_bound_policy("max-index", 2), 2)
-    assert pp.fractions() == [Fraction(1, 4), Fraction(3, 4)]
+    assert fractions(pp) == [Fraction(1, 4), Fraction(3, 4)]
 
 
 def test_greedy_fresh_state_uniform():
     for n in (3, 16):
         pp = exact_placement_probs(_bound_policy("greedy", n), n)
-        assert pp.fractions() == [Fraction(1, n)] * n
+        assert fractions(pp) == [Fraction(1, n)] * n
 
 
 def test_probs_sum_and_cap_across_policies():
@@ -86,15 +92,15 @@ def test_probs_sum_and_cap_across_policies():
         assert sum(pp.numerators) == pp.denominator  # probabilities sum to 1
         cap = 2 * (2 * n - 1)  # == (2/n - 1/n^2) in numerator units
         assert max(pp.numerators) <= cap
-        exact = pp.fractions()
-        approx = pp.floats()
+        exact = fractions(pp)
+        approx = floats(pp)
         assert all(abs(float(e) - a) <= 1e-12 for e, a in zip(exact, approx))
 
 
 def test_max_index_attains_probability_cap():
     n = 8
     pp = exact_placement_probs(_bound_policy("max-index", n), n)
-    assert pp.fractions()[n - 1] == Fraction(2 * n - 1, n * n)  # == 2/n - 1/n^2
+    assert fractions(pp)[n - 1] == Fraction(2 * n - 1, n * n)  # == 2/n - 1/n^2
 
 
 def test_probs_require_bound_policy():
@@ -335,6 +341,22 @@ def test_sampled_cross_check_holds_one_block_of_rows(monkeypatch):
     assert peak < 8 * n * count / 4  # the int64 matrix alone takes 8 n count bytes
 
 
+def test_sweep_holds_one_block_of_states():
+    """The sweep walks its states a block of rows at a time: 512 states at
+    n = 1024 peak below one array of all their numerators."""
+    n, count = 1024, 512
+    p = _bound_policy("greedy", n)
+    states = ((1,) * k + (0,) * (n - k) for k in range(count))
+    tracemalloc.start()
+    try:
+        res = sweep_placement_bounds(p, n, states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.ok and res.states_checked == len(res.worst_margins) == count
+    assert peak < 8 * count * n
+
+
 def test_default_sweep_and_verify_never_build_a_subset_matrix(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("subset matrix built on the default path")
@@ -399,10 +421,10 @@ def rank_countable_states(draw):
 @given(case=rank_countable_states())
 def test_rank_numerators_match_both_enumerations(case):
     policy, n = case
-    num, support = placement_numerators(policy, n)
+    num = exact_placement_probs(policy, n).numerators
     enumerated, violations = enumerate_choice_numerators(policy, n)
-    assert support == [] and violations == []
-    assert num.tolist() == enumerated == _decide_numerators(policy, n)
+    assert violations == []
+    assert list(num) == enumerated == _decide_numerators(policy, n)
     assert sum(enumerated) == 2 * n * n
 
 
@@ -436,7 +458,7 @@ def test_block_rank_counts_match_per_state_counts(case):
     block = rank_numerators(np.stack(keys))
     for row, state in zip(block.tolist(), states):
         policy.restore(tuple(state))
-        assert row == placement_numerators(policy, n)[0].tolist()
+        assert row == list(exact_placement_probs(policy, n).numerators)
         assert row == enumerate_choice_numerators(policy, n)[0]
 
 
@@ -581,6 +603,100 @@ def test_size_bound_holds_for_visited_greedy_states(seed, balls):
         for eps in default_epsilon_grid():
             fs = forbidden_set(pp, eps)
             assert len(fs.members) <= eps * n
+
+
+def _forbidden_oracle(num, n, eps):
+    """F = {i : p_i < eps/n} in Fractions, from numerators over 2n^2."""
+    return {i for i, x in enumerate(num) if Fraction(x, 2 * n * n) < eps / n}
+
+
+def _walked_states(build, n, trace):
+    """Each step's pre-step snapshot and pair-enumerated numerators (the oracle)."""
+    p = build()
+    p.reset(n, len(trace))
+    walked = []
+    for rec in trace:
+        walked.append((p.snapshot(), enumerate_choice_numerators(p, n)[0]))
+        p.update((rec.bin_a, rec.bin_b), rec.chosen)
+    return p, walked
+
+
+def _check_forbidden_against_fractions(build, n, trace, eps, sweep=True):
+    """forbidden_set per state, the union over the trace and the sweep's |F|
+    (its size margin eps n - |F|) all agree with the Fraction oracle."""
+    p, walked = _walked_states(build, n, trace)
+    union = set()
+    for snap, num in walked:
+        members = _forbidden_oracle(num, n, eps)
+        union |= members
+        assert forbidden_set(exact_placement_probs(p, n, state=snap), eps).members == members
+    assert forbidden_union_over_trace(build(), trace, n, eps)[0] == union
+    if not sweep:
+        return
+    res = sweep_placement_bounds(p, n, (snap for snap, _ in walked), epsilons=[eps])
+    for snap, num in walked:
+        p.restore(snap)
+        size_margin = eps * n - len(_forbidden_oracle(num, n, eps))
+        assert res.worst_margins[p.state_id()][1] == float(size_margin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(build=any_policy_builder(), n=st.integers(1, 16), seed=st.integers(0, 2**32),
+       q=st.integers(2, 2**40), data=st.data())
+def test_forbidden_set_union_and_sweep_match_fractions(build, n, seed, q, data):
+    """F at random epsilons, and at epsilons that put a visited bin exactly
+    at eps/n, where the strict comparison leaves it outside F."""
+    trace = simulate_run(SimConfig(n=n, seed=seed, balls=2 * n, record_trace=True), build()).trace
+    if data.draw(st.booleans()):
+        eps = Fraction(data.draw(st.integers(1, q - 1)), q)
+    else:
+        _, walked = _walked_states(build, n, trace)
+        num = data.draw(st.sampled_from(walked))[1]
+        eps = Fraction(data.draw(st.sampled_from(num)), 2 * n)  # p_i = eps / n
+        assume(0 < eps < 1)
+    _check_forbidden_against_fractions(build, n, trace, eps)
+
+
+def test_a_bin_exactly_at_eps_over_n_stays_outside_f():
+    # max-index at n = 2 places 1/4 on bin 0, and eps / n = 1/4 at eps = 1/2
+    p = _bound_policy("max-index", 2)
+    pp = exact_placement_probs(p, 2)
+    assert fractions(pp)[0] == Fraction(1, 2) / 2
+    assert forbidden_set(pp, Fraction(1, 2)).members == frozenset()
+    res = sweep_placement_bounds(p, 2, [p.snapshot()], epsilons=[Fraction(1, 2)])
+    assert res.ok and list(res.worst_margins.values()) == [[0.0, 1.0]]  # w_0 = 0: margin 0
+
+
+@pytest.mark.parametrize("q", [2**62, 2**63, 2**64, 2**89 - 1])  # the last is prime
+@pytest.mark.parametrize("name", ["greedy", "max-index"])
+def test_forbidden_set_and_union_at_denominators_past_int64(q, name):
+    """No product q num_i is formed, so F stays exact where that product
+    would not fit in int64 (the sweep refuses such epsilons): epsilons just
+    either side of each threshold k / (2n), in lowest terms over q."""
+    n = 4
+    trace = simulate_run(SimConfig(n=n, seed=2, balls=3 * n, record_trace=True), make_policy(name)).trace
+    for k in range(1, 2 * n):
+        for eps in (Fraction(k * q // (2 * n) - 1, q), Fraction(k * q // (2 * n) + 1, q)):
+            assert eps.denominator == q
+            _check_forbidden_against_fractions(lambda: make_policy(name), n, trace, eps, sweep=False)
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_forbidden_union_asks_no_state_id_and_builds_no_probs(name, monkeypatch):
+    n = 16
+
+    def build():
+        return make_policy(name, threshold=2) if name == "advice" else make_policy(name)
+
+    trace = simulate_run(SimConfig(n=n, seed=5, balls=2 * n, record_trace=True), build()).trace
+    expected = forbidden_union_over_trace(build(), trace, n, Fraction(1, 4))
+
+    def refuse(*args):
+        raise AssertionError("the union asked for a state id or a PlacementProbs")
+
+    monkeypatch.setattr(type(build()), "state_id", refuse)
+    monkeypatch.setattr(analysis, "exact_placement_probs", refuse)
+    assert forbidden_union_over_trace(build(), trace, n, Fraction(1, 4)) == expected
 
 
 # ---------------------------------------------------------------------------

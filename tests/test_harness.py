@@ -20,6 +20,7 @@ from ballast import (
     trial_seed,
     write_trace_csv,
 )
+from ballast import core, harness
 from ballast.cli import main, parse_epsilon_grid
 
 
@@ -563,6 +564,34 @@ def test_cli_write_errors_name_the_given_path(tmp_path, capsys, command, target)
     assert err.startswith("error: ") and f"'{path}'" in err
     assert ".tmp" not in err and "Traceback" not in err
     assert os.listdir(tmp_path) == ["a-directory"]
+
+
+@pytest.mark.parametrize("target", ["missing/out.csv", "a-directory", "a-directory/"])
+def test_scan_fails_on_its_output_before_the_trials(tmp_path, capsys, monkeypatch, target):
+    """scan stops with the error line the write itself gives, before it
+    runs a trial, and leaves nothing beside the output."""
+    (tmp_path / "a-directory").mkdir()
+    path = str(tmp_path / target)
+    with pytest.raises(OSError) as raised:
+        with core.atomic_write(path) as f:
+            f.write("x")
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the output was checked")
+
+    monkeypatch.setattr(harness, "run_experiment", no_trials)
+    assert main(["scan", "--policy", "greedy", "--n", "16", "--out", path]) == 2
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert os.listdir(tmp_path) == ["a-directory"]
+    assert os.listdir(tmp_path / "a-directory") == []
+
+
+def test_output_check_leaves_a_link_to_a_directory_in_place(tmp_path):
+    (tmp_path / "a-directory").mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "a-directory")
+    core._check_writable(str(link))  # a write would replace the link, so it passes
+    assert link.is_symlink() and sorted(os.listdir(tmp_path)) == ["a-directory", "link"]
 
 
 def test_parse_epsilon_grid():

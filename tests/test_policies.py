@@ -13,7 +13,6 @@ from ballast import (
     ClusterConfig,
     ClusteredPolicy,
     SimConfig,
-    build_advice,
     default_cluster_config,
     int_width,
     make_policy,
@@ -23,7 +22,7 @@ from ballast import (
 from ballast import policies
 from ballast.core import STREAM_CHUNK, draw_run_streams, play
 
-from oracles import any_policy_builder, exact_memory
+from oracles import advice_list, any_policy_builder, build_advice, exact_memory
 
 
 def test_one_choice_takes_first():
@@ -180,7 +179,7 @@ def test_advice_mirror_matches_true_loads():
     p = AdvicePolicy(threshold=4)
     r = simulate_run(SimConfig(n=32, seed=3, balls=128), p)
     assert list(p._mem) == r.loads
-    assert p.advice_list() == build_advice(r.loads, 4)
+    assert advice_list(p) == build_advice(r.loads, 4)
 
 
 def test_advice_list_cost_is_the_list_before_the_last_ball():
@@ -189,7 +188,7 @@ def test_advice_list_cost_is_the_list_before_the_last_ball():
     n, balls = 4096, 10
     p = AdvicePolicy(threshold=1)
     simulate_run(SimConfig(n=n, seed=1, balls=balls), p)
-    assert len(p.advice_list().entries) == balls  # every ball listed a fresh bin
+    assert len(advice_list(p).entries) == balls  # every ball listed a fresh bin
     assert p.memory_bits(n, balls) == (balls - 1) * (int_width(n - 1) + int_width(balls))
 
 
@@ -329,7 +328,7 @@ def key_oracle(p) -> int:
     """sum_k m_k * W_k mod 2^64 in Python integers, from the exact memory."""
     if isinstance(p, AdvicePolicy):
         m = [0] * p.n
-        for i, v in p.advice_list().entries:
+        for i, v in advice_list(p).entries:
             m[i] = v
     else:
         m = list(p.snapshot())
