@@ -5,19 +5,22 @@ and choice probabilities in half-units, every placement probability p_i is
 an exact integer numerator over 2*n^2. All bound checks therefore run in
 exact integer or `fractions.Fraction` arithmetic with zero tolerance.
 
-The numerators come from one walk (``_numerator_blocks``), by one of two paths:
+The numerators come from one walk (``_numerator_blocks``) over memory
+rows, one state a row, a block of rows at a time, by one of two paths:
 
 * Rank counting, for policies whose rule compares one key per bin
-  (``Policy.rank_keys``: greedy, clustered, advice). Bin i takes 2 from the
-  pair (i, i), 4 from the two orders of every pair with a larger key and 2
-  from every pair with an equal key, so
+  (``block_keys``: greedy, clustered, advice). Bin i takes 2 from the pair
+  (i, i), 4 from the two orders of every pair with a larger key and 2 from
+  every pair with an equal key, so
   ``num_i = 2 + 4 #{j : k_j > k_i} + 2 #{j != i : k_j = k_i}``.
-  ``rank_numerators`` counts a whole block of states with one sort and two
-  binary searches, O(n log n) per state.
+  ``block_keys`` gives a block's keys and state ids and ``rank_numerators``
+  counts them with one histogram (or, for keys of a wide range, one sort
+  and two binary searches): a fixed number of array operations per block,
+  with no policy bound to any state.
 * Enumeration of all n^2 ordered pairs through ``choice_dist`` (derived
-  from ``decide``), for every other policy. It also collects support
-  violations (mass outside the offered pair), and the tests use it as the
-  oracle for the rank path.
+  from ``decide``), for every other policy, with the policy bound to each
+  row in turn. It also collects support violations (mass outside the
+  offered pair), and the tests use it as the oracle for the rank path.
 
 The subset bound needs no subsets. For epsilon = p/q and the forbidden set
 F = {i : p_i < eps/n}, ``2 q n^2 (P(S) - eps |S \\ F| / n)`` is the sum over
@@ -25,11 +28,23 @@ S of ``w_i = q num_i - 2 n p [i not in F]``. Every ``w_i`` is >= 0: a bin
 outside F has ``q num_i >= 2 n p`` by F's definition, and a bin in F has
 ``w_i = q num_i >= 0``. So the lightest of all 2^n - 1 non-empty subsets is
 the lightest single bin, and ``min_i w_i / (2 q n^2)`` is the exact worst
-subset margin, O(n) per state and epsilon.
+subset margin.
+
+F is the bins whose numerator is below ``t = ceil(2 n p / q)``, so once a
+state's numerators are sorted (s_0 <= s_1 <= ...), F is the prefix below t
+and |F| is one count, read from a cumulative histogram of the row. The
+lightest bin in F is s_0 and the lightest bin outside it is s_|F|, so
+``min_i w_i = min(q s_0 if |F| > 0, q s_|F| - 2 n p if |F| < n)``: after
+one sort and one histogram per state, each epsilon costs a few lookups per
+state, for a block of states and every epsilon at once. Every ``w_i`` lies
+in 0..2 q n^2, so the check is exact in int64 while ``2 q n^2 < 2^63``;
+each margin is the exact ratio rounded once to float64, as
+``float(Fraction(w, 2 q n^2))`` gives.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -102,29 +117,38 @@ def rank_numerators(keys: np.ndarray) -> np.ndarray:
 
     ``keys`` has shape (states, n); row r gets ``num_i = 2 + 4 #{j : k_j >
     k_i} + 2 #{j != i : k_j = k_i} = 2 (2n - #{j : k_j <= k_i} - #{j : k_j <
-    k_i})`` over that row's keys. Each row is sorted once; shifting row r by
-    r times the block's key span lays the sorted rows end to end in one
-    ascending array, so one ``searchsorted`` per side serves the whole
-    block, each count a position less its row's start. A block whose
-    shifted keys would not fit in int64 is split in two.
+    k_i})`` over that row's keys. Shifting row r by r times the block's key
+    span lays the rows end to end in one ascending order, so each count is a
+    count over the whole block less its row's start, r n. Where the keys
+    span at most n values, one cumulative histogram of the shifted keys
+    gives every count. Otherwise each row is sorted once and one
+    ``searchsorted`` per side serves the whole block; a block whose shifted
+    keys would not fit in int64 is split in two.
     """
     keys = np.asarray(keys, dtype=np.int64)
     rows, n = keys.shape
-    ordered = np.sort(keys, axis=1)
-    if rows > 1:
-        lo = int(ordered[:, 0].min())
-        span = int(ordered[:, -1].max()) - lo + 1
-        if rows * span > 1 << 63:
-            half = rows // 2
-            return np.concatenate((rank_numerators(keys[:half]), rank_numerators(keys[half:])))
-        shift = np.arange(rows, dtype=np.int64)[:, None] * span
-        keys = keys - lo
-        keys += shift
-        ordered -= lo
-        ordered += shift
-    flat = ordered.ravel()
-    counts = np.searchsorted(flat, keys, side="right")
-    counts += np.searchsorted(flat, keys, side="left")
+    lo = int(keys.min())
+    span = int(keys.max()) - lo + 1
+    if span <= n:
+        cells = keys - lo
+        cells += np.arange(0, rows * span, span, dtype=np.int64)[:, None]
+        hist = np.bincount(cells.ravel(), minlength=rows * span)
+        at_most = hist.cumsum()
+        counts = 2 * at_most[cells] - hist[cells]  # #{<= k_i} + #{< k_i}, each plus r n
+    else:
+        ordered = np.sort(keys, axis=1)
+        if rows > 1:
+            if rows * span > 1 << 63:
+                half = rows // 2
+                return np.concatenate((rank_numerators(keys[:half]), rank_numerators(keys[half:])))
+            shift = np.arange(rows, dtype=np.int64)[:, None] * span
+            keys = keys - lo
+            keys += shift
+            ordered -= lo
+            ordered += shift
+        flat = ordered.ravel()
+        counts = np.searchsorted(flat, keys, side="right")
+        counts += np.searchsorted(flat, keys, side="left")
     return 2 * (2 * (n + np.arange(0, rows * n, n, dtype=np.int64)[:, None]) - counts)
 
 
@@ -138,29 +162,50 @@ def _bind(policy, n: int, state) -> None:
     policy.restore(state)
 
 
-def _numerator_blocks(policy, n: int, visits: Iterable) -> Iterator[tuple[list, np.ndarray, list]]:
-    """Numerators over 2n^2 of each state that pulling an item from ``visits``
-    leaves ``policy`` in, taken before the next item is pulled: rank-counted
-    from ``rank_keys()`` a block at a time, or else enumerated pair by pair.
-    Yields (items, int64 rows, each row's support violations or None), at
-    most ``_BLOCK`` numerator entries at a time; needs n <= 4096."""
+def _row_blocks(states, rows: int) -> Iterator[np.ndarray]:
+    """``states`` as int64 blocks of at most ``rows`` memory rows: slices of
+    a 2-D array, or else blocks built from an iterable of snapshots, which
+    is pulled one block at a time."""
+    if isinstance(states, np.ndarray):
+        for start in range(0, len(states), rows):
+            yield states[start : start + rows]
+        return
+    states = iter(states)
+    while block := list(islice(states, rows)):
+        yield np.array(block, dtype=np.int64)
+
+
+def _numerator_blocks(
+    policy, n: int, states, ids: bool = False
+) -> Iterator[tuple[list | None, np.ndarray, list | None]]:
+    """Numerators over 2n^2 of each memory in ``states`` (rows as ``restore``
+    takes them: a 2-D int64 array or an iterable of snapshots), at most
+    ``_BLOCK`` numerator entries at a time; needs n <= 4096.
+
+    A policy with ``block_keys`` has each block rank-counted with no state
+    bound; any other policy is bound to each row in turn and its pairs
+    enumerated. Yields (the rows' state ids if ``ids`` else None, int64
+    numerator rows, each row's support violations, or None when the block
+    was rank-counted).
+    """
     if n > PAIR_GUARD:
         raise ValueError(f"n={n} exceeds the n^2 enumeration guard ({PAIR_GUARD})")
-    visits, rows = iter(visits), max(1, _BLOCK // n)
-    while True:
-        nums, items, support = np.empty((rows, n), dtype=np.int64), [], []
-        for j, item in enumerate(islice(visits, rows)):  # pulls no item past the block
-            keys = policy.rank_keys()
-            nums[j], bad = (keys, None) if keys is not None else enumerate_choice_numerators(policy, n)
-            items.append(item)
+    if getattr(policy, "n", None) != n:
+        policy.reset(n, n)
+    block_keys = getattr(policy, "block_keys", None)
+    for rows in _row_blocks(states, max(1, _BLOCK // n)):
+        if block_keys is not None:
+            keys, sids = block_keys(rows)
+            yield (sids.tolist() if ids else None), rank_numerators(keys), None
+            continue
+        nums, support, sids = np.empty((len(rows), n), dtype=np.int64), [], []
+        for j, row in enumerate(rows.tolist()):
+            policy.restore(tuple(row))
+            nums[j], bad = enumerate_choice_numerators(policy, n)
             support.append(bad)
-        if not items:
-            return
-        nums = nums[: len(items)]
-        ranked = [j for j, bad in enumerate(support) if bad is None]
-        if ranked:
-            nums[ranked] = rank_numerators(nums[ranked])
-        yield items, nums, support
+            if ids:
+                sids.append(policy.state_id())
+        yield (sids if ids else None), nums, support
 
 
 def exact_placement_probs(policy, n: int, state=None) -> PlacementProbs:
@@ -172,8 +217,8 @@ def exact_placement_probs(policy, n: int, state=None) -> PlacementProbs:
         _bind(policy, n, state)
     elif getattr(policy, "n", None) != n:
         raise ValueError("policy is not bound to this n; reset it or pass a state")
-    ((_, nums, _),) = _numerator_blocks(policy, n, [None])
-    return PlacementProbs(n=n, memory_state_id=policy.state_id(), numerators=tuple(nums[0].tolist()))
+    ((sids, nums, _),) = _numerator_blocks(policy, n, [policy.snapshot()], ids=True)
+    return PlacementProbs(n=n, memory_state_id=sids[0], numerators=tuple(nums[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +241,15 @@ class ForbiddenSet:
     members: frozenset[int]
 
 
+def _cut(n: int, eps: Fraction) -> int:
+    """F's bound: p_i < eps/n iff q num_i < 2 n p iff num_i < ceil(2 n p / q),
+    which lies in 1..2n, so no product is taken and no q overflows."""
+    return -(-2 * n * eps.numerator // eps.denominator)
+
+
 def _forbidden(nums: np.ndarray, n: int, eps: Fraction) -> np.ndarray:
-    """F's mask: p_i < eps/n iff q num_i < 2 n p iff num_i < ceil(2 n p / q),
-    a bound of at most 2n, so no product is taken and no q overflows."""
-    return nums < -(-2 * n * eps.numerator // eps.denominator)
+    """F's mask: the bins whose numerator is below ``_cut``."""
+    return nums < _cut(n, eps)
 
 
 def forbidden_set(p: PlacementProbs, epsilon) -> ForbiddenSet:
@@ -253,6 +303,7 @@ class SweepResult:
 
 
 _EXACT_FLOAT = 1 << 53  # float64 holds every integer below this exactly
+_EXACT_INT = 1 << 63  # int64 holds every integer below this
 _PRODUCT_BLOCK = 1 << 20  # float64 entries in one block of the sampled product
 
 
@@ -292,19 +343,23 @@ def sweep_placement_bounds(
 ) -> SweepResult:
     """Verify both placement bounds over many states in exact integer math.
 
-    ``states`` yields snapshots restorable by the policy (None entries mean
-    "current state as-is"). Every epsilon is taken exactly; violations are
-    counted with zero tolerance. Support violations (probability mass
-    outside the offered pair) are collected as well, so an illegal policy
-    cannot slip through. The states are walked once, a block of rows at a
-    time (``_numerator_blocks``), so no more than one block is held.
+    ``states`` holds memories as ``restore`` takes them: a 2-D int64 array,
+    one state a row, or any iterable of snapshots (a generator too). Every
+    epsilon is taken exactly; violations are counted with zero tolerance.
+    Support violations (probability mass outside the offered pair) are
+    collected as well, so an illegal policy cannot slip through. The states
+    are walked once, a block of rows at a time (``_numerator_blocks``), so
+    no more than one block is held; a rank-counted block costs a fixed
+    number of array operations for the whole epsilon grid.
 
     For epsilon = p/q the subset check covers every non-empty subset S
     exactly: the subset margin is ``min_i w_i / (2 q n^2)``, with ``w_i =
-    q num_i - 2 n p [i not in F]`` (see the module docstring). A negative
-    w_i, which no non-negative numerator vector produces, counts as one
-    subset violation per (state, epsilon), and the margin is then the sum
-    of the negative w_i.
+    q num_i - 2 n p [i not in F]``, read off each state's sorted numerators
+    (see the module docstring). A negative w_i, which no non-negative
+    numerator vector produces, counts as one subset violation per (state,
+    epsilon), and the margin is then the sum of the negative w_i. Both
+    margins are exact ratios rounded once. An epsilon with ``2 q n^2 >=
+    2^63`` raises ``ValueError``.
 
     ``subsets`` (a 0/1 matrix, one subset a row) or ``n_subsets`` random
     subsets add a sampled cross-check: the reported subset margin is then
@@ -312,18 +367,22 @@ def sweep_placement_bounds(
     raises ``RuntimeError``. Random rows are drawn a block at a time, so
     neither they nor the float64 product is ever held whole. The product's
     entries are integers of at most ``2 q n^2``, exact while
-    ``4 q n^2 < 2^53``, and a larger denominator raises ``ValueError``.
+    ``4 q n^2 < 2^53``, so with the cross-check a larger denominator raises
+    ``ValueError``.
     """
     eps_list = [as_exact(e) for e in (epsilons or default_epsilon_grid())]
+    cross_check = subsets is not None or n_subsets is not None
+    if cross_check:
+        scale, limit, needs = 4, _EXACT_FLOAT, "4 q n^2 < 2^53"
+    else:
+        scale, limit, needs = 2, _EXACT_INT, "2 q n^2 < 2^63"
     for eps in eps_list:
-        if 4 * eps.denominator * n * n >= _EXACT_FLOAT:
+        if scale * eps.denominator * n * n >= limit:
             raise ValueError(
                 f"epsilon {eps} is too fine for an exact sweep at n={n}: "
-                f"needs 4 q n^2 < 2^53 for its denominator q = {eps.denominator}"
+                f"needs {needs} for its denominator q = {eps.denominator}"
             )
-    sampled = None
-    if subsets is not None or n_subsets is not None:
-        sampled = _SampledSubsets(n, subsets, n_subsets, subset_seed)
+    sampled = _SampledSubsets(n, subsets, n_subsets, subset_seed) if cross_check else None
     result = SweepResult(
         policy=getattr(policy, "name", type(policy).__name__),
         n=n,
@@ -332,60 +391,75 @@ def sweep_placement_bounds(
         n_subsets=None if sampled is None else sampled.count,
     )
 
-    def visits():
-        for st in states:
-            if st is not None:
-                _bind(policy, n, st)
-            yield policy.state_id()
-
-    for ids, nums, support in _numerator_blocks(policy, n, visits()):
-        for sid, bad in zip(ids, support):
+    # each epsilon p/q as int64 columns: q, p n, F's cut t = ceil(2np/q) and 2np
+    qs = [e.denominator for e in eps_list]
+    q = np.array(qs, dtype=np.int64)
+    pn = np.array([e.numerator * n for e in eps_list], dtype=np.int64)
+    cut = np.array([_cut(n, e) for e in eps_list], dtype=np.int64)
+    dens = [2 * n * n * d for d in qs]
+    for ids, nums, support in _numerator_blocks(policy, n, states, ids=True):
+        for sid, bad in zip(ids, support or ()):
             if bad:
                 result.support_violations += len(bad)
                 result.violation_samples.append({"kind": "support", "state": sid, "sample": bad[0]})
 
-        margins = np.full((len(ids), 2), np.inf)
-        worsts = []  # per epsilon, each state's lightest subset sum
-        for eps in eps_list:
-            q, pe = eps.denominator, eps.numerator
-            forbidden = _forbidden(nums, n, eps)
-            fsize = forbidden.sum(axis=1)
-            # size bound: |F| <= eps * n, exactly q*|F| <= p*n
-            size_bad = q * fsize > pe * n
-            for j in np.nonzero(size_bad)[0]:
+        # one (state, epsilon) entry per array from here on; see the module docstring
+        rows = np.sort(nums, axis=1)
+        fsize = _counts_below(rows, cut)
+        first = q * rows[:, :1]  # F's lightest bin, if F is not empty
+        outside = np.take_along_axis(rows, np.minimum(fsize, n - 1), axis=1)
+        worst = np.where(fsize < n, q * outside - 2 * pn, first)  # the lightest bin outside F
+        np.minimum(worst, first, out=worst, where=fsize > 0)
+        # size bound: |F| <= eps * n, exactly q*|F| <= p*n
+        size_bad = q * fsize > pn
+        negative = np.flatnonzero(rows[:, 0] < 0)  # a negative numerator, so a negative w_i
+        for e, eps in enumerate(eps_list if size_bad.any() or len(negative) else ()):
+            for j in np.flatnonzero(size_bad[:, e]):
                 result.size_violations += 1
                 result.violation_samples.append(
-                    {"kind": "size", "state": ids[j], "epsilon": float(eps), "F": int(fsize[j])}
+                    {"kind": "size", "state": ids[j], "epsilon": float(eps), "F": int(fsize[j, e])}
                 )
-            margins[:, 1] = np.minimum(margins[:, 1], (pe * n - q * fsize) / q)
-
-            # subset bound over every non-empty S: q * sum_S num - 2 n p |S \ F| >= 0
-            w = q * nums - (2 * n * pe) * ~forbidden
-            worst = w.min(axis=1)
-            negative = worst < 0
-            if negative.any():
-                worst = np.where(negative, np.minimum(w, 0).sum(axis=1), worst)
-                for j in np.nonzero(negative)[0]:
-                    result.subset_violations += 1
-                    result.violation_samples.append(
-                        {
-                            "kind": "subset",
-                            "state": ids[j],
-                            "epsilon": float(eps),
-                            "bins": np.nonzero(w[j] < 0)[0].tolist(),
-                        }
-                    )
-            worsts.append(worst)
+            for j in negative:
+                w = q[e] * nums[j] - 2 * pn[e] * (nums[j] >= cut[e])
+                worst[j, e] = np.minimum(w, 0).sum()
+                result.subset_violations += 1
+                result.violation_samples.append(
+                    {
+                        "kind": "subset",
+                        "state": ids[j],
+                        "epsilon": float(eps),
+                        "bins": np.nonzero(w < 0)[0].tolist(),
+                    }
+                )
         if sampled is not None:
-            worsts = sampled.worst(nums, eps_list, worsts, ids)
-        for eps, worst in zip(eps_list, worsts):
-            margins[:, 0] = np.minimum(margins[:, 0], worst / (eps.denominator * 2 * n * n))
-
-        for j, sid in enumerate(ids):
-            result.worst_margins[sid] = [float(margins[j, 0]), float(margins[j, 1])]
+            worst = np.column_stack(sampled.worst(nums, eps_list, list(worst.T), ids))
+        subset_margin = _ratio(worst, dens).min(axis=1)
+        size_margin = _ratio(pn - q * fsize, qs).min(axis=1)
+        margins = np.column_stack((subset_margin, size_margin))
+        result.worst_margins.update(zip(ids, margins.tolist()))
         result.states_checked += len(ids)
 
     return result
+
+
+def _counts_below(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """|F| of each state and epsilon: how many entries of each numerator row
+    are below each cut. Every cut lies in 1..2n, so clipping the entries to
+    0..2n keeps the counts, and a per-row cumulative histogram of the
+    clipped entries answers each (row, cut) by one lookup."""
+    count, n = rows.shape
+    span = 2 * n + 1
+    cells = np.clip(rows, 0, 2 * n) + np.arange(0, count * span, span, dtype=np.int64)[:, None]
+    at_most = np.bincount(cells.ravel(), minlength=count * span).reshape(count, span).cumsum(axis=1)
+    return at_most[:, cut - 1]
+
+
+def _ratio(num: np.ndarray, dens: list[int]) -> np.ndarray:
+    """``num / den`` in float64 for each column's ``den``, rounded once, as
+    ``float(Fraction(num, den))`` rounds it."""
+    if max(dens) < _EXACT_FLOAT and np.abs(num).max() < _EXACT_FLOAT:
+        return num / np.array(dens, dtype=np.float64)  # both convert exactly: one rounding
+    return np.array([[x / d for x, d in zip(row, dens)] for row in num.tolist()])  # int / int
 
 
 class _SampledSubsets:
@@ -450,27 +524,33 @@ class _SampledSubsets:
         return worst
 
 
-def enumerate_clustered_states(num_clusters: int, cap: int, max_balls: int):
-    """All counter tuples reachable with at most max_balls balls.
+def enumerate_clustered_states(num_clusters: int, cap: int, max_balls: int) -> np.ndarray:
+    """All counter tuples reachable with at most max_balls balls, one a row
+    of an int64 array, in lexicographic order.
 
     Any composition of k <= max_balls into num_clusters parts (each <= cap)
     is reachable: offering two bins of the same cluster forces that
-    cluster's counter up regardless of tie-breaks.
+    cluster's counter up regardless of tie-breaks. The rows grow one
+    counter at a time: each row so far is repeated once for every value its
+    next counter can take, 0..min(balls left, cap), in order.
     """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([max_balls], dtype=np.int64)  # balls not yet placed, per row
+    for _ in range(num_clusters):
+        counts = np.maximum(np.minimum(left, cap) + 1, 0)
+        starts = np.cumsum(counts) - counts
+        value = np.arange(counts.sum(), dtype=np.int64) - np.repeat(starts, counts)
+        rows = np.concatenate((np.repeat(rows, counts, axis=0), value[:, None]), axis=1)
+        left = np.repeat(left, counts) - value
+    return rows
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for v in range(min(remaining, cap) + 1):
-                yield prefix + (v,)
-            return
-        for v in range(min(remaining, cap) + 1):
-            yield from rec(prefix + (v,), remaining - v, slots - 1)
 
-    yield from rec((), max_balls, num_clusters)
-
-
-def probe_states(policy, n: int, balls: int, seed: int, max_states: int = 256) -> list:
-    """Snapshots of the distinct memory states visited in one seeded run."""
+def probe_states(policy, n: int, balls: int, seed: int, max_states: int = 256) -> Iterator[tuple]:
+    """Snapshots of the distinct memory states visited in one seeded run,
+    at most ``max_states``, yielded as the run reaches them: the run walks
+    on only when the next one is taken, so no more than one is held here.
+    The run moves ``policy``, so a sweep of these states should walk them
+    with another instance."""
     from .core import draw_run_streams
 
     config = SimConfig(n=n, seed=seed, balls=balls)
@@ -478,7 +558,8 @@ def probe_states(policy, n: int, balls: int, seed: int, max_states: int = 256) -
     policy.reset(n, balls)
     states = _new_states(policy, play(policy, pa, pb, ties))
     # islice stops at the cap without walking on to the next state
-    return [policy.snapshot() for _ in islice(states, max_states)]
+    for _ in islice(states, max_states):
+        yield policy.snapshot()
 
 
 def _new_states(policy, steps: Iterator[int]) -> Iterator[int | None]:
@@ -674,13 +755,20 @@ def forbidden_union_over_trace(policy, trace: Sequence[StepRecord], n: int, epsi
     decided a step (the state after its last ball decides none).
 
     Replays the trace through a fresh policy binding (``core.replay``, which
-    refuses a trace the policy could not have made); n <= 4096. Returns
+    refuses a trace the policy could not have made) and collects the memory
+    row of each new state for the numerator walk; n <= 4096. Returns
     (union set, number of distinct states).
     """
     eps = as_exact(epsilon)
-    steps = (c for c in _new_states(policy, replay(policy, trace, n)) if c is not None)
+    walker = copy.deepcopy(policy)  # the walk binds its own instance, never the replaying one
+    row = getattr(policy, "_row", None)  # greedy's family copies its memory buffer
+    rows = (
+        policy.snapshot() if row is None else row()[0]
+        for c in _new_states(policy, replay(policy, trace, n))
+        if c is not None
+    )
     union, distinct = np.zeros(n, dtype=bool), 0
-    for _, nums, _ in _numerator_blocks(policy, n, steps):
+    for _, nums, _ in _numerator_blocks(walker, n, rows):
         union |= _forbidden(nums, n, eps).any(axis=0)
         distinct += len(nums)
     return set(np.flatnonzero(union).tolist()), distinct

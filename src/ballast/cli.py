@@ -91,16 +91,58 @@ def _build_policy(args, n: int) -> Policy:
     return spec.build(n, args.delta)
 
 
-def _dump(obj: dict, out: str | None) -> None:
-    import json
+_MARGINS_KEY = '\n "worst_margins": '  # raw newlines only separate items, so this line is unique
 
+
+def _json_parts(obj: dict) -> list[str]:
+    """Pieces that join to ``json.dumps(obj, indent=1)``, byte for byte.
+
+    The pure-Python encoder that ``indent`` selects spends most of a large
+    verify report on ``worst_margins``, one two-float list per state. A
+    mapping of str keys to pairs of finite floats is written here instead,
+    by one join over ``float.__repr__``; anything else goes through
+    ``json.dumps`` whole.
+    """
+    import json
+    from itertools import chain, repeat
+    from json.encoder import encode_basestring_ascii
+
+    margins = obj.get("worst_margins")
+    if not isinstance(margins, dict) or not margins:
+        return [json.dumps(obj, indent=1)]
+    values = list(margins.values())
+    if set(map(type, values)) != {list} or set(map(len, values)) != {2}:
+        return [json.dumps(obj, indent=1)]
+    pairs = tuple(zip(*values))
+    if set(map(type, margins)) != {str} or set(map(type, chain(*pairs))) != {float}:
+        return [json.dumps(obj, indent=1)]
+    import numpy as np
+
+    floats = np.array(pairs)
+    if not np.isfinite(floats).all():
+        return [json.dumps(obj, indent=1)]  # Infinity and NaN are json's to spell
+    # states share their margins: spell each distinct float once, told apart
+    # by its bits, so that -0.0 keeps its sign
+    bits, which = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
+    spelled = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    first, second = spelled[which.reshape(floats.shape)].tolist()
+    body = "".join(chain.from_iterable(zip(
+        chain(["{\n  "], repeat(",\n  ")), map(encode_basestring_ascii, margins),
+        repeat(": [\n   "), first, repeat(",\n   "), second, repeat("\n  ]"),
+    )))
+    head, tail = json.dumps({**obj, "worst_margins": {}}, indent=1).split(_MARGINS_KEY + "{}", 1)
+    return [head, _MARGINS_KEY, body, "\n }", tail]
+
+
+def _dump(obj: dict, out: str | None) -> None:
     from . import core
 
-    text = json.dumps(obj, indent=1)
+    parts = _json_parts(obj)
     if out:
         with core.atomic_write(out) as f:
-            f.write(text + "\n")
-    print(text)
+            f.writelines(parts)
+            f.write("\n")
+    print(*parts, sep="")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +224,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import analysis, core, policies
+    from . import analysis, core
 
     n = args.n
     if n > core.PAIR_GUARD:
@@ -196,23 +238,12 @@ def cmd_verify(args) -> int:
     balls = n if args.balls is None else args.balls
     policy = _build_policy(args, n)
     policy.reset(n, balls)
-
-    states: list = [policy.snapshot()]
-    if isinstance(policy, policies.ClusteredPolicy) and n <= 16:
-        cfg = policy.config
-        depth = 8 if args.balls is None else min(balls, 8)
-        states = list(
-            analysis.enumerate_clustered_states(cfg.num_clusters(n), cfg.counter_cap, depth)
-        )
-    elif policy.state_space_size(n, balls) != 1:
-        states = analysis.probe_states(policy, n, balls, args.seed, max_states=args.max_states)
-
     epsilons = parse_epsilon_grid(args.epsilon_grid) if args.epsilon_grid else ()
     subsets = analysis.all_subsets(n) if args.all_subsets else None
     result = analysis.sweep_placement_bounds(
         policy,
         n,
-        states,
+        _verify_states(args, policy, balls),
         epsilons=epsilons,
         subsets=subsets,
         subset_seed=args.seed ^ 0x5B5E7,
@@ -220,6 +251,24 @@ def cmd_verify(args) -> int:
     )
     _dump(result.to_dict(), args.out)
     return 0 if result.ok else 1
+
+
+def _verify_states(args, policy, balls: int):
+    """The states ``verify`` checks: every clustered counter state reachable
+    in 8 balls (or --balls) where n <= 16, else the states a seeded probe
+    run visits, else the one state of a memoryless policy."""
+    from . import analysis, policies
+
+    n = args.n
+    if isinstance(policy, policies.ClusteredPolicy) and n <= 16:
+        cfg = policy.config
+        depth = 8 if args.balls is None else min(balls, 8)
+        return analysis.enumerate_clustered_states(cfg.num_clusters(n), cfg.counter_cap, depth)
+    if policy.state_space_size(n, balls) != 1:
+        # the probe runs its own instance; the sweep takes its states as they come
+        prober = _build_policy(args, n)
+        return analysis.probe_states(prober, n, balls, args.seed, max_states=args.max_states)
+    return [policy.snapshot()]
 
 
 def cmd_phases(args) -> int:

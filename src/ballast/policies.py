@@ -27,7 +27,8 @@ Greedy, clustered and advice share one memory model, stated once in
 ``prefer_second`` on one key per slot. Clustered is greedy whose slots are
 clusters of bins with capped counters; advice is greedy whose key is a
 bin's load only once the bin is listed. ``rank_keys`` is the vector of the
-keys, so the analysis can count ranks instead of enumerating pairs.
+keys, and ``block_keys`` gives the keys and state ids of a whole block of
+memories, so the analysis can count ranks instead of enumerating pairs.
 ``run_bulk`` applies the same comparison to whole arrays of steps: every
 step of a block that offers no slot an earlier step of the block offered
 reads the memory from before the block (see ``_decide_blocks``).
@@ -341,6 +342,8 @@ class GreedyTwoChoicePolicy(Policy):
     memory in O(slots) when asked, so no step keeps it; the weights are
     built on first use, and untraced runs never allocate them. Equal
     memories get equal ids in any process; distinct ones may collide.
+    ``block_keys`` gives the ids and rank keys of a whole block of memories
+    at once, with no policy bound to them.
     ``run_traced`` derives the key before every step of a run from its
     chosen bins, with no call per step.
     """
@@ -396,7 +399,7 @@ class GreedyTwoChoicePolicy(Policy):
         # choices of s, capped at _top. The step adds (_rank(min(v + 1, top))
         # - _rank(v)) * W_s to the key, so the ids are the key before the run
         # plus the running sum of those terms, mod 2^64.
-        key = self._memory_key()
+        key = self.state_id()
         held = np.frombuffer(self._mem, dtype=np.int64).copy()
         chosen = self.run_bulk(loads, pa, pb, ties)
         ids = np.empty(len(chosen), dtype=np.uint64)
@@ -424,31 +427,51 @@ class GreedyTwoChoicePolicy(Policy):
     def _key_weights(self) -> np.ndarray:
         return key_weights(len(self._mem))
 
-    def _memory_key(self) -> int:
-        """The state key recomputed from the memory; builds the weights once."""
+    def block_keys(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Rank keys and state ids of a block of memories, one a row.
+
+        Each row is a memory as ``restore`` takes it and is checked as
+        ``restore`` checks it (``_check``). Returns the (rows, n) int64 keys
+        ``rank_keys`` gives in those states and their uint64 ids,
+        ``_rank(rows) @ W`` wrapping mod 2^64, in a fixed number of array
+        operations whatever the rows. ``state_id`` and ``rank_keys`` are its
+        one-row case; the weights are built on first use.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        self._check(rows)
         if self._wv is None:
             self._wv = self._key_weights()
-        keys = self._rank(np.frombuffer(self._mem, dtype=np.uint64))
-        return int(np.dot(keys, self._wv))
+        keys = self._rank(rows)
+        ids = keys.astype(np.uint64) @ self._wv
+        if self._width > 1:  # the bins of one slot share its key, so their pairs are ties
+            keys = np.repeat(keys, self._width, axis=1)[:, : self.n]
+        return keys, ids
+
+    def _check(self, rows: np.ndarray) -> None:
+        """Refuse memory rows that are not one value per slot, each in
+        0..cap when there is a cap."""
+        if rows.shape[1] != len(self._mem):
+            raise ValueError(f"state has {rows.shape[1]} values for {len(self._mem)} memory slots")
+        if self._top is not None and rows.size and (rows.min() < 0 or rows.max() > self._top):
+            raise ValueError("counter value out of range")
+
+    def _row(self) -> np.ndarray:
+        """A copy of the memory as a block of one row."""
+        return np.array(self._mem, dtype=np.int64)[None]
 
     def state_id(self):
-        return self._memory_key()
+        return int(self.block_keys(self._row())[1][0])
 
     def snapshot(self):
         return tuple(self._mem)
 
     def restore(self, state):
-        if len(state) != len(self._mem):
-            raise ValueError(f"state has {len(state)} values for {len(self._mem)} memory slots")
         mem = array("q", state)
-        if self._top is not None and (min(mem) < 0 or max(mem) > self._top):
-            raise ValueError("counter value out of range")
+        self._check(np.frombuffer(mem, dtype=np.int64)[None])
         self._mem = mem
 
     def rank_keys(self):
-        keys = self._rank(np.array(self._mem, dtype=np.int64))
-        # the bins of one slot share its key, so their pairs are ties
-        return keys if self._width == 1 else np.repeat(keys, self._width)[: self.n]
+        return self.block_keys(self._row())[0][0]
 
     def memory_bits(self, n, balls):
         return n * int_width(balls)

@@ -5,9 +5,11 @@ reference simulation (plain random.Random loops, 20 trials, disjoint from
 the engine's Philox streams); the reference implementation is kept in this
 file so the bands can be re-derived.
 
-The placement checks of one state and one subset in ``Fraction``s, and the
-advice list built by its definition, are here too: they restate what the
-program computes in another way, and no command reads them.
+The placement checks of one state and one subset in ``Fraction``s, the
+advice list built by its definition, the state key in Python integers, the
+recursive clustered-state enumeration and the sweep's per-bin margin
+arithmetic are here too: they restate what the program computes in another
+way, and no command reads them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
 from hypothesis import strategies as st
 
 from ballast import (
@@ -28,6 +31,7 @@ from ballast import (
     PlacementProbs,
     forbidden_set,
     make_policy,
+    policies,
 )
 from ballast.analysis import as_exact
 
@@ -157,3 +161,59 @@ def build_advice(loads, threshold: int) -> AdviceList:
 def advice_list(policy: AdvicePolicy) -> AdviceList:
     """The list an advice policy's memory stands for: its mirror of the loads, listed."""
     return build_advice(policy.snapshot(), policy.threshold)
+
+
+# ---------------------------------------------------------------------------
+# state keys and states
+
+
+def key_oracle(p) -> int:
+    """sum_k m_k * W_k mod 2^64 in Python integers, from the exact memory."""
+    if isinstance(p, AdvicePolicy):
+        m = [0] * p.n
+        for i, v in advice_list(p).entries:
+            m[i] = v
+    else:
+        m = list(p.snapshot())
+    if isinstance(p, ClusteredPolicy) and len(m) * p.config.counter_width <= 63:
+        w = [(p.config.counter_cap + 1) ** k for k in range(len(m))]
+    else:
+        w = [int(x) for x in policies.key_weights(len(m))]
+    return sum(a * b for a, b in zip(m, w)) % 2**64
+
+
+def clustered_states(num_clusters: int, cap: int, max_balls: int):
+    """Every counter tuple with at most max_balls balls, each counter <= cap,
+    in lexicographic order, by recursion over the counters."""
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            for v in range(min(remaining, cap) + 1):
+                yield prefix + (v,)
+            return
+        for v in range(min(remaining, cap) + 1):
+            yield from rec(prefix + (v,), remaining - v, slots - 1)
+
+    yield from rec((), max_balls, num_clusters)
+
+
+# ---------------------------------------------------------------------------
+# the sweep's margins, one w_i per bin
+
+
+def bin_weight_margins(nums: np.ndarray, n: int, eps) -> tuple[list, list, list]:
+    """Per numerator row at epsilon p/q, by the O(n) per-bin arithmetic:
+    |F|, the lightest subset sum ``min_i w_i`` (the sum of the negative
+    ``w_i`` when there are any) with ``w_i = q num_i - 2 n p [i not in F]``,
+    and both margins ``w / (2 q n^2)`` and ``(p n - q |F|) / q`` as
+    ``float(Fraction(...))``."""
+    eps = as_exact(eps)
+    q, pe = eps.denominator, eps.numerator
+    forbidden = nums < -(-2 * n * pe // q)
+    fsize = forbidden.sum(axis=1)
+    w = q * nums - (2 * n * pe) * ~forbidden
+    worst = w.min(axis=1)
+    worst = np.where(worst < 0, np.minimum(w, 0).sum(axis=1), worst)
+    subset = [float(Fraction(int(x), 2 * q * n * n)) for x in worst]
+    size = [float(Fraction(pe * n - q * int(f), q)) for f in fsize]
+    return fsize.tolist(), subset, size

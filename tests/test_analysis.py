@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +41,9 @@ from ballast.cli import main
 
 from oracles import (
     any_policy_builder,
+    bin_weight_margins,
     check_placement_bounds,
+    clustered_states,
     exact_memory,
     floats,
     fractions,
@@ -194,7 +197,7 @@ def test_sweep_agrees_with_single_checks():
     eps_grid = [Fraction(1, 20), Fraction(1, 2), Fraction(19, 20)]
     for name, params in (("greedy", {}), ("clustered", {}), ("advice", {"threshold": 2})):
         p = _bound_policy(name, n, **params)
-        states = probe_states(p, n, 24, seed=9, max_states=8)
+        states = list(probe_states(p, n, 24, seed=9, max_states=8))
         assert len(states) > 1
         res = sweep_placement_bounds(p, n, states, epsilons=eps_grid, subsets=M)
         assert res.ok
@@ -215,12 +218,13 @@ def test_sweep_agrees_with_single_checks():
 
 
 def test_sweep_refuses_epsilons_it_cannot_sum_exactly():
-    # 4 q n^2 < 2^53 keeps every float64 partial sum an exact integer
+    # with the sampled cross-check, 4 q n^2 < 2^53 keeps every float64
+    # partial sum an exact integer
     n = 4
     p = _bound_policy("greedy", n)
     state = (3, 0, 1, 0)
     with pytest.raises(ValueError, match="too fine for an exact sweep"):
-        sweep_placement_bounds(p, n, [state], epsilons=[Fraction(1, 2**47)])
+        sweep_placement_bounds(p, n, [state], epsilons=[Fraction(1, 2**47)], subsets=all_subsets(n))
     finest = Fraction(2**46 - 1, 2**47 - 1)
     res = sweep_placement_bounds(p, n, [state], epsilons=[finest], subsets=all_subsets(n))
     pp = exact_placement_probs(p, n, state=state)
@@ -229,6 +233,26 @@ def test_sweep_refuses_epsilons_it_cannot_sum_exactly():
         for row in all_subsets(n)
     ]
     assert res.worst_margins[pp.memory_state_id][0] == float(min(r.lhs - r.rhs for r in reports))
+
+
+def test_exact_sweep_takes_every_epsilon_int64_holds():
+    """Without the cross-check only 2 q n^2 >= 2^63 is refused, and each
+    margin is the exact ratio rounded once, as float(Fraction) rounds it."""
+    n = 4
+    p = _bound_policy("greedy", n)
+    state = (1, 1, 1, 0)
+    p.restore(state)
+    sid, num = p.state_id(), enumerate_choice_numerators(p, n)[0]
+    eps = Fraction(3109495313124920, 3866500249534617)  # 4 q n^2 > 2^57
+    res = sweep_placement_bounds(p, n, [state], epsilons=[eps])
+    assert res.ok and res.worst_margins[sid][0] == 0.1875 == float(_brute_subset_margin(num, n, eps))
+    finest = Fraction(1, 2**58 - 1)  # 2 q n^2 = 2^63 - 32
+    res = sweep_placement_bounds(p, n, [state], epsilons=[finest])
+    assert res.worst_margins[sid] == [float(_brute_subset_margin(num, n, finest)), float(finest * n)]
+    with pytest.raises(ValueError, match="needs 2 q n\\^2 < 2\\^63"):
+        sweep_placement_bounds(p, n, [state], epsilons=[Fraction(1, 2**58)])
+    with pytest.raises(ValueError, match="needs 4 q n\\^2 < 2\\^53"):
+        sweep_placement_bounds(p, n, [state], epsilons=[eps], n_subsets=10)
 
 
 def test_sweep_catches_illegal_policy():
@@ -270,7 +294,7 @@ def test_exact_subset_margin_is_the_minimum_over_every_subset(name):
     params = {"threshold": 2} if name == "advice" else {}
     for n in (1, 6, 10):
         p = _bound_policy(name, n, **params)
-        states = probe_states(p, n, 2 * n, seed=n, max_states=4)
+        states = list(probe_states(p, n, 2 * n, seed=n, max_states=4))
         oracle = {}
         for state in states:
             p.restore(state)
@@ -294,6 +318,48 @@ def test_negative_weights_count_as_subset_violations(monkeypatch):
         assert res.violation_samples[-1] == {"kind": "subset", "state": sid, "epsilon": 0.5, "bins": [0, 1]}
         # q = 2: w = (-2, -4, 32, 16), so the lightest subset is {0, 1}, -6 / (2 q n^2)
         assert res.worst_margins[sid][0] == -6 / 64
+
+
+@st.composite
+def numerator_rows(draw):
+    """n, a block of numerator rows and an epsilon with q <= 2^40: rows
+    rank-counted from random keys, or any numerators (negative ones too),
+    and epsilons at random or putting a bin exactly at eps / n."""
+    n = draw(st.integers(1, 16))
+    count = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["ranked", "any", "negative"]))
+    if kind == "ranked":
+        keys = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=count, max_size=count))
+        nums = rank_numerators(np.array(keys, dtype=np.int64))
+    else:
+        low = -3 if kind == "negative" else 0
+        nums = np.array(draw(st.lists(st.lists(st.integers(low, 4 * n), min_size=n, max_size=n),
+                                      min_size=count, max_size=count)), dtype=np.int64)
+    at_eps = [x for x in nums.ravel().tolist() if 0 < x < 2 * n]
+    if at_eps and draw(st.booleans()):
+        eps = Fraction(draw(st.sampled_from(at_eps)), 2 * n)  # p_i = eps / n for that bin
+    else:
+        q = draw(st.integers(2, 2**40))
+        eps = Fraction(draw(st.integers(1, q - 1)), q)
+    return n, nums, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=numerator_rows())
+def test_sorted_margins_equal_the_per_bin_arithmetic(case):
+    """|F|, both margins and both violation counts read off sorted rows
+    equal the O(n) per-bin arithmetic of every w_i."""
+    n, nums, eps = case
+    p = _bound_policy("greedy", n)
+    states = [(r,) + (0,) * (n - 1) for r in range(len(nums))]
+    with mock.patch.object(analysis, "rank_numerators", lambda keys: nums[: len(keys)]):
+        res = sweep_placement_bounds(p, n, states, epsilons=[eps])
+    fsize, subset, size = bin_weight_margins(nums, n, eps)
+    for state, margins in zip(states, zip(subset, size)):
+        p.restore(state)
+        assert res.worst_margins[p.state_id()] == list(margins)
+    assert res.size_violations == sum(eps.denominator * f > eps.numerator * n for f in fsize)
+    assert res.subset_violations == sum(m < 0 for m in subset)
 
 
 def test_sampled_sum_below_the_exact_minimum_raises():
@@ -327,7 +393,7 @@ def test_sampled_cross_check_holds_one_block_of_rows(monkeypatch):
     states at a time, and give the report the whole matrix gives."""
     n, count = 256, 4000
     p = _bound_policy("greedy", n)
-    states = probe_states(p, n, 2 * n, seed=1, max_states=5)
+    states = list(probe_states(p, n, 2 * n, seed=1, max_states=5))
     whole = sweep_placement_bounds(p, n, states, subsets=analysis.random_subsets(n, count, 7))
     monkeypatch.setattr(analysis, "_PRODUCT_BLOCK", 1 << 12)
     tracemalloc.start()
@@ -355,6 +421,39 @@ def test_sweep_holds_one_block_of_states():
         tracemalloc.stop()
     assert res.ok and res.states_checked == len(res.worst_margins) == count
     assert peak < 8 * count * n
+
+
+def test_probed_states_are_swept_one_block_at_a_time():
+    """The probe yields its states as the sweep takes them, so a sweep of
+    1024 probed states at n = 1024 peaks at a few blocks plus O(1) per
+    state, far below the 8 MiB the snapshots take together."""
+    n = 1024
+    p = _bound_policy("greedy", n)
+    tracemalloc.start()
+    try:
+        res = sweep_placement_bounds(p, n, probe_states(make_policy("greedy"), n, n, seed=1, max_states=n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.ok and res.states_checked == n
+    assert peak < 16 * 8 * analysis._BLOCK + 1024 * n
+
+
+def test_clustered_sweep_binds_no_state(monkeypatch, capsys):
+    """The 12,870 clustered states at n = 16 are checked a block at a time
+    with no state restored and no per-state id or key, and print the bytes
+    they printed when each state was bound in turn."""
+    def refuse(*args):
+        raise AssertionError("a state was bound or keyed on its own")
+
+    for method in ("restore", "state_id", "rank_keys"):
+        monkeypatch.setattr(ClusteredPolicy, method, refuse)
+    assert main(["verify", "--policy", "clustered", "--n", "16", "--balls", "8", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["states_checked"] == 12870
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c777f00dc928cb4c27286458d95baf19654d14734b6707605c5fd1c00a02bfa0"
+    )
 
 
 def test_default_sweep_and_verify_never_build_a_subset_matrix(monkeypatch, capsys):
@@ -480,7 +579,7 @@ def test_rank_countable_policies_skip_pair_enumeration(name, monkeypatch):
 
     trace = simulate_run(SimConfig(n=n, seed=3, balls=2 * n, record_trace=True), build()).trace
     p = build()
-    states = probe_states(p, n, 2 * n, seed=3, max_states=10)
+    states = list(probe_states(p, n, 2 * n, seed=3, max_states=10))
     expected = []
     for s in states:
         p.restore(s)
@@ -498,15 +597,23 @@ def test_rank_countable_policies_skip_pair_enumeration(name, monkeypatch):
 
 
 def test_enumerate_clustered_states_counts():
-    states = list(enumerate_clustered_states(8, 8, 8))
-    assert len(states) == math.comb(16, 8)  # 12870
-    assert len(set(states)) == len(states)
-    assert list(enumerate_clustered_states(2, 1, 3)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    states = enumerate_clustered_states(8, 8, 8)
+    assert states.dtype == np.int64 and states.shape == (math.comb(16, 8), 8)  # 12870
+    assert len(set(map(tuple, states.tolist()))) == len(states)
+    assert enumerate_clustered_states(2, 1, 3).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+
+@pytest.mark.parametrize(
+    "clusters, cap, balls", [(1, 3, 2), (1, 2, 5), (2, 1, 3), (3, 4, 0), (4, 3, 5), (5, 2, 20), (8, 8, 8)]
+)
+def test_enumerate_clustered_states_matches_the_recursion(clusters, cap, balls):
+    rows = enumerate_clustered_states(clusters, cap, balls).tolist()
+    assert list(map(tuple, rows)) == list(clustered_states(clusters, cap, balls))
 
 
 def test_probe_states_dedup_and_cap():
     p = make_policy("greedy")
-    states = probe_states(p, 8, 16, seed=1, max_states=5)
+    states = list(probe_states(p, 8, 16, seed=1, max_states=5))
     assert 1 <= len(states) <= 5
     assert tuple([0] * 8) in states  # fresh state always visited first
 
@@ -519,7 +626,7 @@ def test_probe_states_stops_at_the_cap(monkeypatch):
     policy = make_policy("greedy")
     original = type(policy).snapshot
     monkeypatch.setattr(type(policy), "snapshot", lambda self: calls.append(1) or original(self))
-    states = probe_states(policy, n, balls, seed=1, max_states=cap)
+    states = list(probe_states(policy, n, balls, seed=1, max_states=cap))
     assert len(states) == cap
     # one snapshot per kept state, and none for a state the walk did not keep
     assert len(calls) == cap
@@ -551,7 +658,7 @@ def test_dedup_is_exact_when_every_state_id_collides(name, monkeypatch):
     for collide in (False, True):
         if collide:
             monkeypatch.setattr(type(build()), "state_id", lambda self: 0)
-        assert len(probe_states(build(), n, balls, seed=5)) == expect_probed
+        assert len(list(probe_states(build(), n, balls, seed=5))) == expect_probed
         _, distinct = forbidden_union_over_trace(build(), trace, n, Fraction(1, 4))
         assert distinct == len(before_steps)
 
@@ -598,7 +705,7 @@ def test_state_counting_outputs_are_pinned(argv, field, states, digest, capsys):
 def test_size_bound_holds_for_visited_greedy_states(seed, balls):
     n = 12
     p = make_policy("greedy")
-    for state in probe_states(p, n, balls, seed=seed, max_states=30):
+    for state in list(probe_states(p, n, balls, seed=seed, max_states=30)):
         pp = exact_placement_probs(p, n, state=state)
         for eps in default_epsilon_grid():
             fs = forbidden_set(pp, eps)

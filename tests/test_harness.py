@@ -1,10 +1,12 @@
 """Experiment harness and CLI surfaces: determinism, formats, exit codes."""
 
 import json
+import math
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ballast import (
     CSV_COLUMNS,
@@ -20,7 +22,7 @@ from ballast import (
     trial_seed,
     write_trace_csv,
 )
-from ballast import core, harness
+from ballast import cli, core, harness
 from ballast.cli import main, parse_epsilon_grid
 
 
@@ -361,6 +363,21 @@ def test_cli_verify_refuses_epsilons_too_fine_to_sum_exactly(capsys, argv):
     assert captured.out == ""
 
 
+def test_cli_verify_takes_a_fine_epsilon_the_exact_check_holds(capsys):
+    """q = 10^9 at n = 4096: 2 q n^2 < 2^63, so only the cross-check would
+    refuse it. The fresh state has every numerator 2n and F empty, so its
+    margins are (q - p) / (q n) and p n / q, each rounded once."""
+    argv = ["verify", "--policy", "greedy", "--n", "4096", "--max-states", "1",
+            "--epsilon-grid", "0.000000001"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    q = 10**9
+    assert report["ok"] and report["epsilons"] == [1e-09]
+    assert list(report["worst_margins"].values()) == [
+        [float(Fraction(q - 1, q * 4096)), float(Fraction(4096, q))]
+    ]
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_cli_verify_rejects_subset_counts_below_one(capsys, count):
     assert main(["verify", "--policy", "greedy", "--n", "8", "--subsets", count]) == 2
@@ -604,3 +621,31 @@ def test_parse_epsilon_grid():
         parse_epsilon_grid("0.0,0.5")
     with pytest.raises(ValueError):
         parse_epsilon_grid("0.2:0.8:-0.1")
+
+
+_margin = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e16, 0.1]),
+)
+_pairs = st.lists(_margin, min_size=2, max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    margins=st.one_of(
+        st.just({}),
+        st.dictionaries(st.integers(0, 2**64 - 1).map(str), _pairs, max_size=20),
+        st.dictionaries(st.text(max_size=6), _pairs, max_size=5),
+        # shapes the report never has, which go through json.dumps whole
+        st.dictionaries(st.text(max_size=3), st.lists(st.one_of(_margin, st.integers()), max_size=3), max_size=4),
+    ),
+    policy=st.text(max_size=8),
+    last=st.booleans(),
+)
+def test_report_writer_equals_json_dumps(margins, policy, last):
+    report = {"policy": policy, "n": 4, "epsilons": [0.5], "violation_samples": [{"kind": "size", "F": 1}]}
+    report["worst_margins"] = margins
+    if not last:
+        report["ok"] = True
+    assert "".join(cli._json_parts(report)) == json.dumps(report, indent=1)
+    assert cli._json_parts({"bounds": [{"n": 4}]}) == [json.dumps({"bounds": [{"n": 4}]}, indent=1)]

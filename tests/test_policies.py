@@ -22,7 +22,7 @@ from ballast import (
 from ballast import policies
 from ballast.core import STREAM_CHUNK, draw_run_streams, play
 
-from oracles import advice_list, any_policy_builder, build_advice, exact_memory
+from oracles import advice_list, any_policy_builder, build_advice, exact_memory, key_oracle
 
 
 def test_one_choice_takes_first():
@@ -324,19 +324,53 @@ KEYED_POLICIES = {
 }
 
 
-def key_oracle(p) -> int:
-    """sum_k m_k * W_k mod 2^64 in Python integers, from the exact memory."""
-    if isinstance(p, AdvicePolicy):
-        m = [0] * p.n
-        for i, v in advice_list(p).entries:
-            m[i] = v
+@st.composite
+def memory_blocks(draw):
+    """A greedy, clustered or advice policy bound to n bins and a block of
+    its memories: clustered geometries with a short last cluster and a
+    counter at the cap, advice thresholds 1..3."""
+    kind = draw(st.sampled_from(["greedy", "clustered", "advice"]))
+    if kind == "clustered":
+        size = draw(st.integers(1, 5))
+        n = size * draw(st.integers(0, 4)) + draw(st.integers(1, size))
+        policy = ClusteredPolicy(ClusterConfig(size, draw(st.integers(1, 3))))
+        top = None
     else:
-        m = list(p.snapshot())
-    if isinstance(p, ClusteredPolicy) and len(m) * p.config.counter_width <= 63:
-        w = [(p.config.counter_cap + 1) ** k for k in range(len(m))]
-    else:
-        w = [int(x) for x in policies.key_weights(len(m))]
-    return sum(a * b for a, b in zip(m, w)) % 2**64
+        n = draw(st.integers(1, 24))
+        policy = make_policy(kind, **({"threshold": draw(st.integers(1, 3))} if kind == "advice" else {}))
+        top = 6
+    policy.reset(n, n)
+    slots = len(policy.snapshot())
+    top = policy.config.counter_cap if top is None else top
+    rows = draw(st.lists(st.lists(st.integers(0, top), min_size=slots, max_size=slots),
+                         min_size=1, max_size=6))
+    if kind == "clustered":
+        rows[0][draw(st.integers(0, slots - 1))] = top
+    return policy, n, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=memory_blocks())
+def test_block_keys_are_restore_then_state_id_and_rank_keys_per_row(case):
+    policy, n, rows = case
+    keys, ids = policy.block_keys(np.array(rows, dtype=np.int64))
+    assert keys.dtype == np.int64 and keys.shape == (len(rows), n)
+    assert ids.dtype == np.uint64 and ids.shape == (len(rows),)
+    for row, k, i in zip(rows, keys.tolist(), ids.tolist()):
+        policy.restore(tuple(row))
+        assert i == policy.state_id() == key_oracle(policy)
+        assert k == policy.rank_keys().tolist()
+
+
+def test_block_keys_refuse_what_restore_refuses():
+    p = ClusteredPolicy(ClusterConfig(cluster_size=2, counter_cap=3))
+    p.reset(5, 5)  # three counters, the last over one bin
+    for bad in ((0, 0), (0, 0, 0, 0), (0, 0, 4), (0, -1, 0)):
+        with pytest.raises(ValueError) as restored:
+            p.restore(bad)
+        with pytest.raises(ValueError) as blocked:
+            p.block_keys(np.array([bad]))
+        assert str(blocked.value) == str(restored.value)
 
 
 _bin = st.integers(0, KEY_N - 1)
