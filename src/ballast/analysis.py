@@ -44,7 +44,6 @@ each margin is the exact ratio rounded once to float64, as
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -755,20 +754,17 @@ def forbidden_union_over_trace(policy, trace: Sequence[StepRecord], n: int, epsi
     decided a step (the state after its last ball decides none).
 
     Replays the trace through a fresh policy binding (``core.replay``, which
-    refuses a trace the policy could not have made) and collects the memory
-    row of each new state for the numerator walk; n <= 4096. Returns
-    (union set, number of distinct states).
+    refuses a trace the policy could not have made) and walks the snapshot of
+    each new state on the same policy: only a policy without ``block_keys``
+    is bound by the walk, and such a policy has no memory, so the replay's
+    state is kept. n <= 4096. Returns (union set, number of distinct states).
     """
     eps = as_exact(epsilon)
-    walker = copy.deepcopy(policy)  # the walk binds its own instance, never the replaying one
-    row = getattr(policy, "_row", None)  # greedy's family copies its memory buffer
     rows = (
-        policy.snapshot() if row is None else row()[0]
-        for c in _new_states(policy, replay(policy, trace, n))
-        if c is not None
+        policy.snapshot() for c in _new_states(policy, replay(policy, trace, n)) if c is not None
     )
     union, distinct = np.zeros(n, dtype=bool), 0
-    for _, nums, _ in _numerator_blocks(walker, n, rows):
+    for _, nums, _ in _numerator_blocks(policy, n, rows):
         union |= _forbidden(nums, n, eps).any(axis=0)
         distinct += len(nums)
     return set(np.flatnonzero(union).tolist()), distinct

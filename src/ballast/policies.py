@@ -142,16 +142,6 @@ class Policy:
             return ((d0, 2),)
         return ((d0, 1), (d1, 1))
 
-    def rank_keys(self) -> np.ndarray | None:
-        """Per-bin int64 keys that decide every pair, or None.
-
-        They are the keys ``decide`` hands to ``prefer_second``, as a vector.
-        Summed over both orders of each pair of distinct bins, the bin with
-        the smaller key takes the ball and equal keys split it evenly. A
-        policy whose rule is not such a comparison returns None.
-        """
-        return None
-
     def memory_bits(self, n: int, balls: int) -> int:
         """Declared persistent-memory budget in bits."""
         raise NotImplementedError
@@ -430,6 +420,12 @@ class GreedyTwoChoicePolicy(Policy):
     def block_keys(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """Rank keys and state ids of a block of memories, one a row.
 
+        A row's keys are one int64 per bin that decide every pair: the keys
+        ``decide`` hands to ``prefer_second``. Summed over both orders of each
+        pair of distinct bins, the bin with the smaller key takes the ball and
+        equal keys split it evenly. A policy whose rule is not such a
+        comparison has no ``block_keys``.
+
         Each row is a memory as ``restore`` takes it and is checked as
         ``restore`` checks it (``_check``). Returns the (rows, n) int64 keys
         ``rank_keys`` gives in those states and their uint64 ids,
@@ -471,6 +467,7 @@ class GreedyTwoChoicePolicy(Policy):
         self._mem = mem
 
     def rank_keys(self):
+        """The per-bin keys of the current memory (``block_keys``)."""
         return self.block_keys(self._row())[0][0]
 
     def memory_bits(self, n, balls):
