@@ -163,7 +163,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ScalingRow]:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_mmap_threshold) as pool:
             rows = list(pool.map(_run_trial_star, tasks, chunksize=1))
     else:
         rows = [run_trial(*t) for t in tasks]
@@ -173,6 +173,31 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ScalingRow]:
 
 def _run_trial_star(args):
     return run_trial(*args)
+
+
+_M_MMAP_THRESHOLD = -3  # glibc's mallopt parameter number
+_MMAP_THRESHOLD = 1 << 20  # a trial's load and memory vectors from n = 2^17 on
+
+
+def _pin_mmap_threshold() -> None:
+    """Have a pool worker's malloc map every block of ``_MMAP_THRESHOLD``
+    bytes or more on its own, and unmap it when it is freed.
+
+    glibc raises that threshold to the size of each mapped block freed, so
+    after a worker's first trial at large n its 8 MiB vectors come from the
+    heap, and whether the heap has a hole to reuse for them depends on every
+    allocation before, down to the layout the fork copied from the parent.
+    A worker's peak RSS then moves by about 6 MiB between runs of the same
+    scan. A fixed threshold keeps it at what the trials hold. Where malloc
+    is not glibc's this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
 def emit(rows: list[ScalingRow], format: str, path: str) -> None:

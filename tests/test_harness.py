@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import platform
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -77,6 +80,38 @@ def test_rows_deterministic_across_calls():
 def test_parallel_jobs_match_sequential():
     spec = small_spec(trials=3)
     assert run_experiment(spec, jobs=2) == run_experiment(spec, jobs=1)
+
+
+# allocate and free an 8 MiB vector three times, print the kB of RSS it left
+RSS_SCRIPT = """
+import numpy as np
+from ballast import harness
+def rss_kb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmRSS:"))
+harness._pin_mmap_threshold()
+before = rss_kb()
+for _ in range(3):
+    v = np.ones(1 << 20)
+    del v
+print(rss_kb() - before)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/status"),
+    reason="reads glibc malloc's behaviour from Linux's /proc",
+)
+def test_pool_workers_give_back_the_large_vectors_they_free():
+    # Unpinned, glibc serves the second vector from the heap and keeps its
+    # pages once it is freed, so how much a worker holds depends on its past.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = src
+    out = subprocess.run(
+        [sys.executable, "-c", RSS_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) < 1024
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
