@@ -179,7 +179,7 @@ def _numerator_blocks(
 ) -> Iterator[tuple[list | None, np.ndarray, list | None]]:
     """Numerators over 2n^2 of each memory in ``states`` (rows as ``restore``
     takes them: a 2-D int64 array or an iterable of snapshots), at most
-    ``_BLOCK`` numerator entries at a time; needs n <= 4096.
+    ``_BLOCK`` numerator entries at a time; needs 1 <= n <= 4096.
 
     A policy with ``block_keys`` has each block rank-counted with no state
     bound; any other policy is bound to each row in turn and its pairs
@@ -187,6 +187,8 @@ def _numerator_blocks(
     numerator rows, each row's support violations, or None when the block
     was rank-counted).
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n > PAIR_GUARD:
         raise ValueError(f"n={n} exceeds the n^2 enumeration guard ({PAIR_GUARD})")
     if getattr(policy, "n", None) != n:

@@ -230,7 +230,7 @@ def cmd_verify(args) -> int:
     if n > core.PAIR_GUARD:
         print(f"verify needs n <= {core.PAIR_GUARD}", file=sys.stderr)
         return 2
-    for flag, count in (("--subsets", args.subsets), ("--balls", args.balls),
+    for flag, count in (("--n", n), ("--subsets", args.subsets), ("--balls", args.balls),
                         ("--max-states", args.max_states)):
         if count is not None and count < 1:
             print(f"verify {flag} needs a count >= 1, got {count}", file=sys.stderr)

@@ -16,6 +16,10 @@ values in chunks of ``STREAM_CHUNK`` balls (``stream_chunks``) and hands
 each chunk to the policy's ``run_bulk``, so its memory is O(n + chunk),
 not O(balls).
 
+The loads are counted in the narrowest signed integer type that holds
+``balls`` plus one (``count_dtype``): int32 at n = 2^20 with n balls,
+int16 at n = 8192. The policies hold their memory by the same rule.
+
 A traced run is decided by the same ``run_bulk`` and records, before each
 ball, ``memory_state_id``: the policy's ``state_id()``. For a clustered
 geometry whose counters fit in 63 bits it is the exact packed counter
@@ -57,6 +61,17 @@ import numpy as np
 PAIR_GUARD = 1 << 12  # max n for exhaustive ordered-pair enumeration elsewhere
 
 TRACE_COLUMNS = ("step", "memory_state_id", "bin_a", "bin_b", "chosen")
+
+
+_COUNT_TYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))
+
+
+def count_dtype(bound: int) -> np.dtype:
+    """The narrowest of int8, int16, int32 and int64 that holds ``bound``
+    plus one (int64 beyond), so a count of at most ``bound`` grows by one
+    without wrapping. Every type it gives is signed, so it also holds
+    ``-bound``."""
+    return next((t for t in _COUNT_TYPES if bound < np.iinfo(t).max), _COUNT_TYPES[-1])
 
 
 @dataclass(frozen=True)
@@ -326,7 +341,7 @@ def simulate_run(config: SimConfig, policy) -> RunResult:
         return simulate_segmented(config, policy, ())[0]
     pa, pb, ties = draw_run_streams(config)
     policy.reset(config.n, config.balls)
-    counts = np.zeros(config.n, dtype=np.int64)
+    counts = np.zeros(config.n, dtype=count_dtype(config.balls))
     ids, chosen = policy.run_traced(counts, pa, pb, ties)
     trace = Trace(ids, pa, pb, chosen)
     return RunResult(loads=counts.tolist(), max_load=int(counts.max()), trace=trace)
@@ -354,9 +369,10 @@ def simulate_segmented(
 
 def _walk_counts(config: SimConfig, policy, bounds: Sequence[int] = ()) -> tuple[np.ndarray, list]:
     """The untraced run of ``simulate_segmented``, on valid ``bounds``:
-    its final loads as an int64 array and the loads at each bound as lists."""
+    its final loads as an array (``count_dtype(balls)``) and the loads at
+    each bound as lists."""
     policy.reset(config.n, config.balls)
-    counts = np.zeros(config.n, dtype=np.int64)
+    counts = np.zeros(config.n, dtype=count_dtype(config.balls))
     snapshots = []
     pending = iter(bounds)
     cut = next(pending, None)

@@ -129,7 +129,7 @@ def run_trial(
     config = SimConfig(n=n, seed=seed)
     policy = spec_policy.build(n, delta)
     t0 = time.perf_counter() if measure_runtime else 0.0
-    counts, _ = _walk_counts(config, policy)  # the loads as int64, with no list of them
+    counts, _ = _walk_counts(config, policy)  # the loads as an array, with no list of them
     elapsed_ms = (time.perf_counter() - t0) * 1000.0 if measure_runtime else 0.0
     b = theoretical_bounds(n, delta)
     return ScalingRow(
@@ -176,7 +176,10 @@ def _run_trial_star(args):
 
 
 _M_MMAP_THRESHOLD = -3  # glibc's mallopt parameter number
-_MMAP_THRESHOLD = 1 << 20  # a trial's load and memory vectors from n = 2^17 on
+# Below a trial's load and memory vectors at n = 2^20 (4 MiB each as int32)
+# and above a stream chunk's 512 KiB arrays, which are allocated for every
+# chunk; the 512 KiB vectors at n = 2^17 stay in the heap with them.
+_MMAP_THRESHOLD = 1 << 20
 
 
 def _pin_mmap_threshold() -> None:
@@ -184,12 +187,12 @@ def _pin_mmap_threshold() -> None:
     bytes or more on its own, and unmap it when it is freed.
 
     glibc raises that threshold to the size of each mapped block freed, so
-    after a worker's first trial at large n its 8 MiB vectors come from the
+    after a worker's first trial at large n its 4 MiB vectors come from the
     heap, and whether the heap has a hole to reuse for them depends on every
     allocation before, down to the layout the fork copied from the parent.
-    A worker's peak RSS then moves by about 6 MiB between runs of the same
-    scan. A fixed threshold keeps it at what the trials hold. Where malloc
-    is not glibc's this does nothing.
+    With int64 vectors of 8 MiB, a worker's peak RSS moved by about 6 MiB
+    between runs of the same scan. A fixed threshold keeps it at what the
+    trials hold. Where malloc is not glibc's this does nothing.
     """
     import ctypes
 

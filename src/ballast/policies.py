@@ -26,9 +26,11 @@ Greedy, clustered and advice share one memory model, stated once in
 ``GreedyTwoChoicePolicy``: one value per memory slot, compared by
 ``prefer_second`` on one key per slot. Clustered is greedy whose slots are
 clusters of bins with capped counters; advice is greedy whose key is a
-bin's load only once the bin is listed. ``rank_keys`` is the vector of the
-keys, and ``block_keys`` gives the keys and state ids of a whole block of
-memories, so the analysis can count ranks instead of enumerating pairs.
+bin's load only once the bin is listed. The values are held in the
+narrowest integer type their bound allows, as the engine holds the loads
+(``core.count_dtype``). ``rank_keys`` is the vector of the keys, and
+``block_keys`` gives the keys and state ids of a whole block of memories,
+so the analysis can count ranks instead of enumerating pairs.
 ``run_bulk`` applies the same comparison to whole arrays of steps: every
 step of a block that offers no slot an earlier step of the block offered
 reads the memory from before the block (see ``_decide_blocks``).
@@ -49,6 +51,8 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import count_dtype
 
 
 def int_width(maxval: int) -> int:
@@ -165,10 +169,12 @@ def key_weights(count: int) -> np.ndarray:
 
 
 def _add_balls(loads, chosen) -> None:
-    """Add one ball per entry of ``chosen`` to ``loads`` (an int64 array or a
-    list of ints) in place, in O(len(chosen)) time."""
+    """Add one ball per entry of ``chosen`` to ``loads`` (an integer array or
+    a list of ints) in place, in O(len(chosen)) time."""
     if isinstance(loads, np.ndarray):
-        np.add.at(loads, chosen, 1)
+        # a one of the loads' own type: a Python 1 sends np.add.at down its
+        # slow path for every type but int64
+        np.add.at(loads, chosen, loads.dtype.type(1))
     else:
         for c in np.asarray(chosen).tolist():
             loads[c] += 1
@@ -268,9 +274,11 @@ def _decide_blocks(mem: np.ndarray, sa, sb, ties, prefer, cap=None) -> np.ndarra
                 break
             free = ~late
             fa, fb = a[free], b[free]
-            second = prefer(mem[fa], mem[fb], r[free])
+            ma, mb = mem[fa], mem[fb]
+            second = prefer(ma, mb, r[free])
             chosen = np.where(second, fb, fa)
-            grown = mem[chosen] + 1
+            grown = np.where(second, mb, ma)
+            grown += 1
             if cap is not None:
                 np.minimum(grown, cap, out=grown)
             mem[chosen] = grown
@@ -316,10 +324,10 @@ class GreedyTwoChoicePolicy(Policy):
     Ties are broken by the per-step tie bit.
 
     Greedy is also the memory model that clustered and advice refine. The
-    memory is ``_mem``, an ``array("q")`` of one value per slot of
-    ``_width`` bins (bin x uses slot x // _width); the chosen slot's value
-    grows by one, up to ``_top`` when that is set. A slot value m has the
-    key ``_rank(m)``, and a step takes the second offered bin where
+    memory is ``_mem``, an ``array`` of one value per slot of ``_width``
+    bins (bin x uses slot x // _width); the chosen slot's value grows by
+    one, up to ``_top`` when that is set. A slot value m has the key
+    ``_rank(m)``, and a step takes the second offered bin where
     ``_prefer(m_a, m_b, tie)`` is 1. Greedy's slots are single bins with no
     cap, its key is the load itself and ``_prefer`` is ``prefer_second``.
     ``decide`` and ``update`` read the slot map and honour the cap, so every
@@ -327,6 +335,15 @@ class GreedyTwoChoicePolicy(Policy):
     (``_decide_blocks``) on a numpy view of ``_mem``, in place, so a run
     applied chunk by chunk copies no memory and does O(chunk) work per
     chunk.
+
+    ``_mem`` holds its values in the narrowest integer type that holds their
+    bound plus one (``core.count_dtype``): the cap where there is one, else
+    the reset's ``balls``. With n balls, greedy's and advice's memory is
+    int32 at n = 2^20 and int16 at n = 8192; clustered's is int8 at every
+    default geometry. ``_high`` bounds the values' magnitude; a restored
+    state or a run longer than ``balls`` that would take it to the type's
+    largest value widens the type first (``_grow``), so no value ever
+    wraps.
 
     ``state_id()`` is ``sum_k _rank(m_k) * W_k mod 2^64``, computed from the
     memory in O(slots) when asked, so no step keeps it; the weights are
@@ -350,8 +367,35 @@ class GreedyTwoChoicePolicy(Policy):
 
     def reset(self, n, balls):
         super().reset(n, balls)
-        self._mem = array("q", [0]) * -(-n // self._width)  # no bytes copy of the zeros
+        self._hold(-(-n // self._width), 0)
         self._wv = None
+
+    def _hold(self, values, high: int) -> None:
+        """Keep ``values`` (an integer array, or a count of zeros) as the
+        memory, in the type ``count_dtype`` gives for the cap where there is
+        one, else for ``high`` or the reset's ``balls``, whichever is larger;
+        ``high`` bounds the values' magnitude."""
+        dtype = count_dtype(max(high, self.balls) if self._top is None else self._top)
+        if isinstance(values, int):
+            self._mem = array(dtype.char, [0]) * values  # no bytes copy of the zeros
+        else:
+            self._mem = array(dtype.char, values.astype(dtype).tobytes())
+        self._high = high
+        # v + 1 cannot wrap while every value is below the type's largest; a
+        # capped value stays at most the cap, and int64 is as wide as it goes
+        wide = self._top is not None or dtype.itemsize == 8
+        self._limit = math.inf if wide else int(np.iinfo(dtype).max)
+
+    def _grow(self, steps: int) -> None:
+        """Count ``steps`` more balls into the values' bound, widening the
+        memory's type first where they could take a value to its largest."""
+        self._high += steps
+        if self._high >= self._limit:
+            self._hold(self._view(), self._high)
+
+    def _view(self) -> np.ndarray:
+        """The memory as a numpy array of its own type, sharing its buffer."""
+        return np.frombuffer(self._mem, dtype=self._mem.typecode)
 
     def decide(self, pair, tie_bit):
         a, b = pair
@@ -361,6 +405,7 @@ class GreedyTwoChoicePolicy(Policy):
     def update(self, pair, chosen):
         s = chosen // self._width
         if self._top is None or self._mem[s] < self._top:
+            self._grow(1)
             self._mem[s] += 1
 
     def changes_memory(self, chosen):
@@ -376,7 +421,8 @@ class GreedyTwoChoicePolicy(Policy):
     def run_bulk(self, loads, pa, pb, ties):
         pa = np.asarray(pa, dtype=np.int64)
         pb = np.asarray(pb, dtype=np.int64)
-        mem = np.frombuffer(self._mem, dtype=np.int64)
+        self._grow(len(pa))
+        mem = self._view()
         ties = np.asarray(ties, dtype=bool)
         second = _decide_blocks(mem, self._slot(pa), self._slot(pb), ties, self._prefer, self._top)
         chosen = np.where(second, pb, pa)
@@ -390,7 +436,7 @@ class GreedyTwoChoicePolicy(Policy):
         # - _rank(v)) * W_s to the key, so the ids are the key before the run
         # plus the running sum of those terms, mod 2^64.
         key = self.state_id()
-        held = np.frombuffer(self._mem, dtype=np.int64).copy()
+        held = np.array(self._mem, dtype=np.int64)
         chosen = self.run_bulk(loads, pa, pb, ties)
         ids = np.empty(len(chosen), dtype=np.uint64)
         for lo in range(0, len(chosen), _ID_CHUNK):
@@ -462,9 +508,9 @@ class GreedyTwoChoicePolicy(Policy):
         return tuple(self._mem)
 
     def restore(self, state):
-        mem = array("q", state)
-        self._check(np.frombuffer(mem, dtype=np.int64)[None])
-        self._mem = mem
+        values = np.frombuffer(array("q", state), dtype=np.int64)
+        self._check(values[None])
+        self._hold(values, max(int(values.max(initial=0)), -int(values.min(initial=0))))
 
     def rank_keys(self):
         """The per-bin keys of the current memory (``block_keys``)."""
@@ -605,7 +651,7 @@ class AdvicePolicy(GreedyTwoChoicePolicy):
         last = getattr(self, "_last", None)
         if last is None:
             return 0
-        mem, T = np.frombuffer(self._mem, dtype=np.int64), self.threshold
+        mem, T = self._view(), self.threshold
         # the list before the last ball lacks its bin iff that ball listed it
         prestep = int(np.count_nonzero(mem >= T)) - int(mem[last] == T)
         return prestep * (int_width(n - 1) + int_width(balls))

@@ -235,6 +235,15 @@ def test_sweep_refuses_epsilons_it_cannot_sum_exactly():
     assert res.worst_margins[pp.memory_state_id][0] == float(min(r.lhs - r.rhs for r in reports))
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("name", ["greedy", "one-choice", "clustered", "illegal-fixture"])
+def test_sweep_and_exact_probs_refuse_fewer_than_one_bin(name, n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sweep_placement_bounds(make_policy(name), n, [()])
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        exact_placement_probs(make_policy(name), n, state=())
+
+
 def test_exact_sweep_takes_every_epsilon_int64_holds():
     """Without the cross-check only 2 q n^2 >= 2^63 is refused, and each
     margin is the exact ratio rounded once, as float(Fraction) rounds it."""

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,22 @@ def test_rows_deterministic_across_calls():
 def test_parallel_jobs_match_sequential():
     spec = small_spec(trials=3)
     assert run_experiment(spec, jobs=2) == run_experiment(spec, jobs=1)
+
+
+def test_untraced_trial_holds_8_bytes_per_bin():
+    """At n = 2^18 with n balls, greedy's memory and the loads are int32, so a
+    scan trial holds 8 B per bin, and one chunk's working set on top: its
+    streams (17 B per ball), chosen bins and block temporaries, about 34 B
+    per ball. As int64 the two vectors took 16 B per bin."""
+    n = 1 << 18
+    harness.run_trial(PolicySpec("greedy"), 1 << 10, 0.5, 0, 1)  # imports and caches
+    tracemalloc.start()
+    try:
+        harness.run_trial(PolicySpec("greedy"), n, 0.5, 0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n + 40 * core.STREAM_CHUNK
 
 
 # allocate and free an 8 MiB vector three times, print the kB of RSS it left
@@ -429,6 +446,14 @@ def test_cli_verify_rejects_ball_and_state_counts_below_one(capsys, flag, count)
     captured = capsys.readouterr()
     assert f"verify {flag} needs a count >= 1, got {count}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("policy", ["greedy", "one-choice", "clustered", "illegal-fixture"])
+def test_cli_verify_rejects_zero_bins(capsys, policy):
+    assert main(["verify", "--policy", policy, "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "verify --n needs a count >= 1, got 0" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_cli_verify_rejects_big_n():

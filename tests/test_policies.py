@@ -565,6 +565,53 @@ def test_restore_validates_state():
         c.restore((0, 0, 0, 9))
 
 
+def _clustered(size, cap):
+    return lambda: ClusteredPolicy(ClusterConfig(size, cap))
+
+
+RESTORED_RUNS = {
+    # name: (build, n, reset's balls, restored state, steps run)
+    "greedy-int8-widened": (lambda: make_policy("greedy"), 1, 10, (0,), 300),
+    "greedy-int16-widened": (lambda: make_policy("greedy"), 1, 10, (32_700,), 200),
+    "greedy-negative": (lambda: make_policy("greedy"), 2, 100, (-200, 120), 300),
+    "greedy-int64": (lambda: make_policy("greedy"), 3, 10, (2**62, 0, 5), 50),
+    "advice-widened": (lambda: make_policy("advice", threshold=3), 4, 126, (0, 7, 0, 125), 1000),
+    # every counter at its cap, with enough slots that the steps are batched
+    "clustered-full-cap126": (_clustered(1, 126), 4096, 10, (126,) * 4096, 3000),
+    "clustered-full-cap127": (_clustered(1, 127), 4096, 10, (127,) * 4096, 3000),
+    "clustered-full-cap128": (_clustered(2, 128), 4096, 10, (128,) * 2048, 3000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESTORED_RUNS))
+def test_run_from_a_restored_state_is_the_step_walk(case):
+    """A run longer than the reset's ``balls``, or from a restored state above
+    that bound, widens the memory's type before any value could wrap, and a
+    counter at a cap of 127 grows to 128 in its type before it is capped:
+    run traced in three pieces, the policy decides as ``play`` does step by
+    step."""
+    build, n, balls, state, steps = RESTORED_RUNS[case]
+    live, oracle = build(), build()
+    for p in (live, oracle):
+        p.reset(n, balls)
+        p.restore(state)
+    assert live.snapshot() == oracle.snapshot() == state
+    streams = draw_run_streams(SimConfig(n=n, seed=steps + n, balls=steps))
+    ids, chosen = [], []
+    for c in play(oracle, *streams):
+        ids.append(oracle.state_id())  # the state that decided step c
+        chosen.append(c)
+    loads = np.zeros(n, dtype=np.int64)
+    cuts = [0, steps // 3, 2 * steps // 3, steps]
+    pieces = [live.run_traced(loads, *(v[lo:hi] for v in streams)) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.concatenate([i for i, _ in pieces]).tolist() == ids
+    assert np.concatenate([c for _, c in pieces]).tolist() == chosen
+    assert loads.tolist() == np.bincount(chosen, minlength=n).tolist()
+    assert live.snapshot() == oracle.snapshot()
+    assert live.state_id() == oracle.state_id()
+    assert live.memory_bits(n, balls) == oracle.memory_bits(n, balls)
+
+
 def test_make_policy_registry_errors():
     with pytest.raises(ValueError):
         make_policy("round-robin")

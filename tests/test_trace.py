@@ -116,6 +116,31 @@ def test_traced_run_is_the_step_walk_with_few_bins(name, n, balls):
     _assert_traced_run_is_the_step_walk(_builder(name), n, balls, n + balls)
 
 
+@pytest.mark.parametrize(
+    "n, balls",
+    [(1, 126), (1, 127), (1, 128), (2, 126), (2, 127), (2, 128),
+     (1, 32_766), (1, 32_767), (1, 32_768), (2, 32_767)],
+)
+@pytest.mark.parametrize("name", ["greedy", "advice-T5"])
+def test_traced_run_is_the_step_walk_at_the_type_edges(name, n, balls):
+    """The memory and the loads are held in the narrowest type that holds
+    ``balls`` plus one: at n = 1 one bin takes every ball, and its value
+    reaches that type's largest but one (int8 at 126 balls, int16 at
+    32,766)."""
+    _assert_traced_run_is_the_step_walk(_builder(name), n, balls, balls)
+
+
+@pytest.mark.parametrize("cap", [126, 127, 128])
+@pytest.mark.parametrize("size", [1, 2])
+def test_traced_run_is_the_step_walk_through_counters_at_the_type_edges(cap, size):
+    """A counter capped at 126 is held in int8, one capped at 127 or 128 in
+    int16; every counter here reaches its cap."""
+    live = _assert_traced_run_is_the_step_walk(
+        lambda: ClusteredPolicy(ClusterConfig(size, cap)), 2, 3 * cap, cap
+    )
+    assert min(live.snapshot()) == cap
+
+
 def test_trace_reads_as_a_sequence_of_records():
     trace = Trace([2**64 - 1, 5, 0], [1, 2, 3], [4, 5, 6], [1, 5, 6])
     records = [
