@@ -154,17 +154,10 @@ def rank_numerators(keys: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 15  # numerator entries counted at a time: 2048 states at n = 16
 
 
-def _bind(policy, n: int, state) -> None:
-    """Put ``policy`` in ``state`` at n bins, resetting it first if it is bound to another n."""
-    if getattr(policy, "n", None) != n:
-        policy.reset(n, n)
-    policy.restore(state)
-
-
 def _row_blocks(states, rows: int) -> Iterator[np.ndarray]:
     """``states`` as int64 blocks of at most ``rows`` memory rows: slices of
-    a 2-D array, or else blocks built from an iterable of snapshots, which
-    is pulled one block at a time."""
+    a 2-D array, or else blocks stacked from an iterable of snapshots,
+    which is pulled one block at a time."""
     if isinstance(states, np.ndarray):
         for start in range(0, len(states), rows):
             yield states[start : start + rows]
@@ -177,15 +170,16 @@ def _row_blocks(states, rows: int) -> Iterator[np.ndarray]:
 def _numerator_blocks(
     policy, n: int, states, ids: bool = False
 ) -> Iterator[tuple[list | None, np.ndarray, list | None]]:
-    """Numerators over 2n^2 of each memory in ``states`` (rows as ``restore``
-    takes them: a 2-D int64 array or an iterable of snapshots), at most
-    ``_BLOCK`` numerator entries at a time; needs 1 <= n <= 4096.
+    """Numerators over 2n^2 of each memory in ``states`` (a 2-D int64 array,
+    one state a row, or an iterable of snapshots), at most ``_BLOCK``
+    numerator entries at a time; needs 1 <= n <= 4096.
 
     A policy with ``block_keys`` has each block rank-counted with no state
     bound; any other policy is bound to each row in turn and its pairs
     enumerated. Yields (the rows' state ids if ``ids`` else None, int64
     numerator rows, each row's support violations, or None when the block
-    was rank-counted).
+    was rank-counted). Without ``ids`` no row's ``state_id`` is asked, as
+    the forbidden union needs.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -200,8 +194,8 @@ def _numerator_blocks(
             yield (sids.tolist() if ids else None), rank_numerators(keys), None
             continue
         nums, support, sids = np.empty((len(rows), n), dtype=np.int64), [], []
-        for j, row in enumerate(rows.tolist()):
-            policy.restore(tuple(row))
+        for j, row in enumerate(rows):
+            policy.restore(row)
             nums[j], bad = enumerate_choice_numerators(policy, n)
             support.append(bad)
             if ids:
@@ -215,10 +209,12 @@ def exact_placement_probs(policy, n: int, state=None) -> PlacementProbs:
     bound to ``n`` bins (via ``reset``) unless a ``state`` to restore is
     supplied, in which case it is rebound first."""
     if state is not None:
-        _bind(policy, n, state)
+        if getattr(policy, "n", None) != n:
+            policy.reset(n, n)
+        policy.restore(state)
     elif getattr(policy, "n", None) != n:
         raise ValueError("policy is not bound to this n; reset it or pass a state")
-    ((sids, nums, _),) = _numerator_blocks(policy, n, [policy.snapshot()], ids=True)
+    ((sids, nums, _),) = _numerator_blocks(policy, n, policy.snapshot()[None], ids=True)
     return PlacementProbs(n=n, memory_state_id=sids[0], numerators=tuple(nums[0].tolist()))
 
 
@@ -344,9 +340,9 @@ def sweep_placement_bounds(
 ) -> SweepResult:
     """Verify both placement bounds over many states in exact integer math.
 
-    ``states`` holds memories as ``restore`` takes them: a 2-D int64 array,
-    one state a row, or any iterable of snapshots (a generator too). Every
-    epsilon is taken exactly; violations are counted with zero tolerance.
+    ``states`` holds memories as ``snapshot`` gives them: a 2-D int64
+    array, one state a row, or any iterable of snapshots (a generator too).
+    Every epsilon is taken exactly; violations are counted with zero tolerance.
     Support violations (probability mass outside the offered pair) are
     collected as well, so an illegal policy cannot slip through. The states
     are walked once, a block of rows at a time (``_numerator_blocks``), so
@@ -546,12 +542,14 @@ def enumerate_clustered_states(num_clusters: int, cap: int, max_balls: int) -> n
     return rows
 
 
-def probe_states(policy, n: int, balls: int, seed: int, max_states: int = 256) -> Iterator[tuple]:
-    """Snapshots of the distinct memory states visited in one seeded run,
-    at most ``max_states``, yielded as the run reaches them: the run walks
-    on only when the next one is taken, so no more than one is held here.
-    The run moves ``policy``, so a sweep of these states should walk them
-    with another instance."""
+def probe_states(
+    policy, n: int, balls: int, seed: int, max_states: int = 256
+) -> Iterator[np.ndarray]:
+    """Snapshots (1-D int64 rows) of the distinct memory states visited in
+    one seeded run, at most ``max_states``, yielded as the run reaches them:
+    the run walks on only when the next one is taken, so no more than one
+    is held here. The run moves ``policy``, so a sweep of these states
+    should walk them with another instance."""
     from .core import draw_run_streams
 
     config = SimConfig(n=n, seed=seed, balls=balls)

@@ -268,7 +268,7 @@ def _verify_states(args, policy, balls: int):
         # the probe runs its own instance; the sweep takes its states as they come
         prober = _build_policy(args, n)
         return analysis.probe_states(prober, n, balls, args.seed, max_states=args.max_states)
-    return [policy.snapshot()]
+    return policy.snapshot()[None]
 
 
 def cmd_phases(args) -> int:

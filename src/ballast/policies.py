@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import count_dtype
+from .core import count_dtype, play
 
 
 def int_width(maxval: int) -> int:
@@ -97,14 +97,10 @@ class Policy:
         """Apply the given steps of a run; return their chosen bins (int64).
 
         Must match decide/update exactly. A run may be applied in
-        consecutive pieces, each in O(steps) time.
+        consecutive pieces, each in O(steps) time. Here ``core.play`` decides
+        each step, drawn to its end so that the last step's update runs.
         """
-        chosen = []
-        for a, b, r in zip(*(np.asarray(v).tolist() for v in (pa, pb, ties))):
-            c = self.decide((a, b), r)
-            chosen.append(c)
-            self.update((a, b), c)
-        chosen = np.array(chosen, dtype=np.int64)
+        chosen = np.fromiter(play(self, *map(np.asarray, (pa, pb, ties))), dtype=np.int64)
         _add_balls(loads, chosen)
         return chosen
 
@@ -127,11 +123,14 @@ class Policy:
         asked before the step; the state after it is then new."""
         return False
 
-    def snapshot(self):
-        return ()
+    def snapshot(self) -> np.ndarray:
+        """A fresh copy of the memory: a 1-D int64 row of one value per slot,
+        as ``restore`` and ``block_keys`` take it; empty for no memory."""
+        return np.zeros(0, dtype=np.int64)
 
     def restore(self, state) -> None:
-        if state:
+        """Put the policy in ``state``: a row ``snapshot`` gave, or any 1-D integer sequence."""
+        if len(state):
             raise ValueError(f"{self.name} policy has no memory state")
 
     def choice_dist(self, pair: tuple[int, int]):
@@ -436,7 +435,7 @@ class GreedyTwoChoicePolicy(Policy):
         # - _rank(v)) * W_s to the key, so the ids are the key before the run
         # plus the running sum of those terms, mod 2^64.
         key = self.state_id()
-        held = np.array(self._mem, dtype=np.int64)
+        held = self.snapshot()
         chosen = self.run_bulk(loads, pa, pb, ties)
         ids = np.empty(len(chosen), dtype=np.uint64)
         for lo in range(0, len(chosen), _ID_CHUNK):
@@ -497,24 +496,23 @@ class GreedyTwoChoicePolicy(Policy):
         if self._top is not None and rows.size and (rows.min() < 0 or rows.max() > self._top):
             raise ValueError("counter value out of range")
 
-    def _row(self) -> np.ndarray:
-        """A copy of the memory as a block of one row."""
-        return np.array(self._mem, dtype=np.int64)[None]
-
     def state_id(self):
-        return int(self.block_keys(self._row())[1][0])
+        return int(self.block_keys(self.snapshot()[None])[1][0])
 
     def snapshot(self):
-        return tuple(self._mem)
+        return np.array(self._mem, dtype=np.int64)
 
     def restore(self, state):
-        values = np.frombuffer(array("q", state), dtype=np.int64)
+        values = np.asarray(state)
+        if values.ndim != 1 or values.size and not np.can_cast(values.dtype, np.int64):
+            raise TypeError(f"a memory state is a 1-D integer row, not {values.dtype} {values.shape}")
+        values = values.astype(np.int64)
         self._check(values[None])
         self._hold(values, max(int(values.max(initial=0)), -int(values.min(initial=0))))
 
     def rank_keys(self):
         """The per-bin keys of the current memory (``block_keys``)."""
-        return self.block_keys(self._row())[0][0]
+        return self.block_keys(self.snapshot()[None])[0][0]
 
     def memory_bits(self, n, balls):
         return n * int_width(balls)

@@ -64,7 +64,7 @@ def exact_memory(policy):
     state counts that ``Policy.changes_memory`` gives without comparing."""
     if isinstance(policy, AdvicePolicy):
         return advice_list(policy).entries
-    return policy.snapshot()
+    return tuple(policy.snapshot().tolist())
 
 
 def reference_two_choice(n: int, balls: int, seed: int) -> list[int]:
@@ -160,7 +160,7 @@ def build_advice(loads, threshold: int) -> AdviceList:
 
 def advice_list(policy: AdvicePolicy) -> AdviceList:
     """The list an advice policy's memory stands for: its mirror of the loads, listed."""
-    return build_advice(policy.snapshot(), policy.threshold)
+    return build_advice(policy.snapshot().tolist(), policy.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def key_oracle(p) -> int:
         for i, v in advice_list(p).entries:
             m[i] = v
     else:
-        m = list(p.snapshot())
+        m = p.snapshot().tolist()
     if isinstance(p, ClusteredPolicy) and len(m) * p.config.counter_width <= 63:
         w = [(p.config.counter_cap + 1) ** k for k in range(len(m))]
     else:

@@ -624,7 +624,7 @@ def test_probe_states_dedup_and_cap():
     p = make_policy("greedy")
     states = list(probe_states(p, 8, 16, seed=1, max_states=5))
     assert 1 <= len(states) <= 5
-    assert tuple([0] * 8) in states  # fresh state always visited first
+    assert tuple([0] * 8) in [tuple(s.tolist()) for s in states]  # fresh state always visited first
 
 
 def test_probe_states_stops_at_the_cap(monkeypatch):

@@ -96,7 +96,7 @@ def test_clustered_counters_saturate_at_cap():
     p.reset(4, 64)
     for _ in range(10):
         p.update((0, 1), 0)
-    assert p.snapshot() == (3, 0)
+    assert tuple(p.snapshot().tolist()) == (3, 0)
 
 
 def test_cluster_config_geometry():
@@ -506,7 +506,7 @@ def test_clustered_with_single_bin_clusters_and_no_reachable_cap_is_greedy(n, se
         ):
             result = simulate_run(config, policy)
             chosen = [rec.chosen for rec in result.trace] if traced else None
-            runs[name, traced] = (result.loads, chosen, policy.snapshot())
+            runs[name, traced] = (result.loads, chosen, policy.snapshot().tolist())
     for traced in (False, True):
         assert runs["clustered", traced] == runs["greedy", traced]
     assert runs["greedy", False][0] == runs["greedy", True][0]
@@ -563,6 +563,72 @@ def test_restore_validates_state():
         c.restore((5, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         c.restore((0, 0, 0, 9))
+    p.restore((1, 2, 3, 4))
+    for bad in ((0.5, 1.0, 0, 0), np.zeros(4), [[0, 0, 0, 0]], np.zeros((1, 4), dtype=np.int64)):
+        with pytest.raises(TypeError):  # a float row, a 2-D row
+            p.restore(bad)
+    assert p.snapshot().tolist() == [1, 2, 3, 4]  # a refused state leaves the memory as it was
+
+
+def _walked(name):
+    """A fresh ``name`` policy (advice at threshold 2) after a short run at n = 16."""
+    p = make_policy(name, threshold=2) if name == "advice" else make_policy(name)
+    simulate_run(SimConfig(n=16, seed=3, balls=40), p)
+    return p
+
+
+@pytest.mark.parametrize("name", policies.POLICY_NAMES)
+def test_snapshot_is_a_fresh_int64_row_that_restore_takes_back(name):
+    p = _walked(name)
+    snap, sid = p.snapshot(), p.state_id()
+    assert type(snap) is np.ndarray and snap.dtype == np.int64 and snap.ndim == 1
+    held = snap.tolist()
+    snap += 1  # the copy is the caller's: the policy's memory does not move
+    assert p.state_id() == sid and p.snapshot().tolist() == held
+    fresh = make_policy(name, threshold=2) if name == "advice" else make_policy(name)
+    fresh.reset(16, 40)
+    fresh.restore(p.snapshot())
+    assert fresh.snapshot().tolist() == held and fresh.state_id() == sid
+    if hasattr(p, "block_keys"):  # the greedy family: the snapshot is a block_keys row
+        keys, ids = p.block_keys(p.snapshot()[None])
+        assert keys.tolist() == [p.rank_keys().tolist()] and ids.tolist() == [sid]
+
+
+@pytest.mark.parametrize("name", ["one-choice", "max-index", "min-index", "illegal-fixture"])
+def test_memoryless_restore_takes_only_the_empty_row(name):
+    p = _walked(name)
+    for empty in ((), np.zeros(0, dtype=np.int64), p.snapshot()):
+        p.restore(empty)
+    for bad in (np.array([0]), (0,), np.zeros(2, dtype=np.int64)):  # np.array([0]) is falsy
+        with pytest.raises(ValueError):
+            p.restore(bad)
+
+
+class _CountingPolicy(policies.Policy):
+    """A toy with memory on the base ``run_bulk``: it counts the steps it applied."""
+
+    name = "counting"
+
+    def reset(self, n, balls):
+        super().reset(n, balls)
+        self.applied = 0
+
+    def decide(self, pair, tie_bit):
+        return pair[tie_bit]
+
+    def update(self, pair, chosen):
+        self.applied += 1
+
+
+def test_base_run_bulk_applies_the_update_of_every_step():
+    p = _CountingPolicy()
+    p.reset(8, 8)
+    loads = [0] * 8
+    chosen = p.run_bulk(loads, [1, 2, 3], [4, 5, 6], [0, 1, 0])
+    assert chosen.dtype == np.int64 and chosen.tolist() == [1, 5, 3]
+    assert p.applied == 3  # the last step's too
+    assert p.run_bulk(loads, [], [], []).tolist() == [] and p.applied == 3
+    assert loads == [0, 1, 0, 1, 0, 1, 0, 0]
 
 
 def _clustered(size, cap):
@@ -595,7 +661,7 @@ def test_run_from_a_restored_state_is_the_step_walk(case):
     for p in (live, oracle):
         p.reset(n, balls)
         p.restore(state)
-    assert live.snapshot() == oracle.snapshot() == state
+    assert tuple(live.snapshot().tolist()) == tuple(oracle.snapshot().tolist()) == state
     streams = draw_run_streams(SimConfig(n=n, seed=steps + n, balls=steps))
     ids, chosen = [], []
     for c in play(oracle, *streams):
@@ -607,7 +673,7 @@ def test_run_from_a_restored_state_is_the_step_walk(case):
     assert np.concatenate([i for i, _ in pieces]).tolist() == ids
     assert np.concatenate([c for _, c in pieces]).tolist() == chosen
     assert loads.tolist() == np.bincount(chosen, minlength=n).tolist()
-    assert live.snapshot() == oracle.snapshot()
+    assert live.snapshot().tolist() == oracle.snapshot().tolist()
     assert live.state_id() == oracle.state_id()
     assert live.memory_bits(n, balls) == oracle.memory_bits(n, balls)
 

@@ -69,7 +69,7 @@ def _assert_traced_run_is_the_step_walk(build, n, balls, seed):
     assert trace.chosen.tolist() == chosen
     assert trace == records
     assert result.loads == loads
-    assert live.snapshot() == oracle.snapshot()
+    assert live.snapshot().tolist() == oracle.snapshot().tolist()
     assert live.state_id() == oracle.state_id()
     assert live.memory_bits(n, balls) == oracle.memory_bits(n, balls)
     return live
