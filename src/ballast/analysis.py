@@ -17,10 +17,10 @@ rows, one state a row, a block of rows at a time, by one of two paths:
   counts them with one histogram (or, for keys of a wide range, one sort
   and two binary searches): a fixed number of array operations per block,
   with no policy bound to any state.
-* Enumeration of all n^2 ordered pairs through ``choice_dist`` (derived
-  from ``decide``), for every other policy, with the policy bound to each
-  row in turn. It also collects support violations (mass outside the
-  offered pair), and the tests use it as the oracle for the rank path.
+* Enumeration of all n^2 ordered pairs, a block of pair arrays per
+  ``decide`` call under each tie bit, for every other (memoryless) policy,
+  bound to each row in turn. It also counts support violations (mass
+  outside the offered pair), keeping the first.
 
 The subset bound needs no subsets. For epsilon = p/q and the forbidden set
 F = {i : p_i < eps/n}, ``2 q n^2 (P(S) - eps |S \\ F| / n)`` is the sum over
@@ -85,30 +85,36 @@ class PlacementProbs:
         return 2 * self.n * self.n
 
 
-def enumerate_choice_numerators(policy, n: int) -> tuple[list[int], list]:
-    """Walk all ordered pairs once; accumulate choice mass per bin.
+_BLOCK = 1 << 15  # numerator entries or pairs counted at a time: 2048 states at n = 16
 
-    Returns (numerators over 2n^2, support violations). A support violation
-    is a (pair, bin) where the policy put probability on a bin outside the
-    offered pair; legal policies produce none.
+
+def enumerate_choice_numerators(policy, n: int) -> tuple[np.ndarray, int, tuple | None]:
+    """Walk all ordered pairs once, ``_BLOCK // n`` rows of them per
+    ``decide`` call (which must map arrays), each tie bit taking one half.
+
+    Returns (int64 numerators over 2n^2, support violation count, first
+    violation or None). A support violation is a (pair, bin) with mass on a
+    bin outside the offered pair, once per distinct such bin of a pair, in
+    pair order, tie bit 0 first; legal policies produce none.
     """
-    num = [0] * n
-    violations = []
-    for a in range(n):
-        for b in range(n):
-            total = 0
-            for bin_, halves in policy.choice_dist((a, b)):
-                if not 0 <= bin_ < n:
-                    raise ValueError(f"choice outside bin range: {bin_}")
-                if halves < 0:
-                    raise ValueError("negative choice mass")
-                num[bin_] += halves
-                total += halves
-                if bin_ != a and bin_ != b:
-                    violations.append(((a, b), bin_))
-            if total != 2:
-                raise ValueError(f"choice mass for pair ({a},{b}) must total 1")
-    return num, violations
+    num = np.zeros(n, dtype=np.int64)
+    count, first = 0, None
+    rows = max(1, _BLOCK // n)
+    for start in range(0, n, rows):
+        a, b = np.divmod(np.arange(start * n, min(start + rows, n) * n), n)
+        d0, d1 = (np.broadcast_to(policy.decide((a, b), t), a.shape) for t in (0, 1))
+        wild = (d0 < 0) | (d0 >= n) | (d1 < 0) | (d1 >= n)
+        if wild.any():
+            k = np.argmax(wild)
+            raise ValueError(f"choice outside bin range: {d0[k] if not 0 <= d0[k] < n else d1[k]}")
+        num += np.bincount(d0, minlength=n) + np.bincount(d1, minlength=n)
+        out0 = (d0 != a) & (d0 != b)
+        out1 = (d1 != a) & (d1 != b) & (d1 != d0)
+        if first is None and (out0 | out1).any():
+            k = np.argmax(out0 | out1)
+            first = ((int(a[k]), int(b[k])), int(d0[k] if out0[k] else d1[k]))
+        count += int(np.count_nonzero(out0) + np.count_nonzero(out1))
+    return num, count, first
 
 
 def rank_numerators(keys: np.ndarray) -> np.ndarray:
@@ -151,9 +157,6 @@ def rank_numerators(keys: np.ndarray) -> np.ndarray:
     return 2 * (2 * (n + np.arange(0, rows * n, n, dtype=np.int64)[:, None]) - counts)
 
 
-_BLOCK = 1 << 15  # numerator entries counted at a time: 2048 states at n = 16
-
-
 def _row_blocks(states, rows: int) -> Iterator[np.ndarray]:
     """``states`` as int64 blocks of at most ``rows`` memory rows: slices of
     a 2-D array, or else blocks stacked from an iterable of snapshots,
@@ -177,9 +180,9 @@ def _numerator_blocks(
     A policy with ``block_keys`` has each block rank-counted with no state
     bound; any other policy is bound to each row in turn and its pairs
     enumerated. Yields (the rows' state ids if ``ids`` else None, int64
-    numerator rows, each row's support violations, or None when the block
-    was rank-counted). Without ``ids`` no row's ``state_id`` is asked, as
-    the forbidden union needs.
+    numerator rows, each row's (support violation count, first violation),
+    or None when the block was rank-counted). Without ``ids`` no row's
+    ``state_id`` is asked, as the forbidden union needs.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -196,8 +199,8 @@ def _numerator_blocks(
         nums, support, sids = np.empty((len(rows), n), dtype=np.int64), [], []
         for j, row in enumerate(rows):
             policy.restore(row)
-            nums[j], bad = enumerate_choice_numerators(policy, n)
-            support.append(bad)
+            nums[j], count, first = enumerate_choice_numerators(policy, n)
+            support.append((count, first))
             if ids:
                 sids.append(policy.state_id())
         yield (sids if ids else None), nums, support
@@ -344,7 +347,7 @@ def sweep_placement_bounds(
     array, one state a row, or any iterable of snapshots (a generator too).
     Every epsilon is taken exactly; violations are counted with zero tolerance.
     Support violations (probability mass outside the offered pair) are
-    collected as well, so an illegal policy cannot slip through. The states
+    counted as well, so an illegal policy cannot slip through. The states
     are walked once, a block of rows at a time (``_numerator_blocks``), so
     no more than one block is held; a rank-counted block costs a fixed
     number of array operations for the whole epsilon grid.
@@ -395,10 +398,10 @@ def sweep_placement_bounds(
     cut = np.array([_cut(n, e) for e in eps_list], dtype=np.int64)
     dens = [2 * n * n * d for d in qs]
     for ids, nums, support in _numerator_blocks(policy, n, states, ids=True):
-        for sid, bad in zip(ids, support or ()):
-            if bad:
-                result.support_violations += len(bad)
-                result.violation_samples.append({"kind": "support", "state": sid, "sample": bad[0]})
+        for sid, (count, first) in zip(ids, support or ()):
+            if count:
+                result.support_violations += count
+                result.violation_samples.append({"kind": "support", "state": sid, "sample": first})
 
         # one (state, epsilon) entry per array from here on; see the module docstring
         rows = np.sort(nums, axis=1)

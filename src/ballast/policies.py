@@ -17,10 +17,10 @@ distinguishes them is what they are allowed to remember between balls:
 Tie-breaks consume the engine's per-step tie bit: bit 0 keeps the first
 offered bin, bit 1 takes the second. Each policy states its rule once, in
 ``decide`` (advice in the key and comparison its inherited ``decide``
-applies). ``choice_dist``, the exact per-pair choice distribution the
-enumeration-based analysis reads (probabilities in half-units, so a fair
-tie is ``(bin_a, 1), (bin_b, 1)``), is derived from ``decide`` under both
-tie bits and has no per-policy copy.
+applies). The memoryless rules (one-choice, the toys and the fixture) use
+only indexing and operators, so the same ``decide`` takes one pair of
+Python ints or a pair of arrays, and the analysis enumerates their pairs a
+block of arrays at a time under both tie bits.
 
 Greedy, clustered and advice share one memory model, stated once in
 ``GreedyTwoChoicePolicy``: one value per memory slot, compared by
@@ -132,18 +132,6 @@ class Policy:
         """Put the policy in ``state``: a row ``snapshot`` gave, or any 1-D integer sequence."""
         if len(state):
             raise ValueError(f"{self.name} policy has no memory state")
-
-    def choice_dist(self, pair: tuple[int, int]):
-        """Exact choice distribution for the current memory state.
-
-        Returns ((bin, halves), ...) where halves/2 is the probability of
-        choosing that bin; halves sum to 2. The tie bit is fair, so each of
-        ``decide(pair, 0)`` and ``decide(pair, 1)`` carries one half.
-        """
-        d0, d1 = self.decide(pair, 0), self.decide(pair, 1)
-        if d0 == d1:
-            return ((d0, 2),)
-        return ((d0, 1), (d1, 1))
 
     def memory_bits(self, n: int, balls: int) -> int:
         """Declared persistent-memory budget in bits."""
@@ -664,7 +652,8 @@ class MaxIndexPolicy(Policy):
     name = "max-index"
 
     def decide(self, pair, tie_bit):
-        return pair[0] if pair[0] >= pair[1] else pair[1]
+        a, b = pair
+        return b + (a - b) * (a >= b)
 
     def memory_bits(self, n, balls):
         return 0
@@ -676,7 +665,8 @@ class MinIndexPolicy(Policy):
     name = "min-index"
 
     def decide(self, pair, tie_bit):
-        return pair[0] if pair[0] <= pair[1] else pair[1]
+        a, b = pair
+        return b + (a - b) * (a <= b)
 
     def memory_bits(self, n, balls):
         return 0

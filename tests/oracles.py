@@ -7,9 +7,9 @@ file so the bands can be re-derived.
 
 The placement checks of one state and one subset in ``Fraction``s, the
 advice list built by its definition, the state key in Python integers, the
-recursive clustered-state enumeration and the sweep's per-bin margin
-arithmetic are here too: they restate what the program computes in another
-way, and no command reads them.
+recursive clustered-state enumeration, the per-pair walk of every ordered
+pair and the sweep's per-bin margin arithmetic are here too: they restate
+what the program computes in another way, and no command reads them.
 """
 
 from __future__ import annotations
@@ -83,6 +83,47 @@ def reference_two_choice(n: int, balls: int, seed: int) -> list[int]:
             c = a if rng.random() < 0.5 else b
         loads[c] += 1
     return loads
+
+
+# ---------------------------------------------------------------------------
+# the per-pair walk: numerators and support violations, one pair at a time
+
+
+# the policies without block_keys, whose pairs the analysis enumerates
+ENUMERATED_POLICIES = tuple(
+    name for name in POLICY_NAMES if not hasattr(policies.POLICY_TABLE[name][0], "block_keys")
+)
+
+
+def choice_dist(policy, pair: tuple[int, int]):
+    """The exact choice distribution of one pair in the policy's current
+    state: ((bin, halves), ...) with halves summing to 2. The tie bit is
+    fair, so each of ``decide(pair, 0)`` and ``decide(pair, 1)`` carries one
+    half."""
+    d0, d1 = policy.decide(pair, 0), policy.decide(pair, 1)
+    if d0 == d1:
+        return ((d0, 2),)
+    return ((d0, 1), (d1, 1))
+
+
+def pair_walk(policy, n: int) -> tuple[list[int], int, tuple | None]:
+    """(numerators over 2n^2, support violation count, first violation) of
+    the policy's current state, walking the n^2 ordered pairs in order and
+    deciding each with Python ints. A violation is a (pair, bin) with mass
+    on a bin outside the pair; the oracle for both the rank path and the
+    array enumeration."""
+    num = [0] * n
+    count, first = 0, None
+    for a in range(n):
+        for b in range(n):
+            for bin_, halves in choice_dist(policy, (a, b)):
+                if not 0 <= bin_ < n:
+                    raise ValueError(f"choice outside bin range: {bin_}")
+                num[bin_] += halves
+                if bin_ != a and bin_ != b:
+                    count += 1
+                    first = first or ((a, b), int(bin_))
+    return num, count, first
 
 
 # ---------------------------------------------------------------------------

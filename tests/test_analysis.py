@@ -35,11 +35,12 @@ from ballast import (
     sweep_placement_bounds,
     theoretical_bounds,
 )
-from ballast import analysis
+from ballast import analysis, policies
 from ballast.analysis import enumerate_choice_numerators, rank_numerators
 from ballast.cli import main
 
 from oracles import (
+    ENUMERATED_POLICIES,
     any_policy_builder,
     bin_weight_margins,
     check_placement_bounds,
@@ -47,6 +48,7 @@ from oracles import (
     exact_memory,
     floats,
     fractions,
+    pair_walk,
     poisson_tail_oracle,
 )
 
@@ -251,7 +253,7 @@ def test_exact_sweep_takes_every_epsilon_int64_holds():
     p = _bound_policy("greedy", n)
     state = (1, 1, 1, 0)
     p.restore(state)
-    sid, num = p.state_id(), enumerate_choice_numerators(p, n)[0]
+    sid, num = p.state_id(), pair_walk(p, n)[0]
     eps = Fraction(3109495313124920, 3866500249534617)  # 4 q n^2 > 2^57
     res = sweep_placement_bounds(p, n, [state], epsilons=[eps])
     assert res.ok and res.worst_margins[sid][0] == 0.1875 == float(_brute_subset_margin(num, n, eps))
@@ -271,6 +273,104 @@ def test_sweep_catches_illegal_policy():
     assert not res.ok
     assert res.support_violations > 0
     assert res.size_violations > 0  # all mass on one bin starves the rest
+
+
+def test_illegal_failure_path_holds_one_block():
+    """The failure path counts its support violations and keeps only the
+    first: all (n - 1)^2 of them at n = 4096 peak at a few MiB, one block of
+    pairs, where a list of them would take gigabytes."""
+    n = 4096
+    p = _bound_policy("illegal-fixture", n)
+    tracemalloc.start()
+    try:
+        res = sweep_placement_bounds(p, n, [p.snapshot()])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.support_violations == (n - 1) ** 2
+    assert res.violation_samples[0] == {"kind": "support", "state": 0, "sample": ((1, 1), 0)}
+    assert peak < 4 << 20
+
+
+class _ShiftFixture(policies.Policy):
+    """Test rule: ``a + shift`` mod n, one further under tie bit 1 if
+    ``split``. With ``split`` the tie bits pick two distinct bins, outside
+    most pairs; without it both pick the same bin."""
+
+    name = "shift-fixture"
+
+    def __init__(self, shift, split):
+        self.shift, self.split = shift, split
+
+    def decide(self, pair, tie_bit):
+        return (pair[0] + self.shift + self.split * tie_bit) % self.n
+
+
+class _WildFixture(policies.Policy):
+    """Test rule that names a bin outside 0..n-1: ``a + b - shift``."""
+
+    name = "wild-fixture"
+
+    def __init__(self, shift):
+        self.shift = shift
+
+    def decide(self, pair, tie_bit):
+        return pair[0] + pair[1] - self.shift
+
+
+@st.composite
+def enumerated_rules(draw):
+    """A rule the analysis enumerates, bound to n bins: a registered policy
+    without block_keys or a shift fixture."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from([*ENUMERATED_POLICIES, "split", "same"]))
+    if kind in ("split", "same"):
+        policy = _ShiftFixture(draw(st.integers(0, 50)), kind == "split")
+    elif kind == "illegal-fixture":
+        policy = make_policy(kind, target=draw(st.integers(0, n - 1)))
+    else:
+        policy = make_policy(kind)
+    policy.reset(n, n)
+    return policy, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=enumerated_rules(), block=st.integers(1, 64))
+def test_array_enumeration_matches_the_pair_walk(case, block):
+    """Numerators, support violation count and first violation agree with
+    the per-pair walk, whatever the number of pairs decided at a time."""
+    policy, n = case
+    with mock.patch.object(analysis, "_BLOCK", block):
+        num, count, first = enumerate_choice_numerators(policy, n)
+    assert num.dtype == np.int64
+    assert (num.tolist(), count, first) == pair_walk(policy, n)
+
+
+@pytest.mark.parametrize("n", [3, 8, 33])
+def test_support_violations_count_each_distinct_outside_bin(n):
+    """A pair counts once for each distinct bin outside it that a tie bit
+    picks: two where the tie bits split, one where they agree."""
+    for split, per_pair in ((True, 2), (False, 1)):
+        policy = _ShiftFixture(1, split)
+        policy.reset(n, n)
+        # a row has per_pair for each b, less one for each b that is a chosen bin
+        expected = per_pair * n * (n - 1)
+        _, count, first = enumerate_choice_numerators(policy, n)
+        assert count == expected == pair_walk(policy, n)[1]
+        assert first == ((0, 0), 1)
+
+
+@pytest.mark.parametrize("n, shift", [(5, 0), (5, 9), (1, 1), (64, 3)])
+def test_a_choice_outside_the_bins_is_refused(n, shift):
+    """A rule naming a bin outside 0..n-1 raises, naming the first such bin
+    in pair order, as the per-pair walk does."""
+    policy = _WildFixture(shift)
+    policy.reset(n, n)
+    with pytest.raises(ValueError, match="choice outside bin range") as walked:
+        pair_walk(policy, n)
+    with pytest.raises(ValueError, match="choice outside bin range") as mapped:
+        enumerate_choice_numerators(policy, n)
+    assert str(mapped.value) == str(walked.value)
 
 
 def test_sweep_reports_margins_per_state():
@@ -307,7 +407,7 @@ def test_exact_subset_margin_is_the_minimum_over_every_subset(name):
         oracle = {}
         for state in states:
             p.restore(state)
-            oracle[p.state_id()] = enumerate_choice_numerators(p, n)[0]
+            oracle[p.state_id()] = pair_walk(p, n)[0]
         for eps in default_epsilon_grid():
             res = sweep_placement_bounds(p, n, states, epsilons=[eps])
             assert res.n_subsets is None and res.subset_violations == 0
@@ -483,17 +583,6 @@ def test_default_sweep_and_verify_never_build_a_subset_matrix(monkeypatch, capsy
             main(["verify", "--policy", "greedy", "--n", "8", *flag])
 
 
-def _decide_numerators(policy, n):
-    """Numerators of the rule that runs: decide(pair, 0) and decide(pair, 1)
-    each take one half of every ordered pair."""
-    num = [0] * n
-    for a in range(n):
-        for b in range(n):
-            num[policy.decide((a, b), 0)] += 1
-            num[policy.decide((a, b), 1)] += 1
-    return num
-
-
 @st.composite
 def rank_countable_states(draw):
     """A greedy, clustered or advice policy restored to an arbitrary state."""
@@ -527,13 +616,13 @@ def rank_countable_states(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=rank_countable_states())
-def test_rank_numerators_match_both_enumerations(case):
+def test_rank_numerators_match_the_pair_walk(case):
     policy, n = case
     num = exact_placement_probs(policy, n).numerators
-    enumerated, violations = enumerate_choice_numerators(policy, n)
-    assert violations == []
-    assert list(num) == enumerated == _decide_numerators(policy, n)
-    assert sum(enumerated) == 2 * n * n
+    walked, count, first = pair_walk(policy, n)
+    assert count == 0 and first is None
+    assert list(num) == walked
+    assert sum(walked) == 2 * n * n
 
 
 @st.composite
@@ -567,7 +656,7 @@ def test_block_rank_counts_match_per_state_counts(case):
     for row, state in zip(block.tolist(), states):
         policy.restore(tuple(state))
         assert row == list(exact_placement_probs(policy, n).numerators)
-        assert row == enumerate_choice_numerators(policy, n)[0]
+        assert row == pair_walk(policy, n)[0]
 
 
 def test_rank_numerators_over_the_whole_int64_range():
@@ -592,14 +681,14 @@ def test_rank_countable_policies_skip_pair_enumeration(name, monkeypatch):
     expected = []
     for s in states:
         p.restore(s)
-        expected.append(tuple(enumerate_choice_numerators(p, n)[0]))
+        expected.append(tuple(pair_walk(p, n)[0]))
 
-    def refuse(self, pair):
-        raise AssertionError("choice_dist called for a rank-countable policy")
+    def refuse(policy, n):
+        raise AssertionError("pairs enumerated for a rank-countable policy")
 
-    monkeypatch.setattr(type(p), "choice_dist", refuse)
+    monkeypatch.setattr(analysis, "enumerate_choice_numerators", refuse)
     with pytest.raises(AssertionError):
-        enumerate_choice_numerators(p, n)  # the patch is live
+        exact_placement_probs(make_policy("min-index"), n, state=())  # the patch is live
     assert [exact_placement_probs(p, n, state=s).numerators for s in states] == expected
     assert sweep_placement_bounds(p, n, states, n_subsets=50).ok
     forbidden_union_over_trace(build(), trace, n, Fraction(1, 4))
@@ -732,7 +821,7 @@ def _walked_states(build, n, trace):
     p.reset(n, len(trace))
     walked = []
     for rec in trace:
-        walked.append((p.snapshot(), enumerate_choice_numerators(p, n)[0]))
+        walked.append((p.snapshot(), pair_walk(p, n)[0]))
         p.update((rec.bin_a, rec.bin_b), rec.chosen)
     return p, walked
 

@@ -385,7 +385,9 @@ def test_cli_verify_illegal_policy_nonzero_exit(capsys):
     code = main(["verify", "--policy", "illegal-fixture", "--n", "8", "--subsets", "50"])
     assert code != 0
     report = json.loads(capsys.readouterr().out)
-    assert report["support_violations"] > 0
+    # target 0: every pair without bin 0 is a violation, the first is (1, 1)
+    assert report["support_violations"] == 49
+    assert report["violation_samples"][0] == {"kind": "support", "state": 0, "sample": [[1, 1], 0]}
 
 
 def test_cli_verify_greedy_probe_states():

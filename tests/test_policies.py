@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,15 @@ from ballast import (
 from ballast import policies
 from ballast.core import STREAM_CHUNK, draw_run_streams, play
 
-from oracles import advice_list, any_policy_builder, build_advice, exact_memory, key_oracle
+from oracles import (
+    ENUMERATED_POLICIES,
+    advice_list,
+    any_policy_builder,
+    build_advice,
+    choice_dist,
+    exact_memory,
+    key_oracle,
+)
 
 
 def test_one_choice_takes_first():
@@ -471,10 +480,28 @@ def test_no_state_id_hashes_the_memory():
 
 
 def test_choice_dist_is_stated_once():
-    """choice_dist is derived from decide on Policy; no policy restates its rule there."""
+    """The per-pair choice distribution is derived from decide in the test
+    oracle only; no policy, and no module of the program, states it."""
     for cls in vars(policies).values():
-        if isinstance(cls, type) and issubclass(cls, policies.Policy) and cls is not policies.Policy:
-            assert "choice_dist" not in vars(cls), cls.__name__
+        if isinstance(cls, type) and issubclass(cls, policies.Policy):
+            assert not hasattr(cls, "choice_dist"), cls.__name__
+    for module in Path(policies.__file__).parent.glob("*.py"):
+        assert "choice_dist" not in module.read_text(), module.name
+
+
+@pytest.mark.parametrize("name", ENUMERATED_POLICIES)
+def test_memoryless_decide_maps_arrays_of_pairs(name):
+    """A rule without block_keys decides arrays of pairs as it decides each
+    pair: decide((A, B), t), broadcast to the pairs, is the per-pair decide
+    of every pair under both tie bits."""
+    params = {"target": 3} if name == "illegal-fixture" else {}
+    p = make_policy(name, **params)
+    n = 9
+    p.reset(n, n)
+    a, b = np.divmod(np.arange(n * n), n)
+    for tie in (0, 1):
+        mapped = np.broadcast_to(p.decide((a, b), tie), a.shape).tolist()
+        assert mapped == [p.decide((x, y), tie) for x, y in zip(a.tolist(), b.tolist())]
 
 
 @pytest.mark.parametrize(
@@ -516,9 +543,9 @@ def test_choice_dist_gives_each_tie_bit_one_half():
     p = make_policy("greedy")
     p.reset(4, 8)
     p.restore((1, 1, 0, 0))
-    assert p.choice_dist((1, 0)) == ((1, 1), (0, 1))  # tie: decide(pair, 0), decide(pair, 1)
-    assert p.choice_dist((0, 2)) == ((2, 2),)
-    assert p.choice_dist((3, 3)) == ((3, 2),)
+    assert choice_dist(p, (1, 0)) == ((1, 1), (0, 1))  # tie: decide(pair, 0), decide(pair, 1)
+    assert choice_dist(p, (0, 2)) == ((2, 2),)
+    assert choice_dist(p, (3, 3)) == ((3, 2),)
 
 
 def test_prefer_second_on_ints_and_arrays():
