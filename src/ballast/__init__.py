@@ -48,7 +48,6 @@ _EXPORTS = {
         "load_histogram",
         "read_trace_csv",
         "simulate_run",
-        "simulate_segmented",
         "trial_seed",
         "write_trace_csv",
     ),

@@ -32,11 +32,11 @@ subset margin.
 
 F is the bins whose numerator is below ``t = ceil(2 n p / q)``, so once a
 state's numerators are sorted (s_0 <= s_1 <= ...), F is the prefix below t
-and |F| is one count, read from a cumulative histogram of the row. The
+and |F| is one count, a binary search of t in the sorted row. The
 lightest bin in F is s_0 and the lightest bin outside it is s_|F|, so
 ``min_i w_i = min(q s_0 if |F| > 0, q s_|F| - 2 n p if |F| < n)``: after
-one sort and one histogram per state, each epsilon costs a few lookups per
-state, for a block of states and every epsilon at once. Every ``w_i`` lies
+one sort per state, each epsilon costs a binary search and a few lookups
+per state, for a block of states and every epsilon at once. Every ``w_i`` lies
 in 0..2 q n^2, so the check is exact in int64 while ``2 q n^2 < 2^63``;
 each margin is the exact ratio rounded once to float64, as
 ``float(Fraction(w, 2 q n^2))`` gives.
@@ -44,6 +44,7 @@ each margin is the exact ratio rounded once to float64, as
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,9 +59,10 @@ from .core import (
     SimConfig,
     StepRecord,
     Trace,
+    _walk_chunks,
+    count_dtype,
     play,
     replay,
-    simulate_segmented,
 )
 
 
@@ -443,15 +445,16 @@ def sweep_placement_bounds(
 
 
 def _counts_below(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """|F| of each state and epsilon: how many entries of each numerator row
-    are below each cut. Every cut lies in 1..2n, so clipping the entries to
-    0..2n keeps the counts, and a per-row cumulative histogram of the
-    clipped entries answers each (row, cut) by one lookup."""
+    """|F| of each state and epsilon: how many entries of each sorted
+    numerator row are below each cut. Every cut lies in 1..2n, so clipping
+    the entries to 0..2n keeps the counts. Shifted by r (2n + 1), as
+    ``rank_numerators`` shifts its keys, the rows lie end to end in one
+    order, and one ``searchsorted`` of the shifted cuts counts each row's
+    entries below them plus the r n entries before it."""
     count, n = rows.shape
-    span = 2 * n + 1
-    cells = np.clip(rows, 0, 2 * n) + np.arange(0, count * span, span, dtype=np.int64)[:, None]
-    at_most = np.bincount(cells.ravel(), minlength=count * span).reshape(count, span).cumsum(axis=1)
-    return at_most[:, cut - 1]
+    shift = np.arange(0, count * (2 * n + 1), 2 * n + 1, dtype=np.int64)[:, None]
+    flat = (np.clip(rows, 0, 2 * n) + shift).ravel()
+    return np.searchsorted(flat, cut + shift) - np.arange(0, count * n, n, dtype=np.int64)[:, None]
 
 
 def _ratio(num: np.ndarray, dens: list[int]) -> np.ndarray:
@@ -697,24 +700,42 @@ def _chosen(trace) -> np.ndarray:
     return np.asarray(trace, dtype=np.int64)
 
 
-def _phase_loads(chosen: np.ndarray, pc: PhaseConfig) -> Iterator[np.ndarray]:
-    """Walk the chosen bins in step order; yield the loads at each phase's end.
+def _phase_loads(pieces: Iterable[np.ndarray], pc: PhaseConfig) -> Iterator[np.ndarray]:
+    """Walk a run's chosen bins, in int64 pieces in step order, and yield
+    the loads at each phase's end: the one walk of both phase reports, over
+    a stored trace's chosen column as one piece or the chunks of a live run.
 
-    The loads array is updated in place between yields. A trace shorter than
-    the phases, or a bin outside 0..n-1, raises ``ValueError``.
+    A phase may end inside a piece, and no piece past the last phase's end
+    is asked for. The loads array is updated in place between yields. Fewer
+    steps than the phases, or a bin outside 0..n-1, raises ``ValueError``.
     """
     needed = pc.phases * pc.phase_size
-    if len(chosen) < needed:
-        raise ValueError(f"trace too short: {len(chosen)} < {needed} balls")
     loads = np.zeros(pc.n, dtype=np.int64)
-    for start in range(0, needed, pc.phase_size):
-        phase = chosen[start : start + pc.phase_size]
-        outside = np.flatnonzero((phase < 0) | (phase >= pc.n))
-        if len(outside):
-            t = start + int(outside[0])
-            raise ValueError(f"trace step {t} chooses bin {chosen[t]} outside 0..{pc.n - 1}")
-        loads += np.bincount(phase, minlength=pc.n)
-        yield loads
+    step = 0  # steps read so far
+    for piece in pieces:
+        while len(piece):
+            left = pc.phase_size - step % pc.phase_size  # steps left in this phase
+            part, piece = piece[:left], piece[left:]
+            outside = np.flatnonzero((part < 0) | (part >= pc.n))
+            if len(outside):
+                k = int(outside[0])
+                raise ValueError(
+                    f"trace step {step + k} chooses bin {part[k]} outside 0..{pc.n - 1}"
+                )
+            np.add.at(loads, part, 1)
+            step += len(part)
+            if step % pc.phase_size == 0:
+                yield loads
+                if step == needed:
+                    return
+    raise ValueError(f"trace too short: {step} < {needed} balls")
+
+
+def _phase_sizes(pieces: Iterable[np.ndarray], pc: PhaseConfig) -> list[int]:
+    """|S_i| for each phase i: the bins holding at least i balls at its end."""
+    return [
+        int(np.count_nonzero(loads >= i)) for i, loads in enumerate(_phase_loads(pieces, pc), 1)
+    ]
 
 
 def phase_report(source, pc: PhaseConfig, n: int | None = None) -> PhaseReport:
@@ -724,20 +745,18 @@ def phase_report(source, pc: PhaseConfig, n: int | None = None) -> PhaseReport:
         if source.trace is None:
             raise ValueError("RunResult has no trace; use run_phase_report instead")
         source, n = source.trace, len(source.loads)
-    chosen = _chosen(source)
     if n is None:
         raise ValueError("n is required when passing a bare trace")
     if n != pc.n:
         raise ValueError("phase config n does not match the trace's n")
-    sizes = [
-        int(np.count_nonzero(loads >= i)) for i, loads in enumerate(_phase_loads(chosen, pc), 1)
-    ]
-    return _report_from_sizes(pc, sizes)
+    return _report_from_sizes(pc, _phase_sizes([_chosen(source)], pc))
 
 
 def run_phase_report(config: SimConfig, policy, pc: PhaseConfig) -> tuple[PhaseReport, RunResult]:
     """Run the simulation and compute phase sizes at the phase boundaries.
 
+    The phase loads are read from the untraced walk's chunks as they pass,
+    so the run holds O(n + chunk) memory however many phases there are.
     Balls beyond phases*phase_size are still thrown; they just fall outside
     the phase accounting. Bit-identical to simulate_run for the same config.
     """
@@ -746,9 +765,11 @@ def run_phase_report(config: SimConfig, policy, pc: PhaseConfig) -> tuple[PhaseR
     needed = pc.phases * pc.phase_size
     if config.balls < needed:
         raise ValueError(f"run too short for {pc.phases} phases: needs {needed} balls")
-    boundaries = [i * pc.phase_size for i in range(1, pc.phases + 1)]
-    result, snapshots = simulate_segmented(config, policy, boundaries)
-    sizes = [sum(1 for v in snap if v >= i + 1) for i, snap in enumerate(snapshots)]
+    counts = np.zeros(config.n, dtype=count_dtype(config.balls))
+    chunks = _walk_chunks(config, policy, counts)
+    sizes = _phase_sizes(chunks, pc)
+    collections.deque(chunks, maxlen=0)  # the balls past the last phase
+    result = RunResult(loads=counts.tolist(), max_load=int(counts.max()))
     return _report_from_sizes(pc, sizes), result
 
 
@@ -785,7 +806,7 @@ def phase_report_with_forbidden(
     eps = as_exact(epsilon if epsilon is not None else pc.epsilon)
     phase_sets = [
         np.flatnonzero(loads >= i).tolist()
-        for i, loads in enumerate(_phase_loads(_chosen(trace), pc), 1)
+        for i, loads in enumerate(_phase_loads([_chosen(trace)], pc), 1)
     ]
     union, nstates = forbidden_union_over_trace(policy, trace, pc.n, eps)
     report = _report_from_sizes(pc, [len(s_i) for s_i in phase_sets])

@@ -40,8 +40,10 @@ def parse_epsilon_grid(text: str) -> list[Fraction]:
     from fractions import Fraction
 
     if ":" in text:
-        start_s, stop_s, step_s = text.split(":")
-        start, stop, step = Fraction(start_s), Fraction(stop_s), Fraction(step_s)
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"epsilon grid range must be start:stop:step, got {text!r}")
+        start, stop, step = map(Fraction, parts)
         if step <= 0:
             raise ValueError("epsilon grid step must be positive")
         grid = []
@@ -424,7 +426,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)  # reads BALLAST_SEED for --seed defaults
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

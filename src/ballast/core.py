@@ -14,7 +14,9 @@ independent of which branches a policy takes. ``draw_run_streams`` draws
 them in one shot, as a traced run does. An untraced run walks the same
 values in chunks of ``STREAM_CHUNK`` balls (``stream_chunks``) and hands
 each chunk to the policy's ``run_bulk``, so its memory is O(n + chunk),
-not O(balls).
+not O(balls). That walk is one generator (``_walk_chunks``), which yields
+each chunk's chosen bins: a plain run drains it (``_walk_counts``), and a
+live phase report reads its phase loads from the chunks as they pass.
 
 The loads are counted in the narrowest signed integer type that holds
 ``balls`` plus one (``count_dtype``): int32 at n = 2^20 with n balls,
@@ -45,6 +47,7 @@ naming the first step that is not.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import functools
@@ -332,62 +335,36 @@ def simulate_run(config: SimConfig, policy) -> RunResult:
     """Throw ``config.balls`` balls into ``config.n`` bins under ``policy``.
 
     The policy instance is (re)bound to this run and mutated in place; do
-    not share one instance between concurrent runs. An untraced run is
-    ``simulate_segmented`` with no boundaries. A traced run applies the
-    one-shot streams with the policy's ``run_traced`` and keeps them: its
-    offers are the trace's bin columns.
+    not share one instance between concurrent runs. An untraced run walks
+    the streams a chunk at a time (``_walk_counts``). A traced run applies
+    the one-shot streams with the policy's ``run_traced`` and keeps them:
+    its offers are the trace's bin columns.
     """
     if not config.record_trace:
-        return simulate_segmented(config, policy, ())[0]
-    pa, pb, ties = draw_run_streams(config)
-    policy.reset(config.n, config.balls)
-    counts = np.zeros(config.n, dtype=count_dtype(config.balls))
-    ids, chosen = policy.run_traced(counts, pa, pb, ties)
-    trace = Trace(ids, pa, pb, chosen)
+        counts, trace = _walk_counts(config, policy), None
+    else:
+        pa, pb, ties = draw_run_streams(config)
+        policy.reset(config.n, config.balls)
+        counts = np.zeros(config.n, dtype=count_dtype(config.balls))
+        ids, chosen = policy.run_traced(counts, pa, pb, ties)
+        trace = Trace(ids, pa, pb, chosen)
     return RunResult(loads=counts.tolist(), max_load=int(counts.max()), trace=trace)
 
 
-def simulate_segmented(
-    config: SimConfig, policy, boundaries: Sequence[int]
-) -> tuple[RunResult, list[list[int]]]:
-    """Like an untraced simulate_run, but snapshot the loads at the given step counts.
-
-    The streams are walked in chunks (``stream_chunks``) and each chunk is
-    cut at the boundaries inside it, so the result is bit-identical to an
-    unsegmented run with the same config. Returns (result, snapshots) with
-    one copy of the loads per boundary, in order.
-    """
-    bounds = list(boundaries)
-    if (
-        any(b < 1 or b > config.balls for b in bounds)
-        or any(y <= x for x, y in zip(bounds, bounds[1:]))
-    ):
-        raise ValueError(f"boundaries must be strictly increasing and within 1..{config.balls}")
-    counts, snapshots = _walk_counts(config, policy, bounds)
-    return RunResult(loads=counts.tolist(), max_load=int(counts.max())), snapshots
-
-
-def _walk_counts(config: SimConfig, policy, bounds: Sequence[int] = ()) -> tuple[np.ndarray, list]:
-    """The untraced run of ``simulate_segmented``, on valid ``bounds``:
-    its final loads as an array (``count_dtype(balls)``) and the loads at
-    each bound as lists."""
+def _walk_chunks(config: SimConfig, policy, counts: np.ndarray) -> Iterator[np.ndarray]:
+    """The untraced run: rebind ``policy`` to it, apply each ``stream_chunks``
+    chunk to ``counts`` (zeros of ``count_dtype(balls)``) with ``run_bulk``
+    and yield that chunk's chosen bins (int64)."""
     policy.reset(config.n, config.balls)
-    counts = np.zeros(config.n, dtype=count_dtype(config.balls))
-    snapshots = []
-    pending = iter(bounds)
-    cut = next(pending, None)
-    start = 0  # step number of the chunk's first ball
     for pa, pb, ties in stream_chunks(config):
-        lo, end = 0, start + len(pa)
-        while cut is not None and cut <= end:
-            hi = cut - start
-            policy.run_bulk(counts, pa[lo:hi], pb[lo:hi], ties[lo:hi])
-            snapshots.append(counts.tolist())
-            lo, cut = hi, next(pending, None)
-        if lo < len(pa):
-            policy.run_bulk(counts, pa[lo:], pb[lo:], ties[lo:])
-        start = end
-    return counts, snapshots
+        yield policy.run_bulk(counts, pa, pb, ties)
+
+
+def _walk_counts(config: SimConfig, policy) -> np.ndarray:
+    """The final loads of the untraced run, as an array (``count_dtype(balls)``)."""
+    counts = np.zeros(config.n, dtype=count_dtype(config.balls))
+    collections.deque(_walk_chunks(config, policy, counts), maxlen=0)  # keeps no chunk's bins
+    return counts
 
 
 def play(policy, pa, pb, ties) -> Iterator[int]:

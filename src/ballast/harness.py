@@ -129,7 +129,7 @@ def run_trial(
     config = SimConfig(n=n, seed=seed)
     policy = spec_policy.build(n, delta)
     t0 = time.perf_counter() if measure_runtime else 0.0
-    counts, _ = _walk_counts(config, policy)  # the loads as an array, with no list of them
+    counts = _walk_counts(config, policy)  # the loads as an array, with no list of them
     elapsed_ms = (time.perf_counter() - t0) * 1000.0 if measure_runtime else 0.0
     b = theoretical_bounds(n, delta)
     return ScalingRow(

@@ -38,6 +38,7 @@ from ballast import (
 from ballast import analysis, policies
 from ballast.analysis import enumerate_choice_numerators, rank_numerators
 from ballast.cli import main
+from ballast.core import STREAM_CHUNK, draw_run_streams, play
 
 from oracles import (
     ENUMERATED_POLICIES,
@@ -469,6 +470,21 @@ def test_sorted_margins_equal_the_per_bin_arithmetic(case):
         assert res.worst_margins[p.state_id()] == list(margins)
     assert res.size_violations == sum(eps.denominator * f > eps.numerator * n for f in fsize)
     assert res.subset_violations == sum(m < 0 for m in subset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_counts_below_is_a_direct_count_below_each_cut(data):
+    """|F| by one binary search of the shifted rows equals a count of the
+    entries below each cut, with entries below 0 and above 2n and the cuts
+    1 and 2n."""
+    n = data.draw(st.integers(1, 8))
+    entry = st.integers(-3, 2 * n + 3)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=5))
+    rows = np.sort(np.array(rows, dtype=np.int64), axis=1)
+    cut = np.array([1, 2 * n, *data.draw(st.lists(st.integers(1, 2 * n), max_size=4))])
+    direct = (rows[:, :, None] < cut).sum(axis=1)
+    assert np.array_equal(analysis._counts_below(rows, cut), direct)
 
 
 def test_sampled_sum_below_the_exact_minimum_raises():
@@ -952,8 +968,89 @@ def test_phase_report_from_trace_matches_live_run():
 
 def test_phase_report_trace_too_short():
     pc = PhaseConfig(n=64, phases=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trace too short: 30 < 64 balls"):
         phase_report([0] * 30, pc, n=64)
+
+
+def _phase_walk(pieces, pc):
+    """``_phase_loads`` over ``pieces``: the loads at each phase end as
+    lists, or the message of the error it raises."""
+    try:
+        return [loads.tolist() for loads in analysis._phase_loads(pieces, pc)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_phase_loads_over_any_cut_of_the_column_equal_the_whole_columns(data):
+    """A phase may end inside a piece or at its edge, pieces may be empty,
+    and the column may be short or hold a bin outside 0..n-1: the walk
+    over the pieces yields and raises what the walk over the whole column
+    does, and that is the loads of each phase's prefix."""
+    n = data.draw(st.integers(1, 10))
+    pc = PhaseConfig(n=n, phases=data.draw(st.integers(1, n)))
+    chosen = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    if chosen and data.draw(st.booleans()):
+        chosen[data.draw(st.integers(0, len(chosen) - 1))] = data.draw(st.sampled_from([-1, n]))
+    chosen = np.array(chosen, dtype=np.int64)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(chosen)), max_size=6)))
+    pieces = [chosen[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(chosen)])]
+    whole = _phase_walk([chosen], pc)
+    assert _phase_walk(pieces, pc) == whole
+    ends = range(pc.phase_size, pc.phases * pc.phase_size + 1, pc.phase_size)
+    if not isinstance(whole, str):
+        assert whole == [np.bincount(chosen[:end], minlength=n).tolist() for end in ends]
+
+
+@pytest.mark.parametrize("name, n", [
+    ("greedy", 2 * STREAM_CHUNK - 1),  # phases end a ball before each chunk edge
+    ("advice", 2 * STREAM_CHUNK + 1),  # at the chunk edges
+    ("clustered", 2 * STREAM_CHUNK + 3),  # a ball after them
+])
+def test_live_phase_loads_equal_the_play_oracle_across_chunk_edges(monkeypatch, name, n):
+    """run_phase_report reads the loads at each phase end from the chunks
+    of the untraced walk; they equal the loads of a step-by-step ``play``
+    of the same streams, and so does the run's final load vector."""
+    params = {"threshold": 2} if name == "advice" else {}
+    pc = PhaseConfig(n=n, phases=2)
+    balls = 2 * pc.phase_size + 5  # a few balls past the last phase
+    config = SimConfig(n=n, seed=n, balls=balls)
+    seen = []
+    walk = analysis._phase_loads
+
+    def recording(pieces, pc):
+        for loads in walk(pieces, pc):
+            seen.append(loads.tolist())
+            yield loads
+
+    monkeypatch.setattr(analysis, "_phase_loads", recording)
+    report, result = run_phase_report(config, make_policy(name, **params), pc)
+    oracle = make_policy(name, **params)
+    oracle.reset(n, balls)
+    chosen = np.fromiter(play(oracle, *draw_run_streams(config)), dtype=np.int64, count=balls)
+    want = [np.bincount(chosen[:end], minlength=n) for end in (pc.phase_size, 2 * pc.phase_size)]
+    assert seen == [loads.tolist() for loads in want]
+    assert report.sizes == [int(np.count_nonzero(loads >= i)) for i, loads in enumerate(want, 1)]
+    assert result.loads == np.bincount(chosen, minlength=n).tolist()
+
+
+def test_live_phase_report_holds_no_loads_per_phase():
+    """The live report's peak is the same with 1 and with 16 phases: no
+    copy of the loads is kept per phase end."""
+    n = 100_003
+    config = SimConfig(n=n, seed=3, balls=3 * STREAM_CHUNK)
+    peaks = []
+    for phases in (1, 16):
+        pc = PhaseConfig(n=n, phases=phases)
+        run_phase_report(config, make_policy("greedy"), pc)  # warm the caches first
+        tracemalloc.start()
+        try:
+            run_phase_report(config, make_policy("greedy"), pc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + n  # a list of the loads takes 8 B per bin
 
 
 def test_phase_report_excludes_leftover_balls():

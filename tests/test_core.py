@@ -13,14 +13,16 @@ from hypothesis import given, settings, strategies as st
 from ballast import (
     ClusterConfig,
     ClusteredPolicy,
+    PhaseConfig,
     RunResult,
     SimConfig,
     StepRecord,
     load_histogram,
     make_policy,
+    phase_report,
     read_trace_csv,
+    run_phase_report,
     simulate_run,
-    simulate_segmented,
     trial_seed,
     write_trace_csv,
 )
@@ -352,36 +354,39 @@ def test_stream_chunk_is_a_multiple_of_four(monkeypatch):
 
 
 def test_segmented_run_cuts_at_and_around_chunk_edges():
+    """run_bulk applied to the one-shot streams in pieces cut at and around
+    the chunk edges chooses, piece by piece, what the chunked walk chose."""
     C = STREAM_CHUNK
     n, balls = 4096, 2 * C + 3
     config = SimConfig(n=n, seed=17, balls=balls)
-    bounds = [1, C - 1, C, C + 1, 2 * C, balls]
-    result, snaps = simulate_segmented(config, make_policy("greedy"), bounds)
+    walked = np.zeros(n, dtype=core.count_dtype(balls))
+    chosen = np.concatenate(list(core._walk_chunks(config, make_policy("greedy"), walked)))
     streams = draw_run_streams(config)
     p = make_policy("greedy")
     p.reset(n, balls)
-    loads, expected = np.zeros(n, dtype=np.int64), []
+    loads = np.zeros(n, dtype=np.int64)
+    bounds = [1, C - 1, C, C + 1, 2 * C, balls]
     for lo, hi in zip([0] + bounds, bounds):
-        p.run_bulk(loads, *(v[lo:hi] for v in streams))
-        expected.append(loads.tolist())
-    assert snaps == expected
-    assert result.loads == expected[-1]
+        assert np.array_equal(p.run_bulk(loads, *(v[lo:hi] for v in streams)), chosen[lo:hi])
+        assert np.array_equal(loads, np.bincount(chosen[:hi], minlength=n))
+    assert np.array_equal(loads, walked)
+    assert loads.tolist() == simulate_run(config, make_policy("greedy")).loads
 
 
-@pytest.mark.parametrize("name, boundaries", [("greedy", None), ("one-choice", (1, 174_763))])
-def test_untraced_run_memory_does_not_grow_with_balls(name, boundaries):
+@pytest.mark.parametrize("name, phases", [("greedy", None), ("one-choice", 3)])
+def test_untraced_run_memory_does_not_grow_with_balls(name, phases):
     """The one-shot streams alone take 17 B per ball; the chunked walk holds
-    one chunk of them at a time (simulate_run, or simulate_segmented cut
-    inside chunks)."""
+    one chunk of them at a time (simulate_run, or run_phase_report reading
+    its phase loads from the chunks)."""
     n, balls = 256, 8 * STREAM_CHUNK
     config = SimConfig(n=n, seed=5, balls=balls)
     expected = simulate_run(config, make_policy(name)).loads
     tracemalloc.start()
     try:
-        if boundaries is None:
+        if phases is None:
             result = simulate_run(config, make_policy(name))
         else:
-            result, _ = simulate_segmented(config, make_policy(name), boundaries)
+            _, result = run_phase_report(config, make_policy(name), PhaseConfig(n=n, phases=phases))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -497,22 +502,15 @@ def test_replay_refuses_misnumbered_steps_and_foreign_bins():
 
 
 def test_segmented_run_matches_plain_run():
+    """A live phase report throws the balls past its last phase too: its
+    run is the plain run, and its sizes are the traced run's."""
     cfg = SimConfig(n=32, seed=7, balls=128)
+    pc = PhaseConfig(n=32, phases=4)
     plain = simulate_run(cfg, make_policy("greedy"))
-    seg, snaps = simulate_segmented(cfg, make_policy("greedy"), [32, 64, 96])
-    assert seg.loads == plain.loads
-    assert len(snaps) == 3
-    assert [sum(s) for s in snaps] == [32, 64, 96]
-
-
-def test_segmented_rejects_bad_boundaries():
-    cfg = SimConfig(n=8, seed=0, balls=16)
-    with pytest.raises(ValueError):
-        simulate_segmented(cfg, make_policy("greedy"), [4, 4])
-    with pytest.raises(ValueError):
-        simulate_segmented(cfg, make_policy("greedy"), [0, 4])
-    with pytest.raises(ValueError):
-        simulate_segmented(cfg, make_policy("greedy"), [4, 32])
+    report, result = run_phase_report(cfg, make_policy("greedy"), pc)
+    assert result == plain
+    traced = simulate_run(dataclasses.replace(cfg, record_trace=True), make_policy("greedy"))
+    assert report == phase_report(traced, pc)
 
 
 def test_pair_draws_are_uniform():

@@ -628,6 +628,14 @@ def test_cli_error_paths(tmp_path):
     assert main(["run", "--policy", "greedy", "--n", "0"]) == 2
 
 
+def test_cli_exits_cleanly_when_the_loads_do_not_fit(capsys):
+    """The loads of 10^17 bins cannot be allocated; numpy refuses at once,
+    before any memory is touched."""
+    assert main(["run", "--policy", "greedy", "--n", "99999999999999999"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [
     ["run", "--policy", "greedy", "--n", "16", "--trace-out"],
     ["scan", "--policy", "greedy", "--n", "16", "--out"],
@@ -683,6 +691,9 @@ def test_parse_epsilon_grid():
         parse_epsilon_grid("0.0,0.5")
     with pytest.raises(ValueError):
         parse_epsilon_grid("0.2:0.8:-0.1")
+    for text in ("0.1:0.5:0.1:3", "0.1:0.5"):
+        with pytest.raises(ValueError, match=f"must be start:stop:step, got '{text}'"):
+            parse_epsilon_grid(text)
 
 
 _margin = st.one_of(

@@ -18,7 +18,6 @@ from ballast import (
     int_width,
     make_policy,
     simulate_run,
-    simulate_segmented,
 )
 from ballast import policies
 from ballast.core import STREAM_CHUNK, draw_run_streams, play
@@ -404,9 +403,12 @@ def test_incremental_state_key_matches_recomputation(name, seed, balls, cuts, op
     a fresh policy's after restoring that memory, after run_bulk segments and
     then after every decide/update step, run_bulk call and restore."""
     p = KEYED_POLICIES[name]()
-    warmup = sorted({max(1, round(c * balls)) for c in cuts})
-    simulate_segmented(SimConfig(n=KEY_N, seed=seed, balls=balls), p, warmup)
+    bounds = sorted({0, balls, *(round(c * balls) for c in cuts)})
+    streams = draw_run_streams(SimConfig(n=KEY_N, seed=seed, balls=balls))
     sink = [0] * KEY_N  # run_bulk's loads argument; the key reads only the policy's memory
+    p.reset(KEY_N, balls)
+    for lo, hi in zip(bounds, bounds[1:]):  # each segment a run_bulk call of its own
+        p.run_bulk(sink, *(v[lo:hi] for v in streams))
     history = []
 
     def check():
