@@ -56,7 +56,6 @@ _EXPORTS = {
         "ExperimentSpec",
         "ScalingRow",
         "emit",
-        "read_rows_json",
         "run_experiment",
         "run_trial",
     ),

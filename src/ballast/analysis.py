@@ -48,7 +48,7 @@ import collections
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -57,12 +57,13 @@ from .core import (
     PAIR_GUARD,
     RunResult,
     SimConfig,
-    StepRecord,
     Trace,
+    _prove_ids,
     _walk_chunks,
     count_dtype,
     play,
     replay,
+    stream_chunks,
 )
 
 
@@ -555,13 +556,11 @@ def probe_states(
     one seeded run, at most ``max_states``, yielded as the run reaches them:
     the run walks on only when the next one is taken, so no more than one
     is held here. The run moves ``policy``, so a sweep of these states
-    should walk them with another instance."""
-    from .core import draw_run_streams
-
-    config = SimConfig(n=n, seed=seed, balls=balls)
-    pa, pb, ties = draw_run_streams(config)
+    should walk them with another instance. The streams are drawn a
+    ``stream_chunks`` chunk at a time, and only up to the last state kept."""
     policy.reset(n, balls)
-    states = _new_states(policy, play(policy, pa, pb, ties))
+    chunks = stream_chunks(SimConfig(n=n, seed=seed, balls=balls))
+    states = _new_states(policy, chain.from_iterable(play(policy, *c) for c in chunks))
     # islice stops at the cap without walking on to the next state
     for _ in islice(states, max_states):
         yield policy.snapshot()
@@ -693,13 +692,6 @@ def _report_from_sizes(pc: PhaseConfig, sizes: list[int]) -> PhaseReport:
     )
 
 
-def _chosen(trace) -> np.ndarray:
-    """The chosen bins of a ``Trace`` or a plain sequence of chosen bins, as int64."""
-    if isinstance(trace, Trace):
-        return trace.chosen
-    return np.asarray(trace, dtype=np.int64)
-
-
 def _phase_loads(pieces: Iterable[np.ndarray], pc: PhaseConfig) -> Iterator[np.ndarray]:
     """Walk a run's chosen bins, in int64 pieces in step order, and yield
     the loads at each phase's end: the one walk of both phase reports, over
@@ -738,18 +730,9 @@ def _phase_sizes(pieces: Iterable[np.ndarray], pc: PhaseConfig) -> list[int]:
     ]
 
 
-def phase_report(source, pc: PhaseConfig, n: int | None = None) -> PhaseReport:
-    """Phase sizes from a stored trace (a RunResult with trace, a ``Trace``
-    or a plain sequence of chosen bins)."""
-    if isinstance(source, RunResult):
-        if source.trace is None:
-            raise ValueError("RunResult has no trace; use run_phase_report instead")
-        source, n = source.trace, len(source.loads)
-    if n is None:
-        raise ValueError("n is required when passing a bare trace")
-    if n != pc.n:
-        raise ValueError("phase config n does not match the trace's n")
-    return _report_from_sizes(pc, _phase_sizes([_chosen(source)], pc))
+def phase_report(trace: Trace, pc: PhaseConfig) -> PhaseReport:
+    """Phase sizes from a stored trace of a run into ``pc.n`` bins."""
+    return _report_from_sizes(pc, _phase_sizes([trace.chosen], pc))
 
 
 def run_phase_report(config: SimConfig, policy, pc: PhaseConfig) -> tuple[PhaseReport, RunResult]:
@@ -773,7 +756,7 @@ def run_phase_report(config: SimConfig, policy, pc: PhaseConfig) -> tuple[PhaseR
     return _report_from_sizes(pc, sizes), result
 
 
-def forbidden_union_over_trace(policy, trace: Sequence[StepRecord], n: int, epsilon):
+def forbidden_union_over_trace(policy, trace: Trace, n: int, epsilon):
     """Union of forbidden sets over the distinct memory states in which a run
     decided a step (the state after its last ball decides none).
 
@@ -801,14 +784,18 @@ def phase_report_with_forbidden(
 
     For each phase i reports |S_i \\ U| where U is the union of forbidden
     sets over every distinct memory state the run visited -- a harsher
-    subtraction than any single state's forbidden set.
+    subtraction than any single state's forbidden set. Once the union's
+    replay has proven every step, the trace's id column is proven too
+    (``core._prove_ids``), so a trace whose ids its steps do not give is
+    refused with ``ValueError``.
     """
     eps = as_exact(epsilon if epsilon is not None else pc.epsilon)
     phase_sets = [
         np.flatnonzero(loads >= i).tolist()
-        for i, loads in enumerate(_phase_loads([_chosen(trace)], pc), 1)
+        for i, loads in enumerate(_phase_loads([trace.chosen], pc), 1)
     ]
     union, nstates = forbidden_union_over_trace(policy, trace, pc.n, eps)
+    _prove_ids(policy, trace, pc.n)
     report = _report_from_sizes(pc, [len(s_i) for s_i in phase_sets])
     report.forbidden_overlap = [sum(1 for b in s_i if b not in union) for s_i in phase_sets]
     report.states_seen = nstates

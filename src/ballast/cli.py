@@ -289,7 +289,7 @@ def cmd_phases(args) -> int:
             policy = _build_policy(args, args.n)
             report = analysis.phase_report_with_forbidden(policy, trace, pc, args.epsilon)
         else:
-            report = analysis.phase_report(trace, pc, n=args.n)
+            report = analysis.phase_report(trace, pc)
     else:
         pc = _phase_config(args)
         policy = _build_policy(args, args.n)

@@ -39,10 +39,14 @@ proves it on the way. Both yield a step's chosen bin while the policy is
 still in the state that decided it, and apply the step when the next one
 is asked for; a caller that wants the state's id asks the policy between
 yields, so a walk costs no id per step. A trace replays under a policy
-for n bins only if its steps are numbered 0, 1, ..., both offered bins of
-every step lie in 0..n-1, and every ``chosen`` is ``decide(pair, 0)`` or
-``decide(pair, 1)`` in the replayed state; ``replay`` raises ``ValueError``
-naming the first step that is not.
+for n bins only if both offered bins of every step lie in 0..n-1 and
+every ``chosen`` is ``decide(pair, 0)`` or ``decide(pair, 1)`` in the
+replayed state; ``replay`` raises ``ValueError`` naming the first step
+that is not. A ``Trace`` is numbered by position, and ``read_trace_csv``
+refuses a file whose steps are not numbered 0, 1, .... The id column is
+proven once the steps are (``_prove_ids``): it must be the column the
+policy's ``_trace_ids`` rule, the rule ``run_traced`` writes it by, gives
+from the reset state and the chosen bins.
 """
 
 from __future__ import annotations
@@ -52,12 +56,11 @@ import contextlib
 import csv
 import functools
 import io
-import json
 import os
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -123,17 +126,6 @@ class Trace(Sequence):
         if not len(self.ids) == len(self.bin_a) == len(self.bin_b) == len(self.chosen):
             raise ValueError("trace columns differ in length")
 
-    @classmethod
-    def from_records(cls, records: Iterable[StepRecord]) -> "Trace":
-        """The trace of ``records``, whose steps must be numbered 0, 1, ..."""
-        columns = ([], [], [], [])
-        for t, r in enumerate(records):
-            if r.step != t:
-                raise ValueError(f"trace step {t} is numbered {r.step}")
-            for column, v in zip(columns, (r.memory_state_id, r.bin_a, r.bin_b, r.chosen)):
-                column.append(v)
-        return cls(*columns)
-
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
         return self.ids, self.bin_a, self.bin_b, self.chosen
@@ -184,19 +176,6 @@ class RunResult:
             _write_rows(f, len(self.trace), self.trace.numbered, ("[", *[", "] * 4, "]"), join=", ")
             f.write("]")
         f.write("}")
-
-    def to_json(self) -> str:
-        f = io.StringIO()
-        self.write_json(f)
-        return f.getvalue()
-
-    @classmethod
-    def from_json(cls, s: str) -> "RunResult":
-        d = json.loads(s)
-        trace = None
-        if "trace" in d:
-            trace = Trace.from_records(StepRecord(*row) for row in d["trace"])
-        return cls(loads=list(d["loads"]), max_load=d["max_load"], trace=trace)
 
 
 _IO_ROWS = 1 << 12  # rows per block of trace and result text
@@ -306,7 +285,7 @@ def stream_chunks(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray, n
     if balls <= STREAM_CHUNK:
         yield draw_run_streams(config)
         return
-    sizes = [min(STREAM_CHUNK, balls - s) for s in range(0, balls, STREAM_CHUNK)]
+    starts = range(0, balls, STREAM_CHUNK)
     bitgens = [np.random.Philox(key=config.seed) for _ in range(3)]
     if n & (n - 1) == 0:
         per_step = 8 if n <= 1 << 32 else 4  # bin values per counter step of 4 outputs
@@ -318,12 +297,12 @@ def stream_chunks(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray, n
         walker = np.random.Philox(key=config.seed)
         rng = np.random.Generator(walker)
         for k in (0, 1):
-            for size in sizes:
-                _draw(rng, n, k, size)
+            for s in starts:
+                _draw(rng, n, k, min(STREAM_CHUNK, balls - s))
             bitgens[k + 1].state = walker.state
     rngs = [np.random.Generator(b) for b in bitgens]
-    for size in sizes:
-        yield tuple(_draw(rng, n, k, size) for k, rng in enumerate(rngs))
+    for s in starts:
+        yield tuple(_draw(rng, n, k, min(STREAM_CHUNK, balls - s)) for k, rng in enumerate(rngs))
 
 
 def trial_seed(base_seed: int, trial: int) -> int:
@@ -380,17 +359,15 @@ def play(policy, pa, pb, ties) -> Iterator[int]:
         policy.update((a, b), c)
 
 
-def replay(policy, trace: Sequence[StepRecord], n: int) -> Iterator[int]:
+def replay(policy, trace: Trace, n: int) -> Iterator[int]:
     """Rebind ``policy`` to n bins and walk ``trace`` through it, like ``play``.
 
     A step the policy could not have taken raises ``ValueError`` naming it
     (see the module docstring).
     """
     policy.reset(n, max(len(trace), 1))
-    for t, rec in enumerate(trace):
-        a, b, c = rec.bin_a, rec.bin_b, rec.chosen
-        if rec.step != t:
-            raise ValueError(f"trace step {t} is numbered {rec.step}")
+    for rec in trace:
+        t, a, b, c = rec.step, rec.bin_a, rec.bin_b, rec.chosen
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"trace step {t} offers bins ({a}, {b}) outside 0..{n - 1}")
         if c != policy.decide((a, b), 0) and c != policy.decide((a, b), 1):
@@ -400,6 +377,23 @@ def replay(policy, trace: Sequence[StepRecord], n: int) -> Iterator[int]:
             )
         yield c
         policy.update((a, b), c)
+
+
+def _prove_ids(policy, trace: Trace, n: int) -> None:
+    """Rebind ``policy`` to n bins and rebuild ``trace``'s id column from
+    that state and the chosen bins by ``policy._trace_ids``; raise
+    ``ValueError`` naming the first step that records another id. Only a
+    trace ``replay`` has proven is worth proving: the rule trusts its
+    chosen bins."""
+    policy.reset(n, max(len(trace), 1))
+    ids = policy._trace_ids(policy.state_id(), policy.snapshot(), trace.chosen)
+    wrong = np.flatnonzero(ids != trace.ids)
+    if len(wrong):
+        t = int(wrong[0])
+        raise ValueError(
+            f"trace step {t} records memory_state_id {trace.ids[t]}, "
+            f"but the {policy.name} policy's state before it has id {ids[t]}"
+        )
 
 
 def load_histogram(loads: Sequence[int]) -> dict[int, int]:
@@ -463,11 +457,8 @@ def _check_writable(path: str) -> None:
         os.unlink(tmp)
 
 
-def write_trace_csv(trace: Iterable[StepRecord], path: str) -> None:
-    """Write ``trace`` (a ``Trace``, or records numbered 0, 1, ...) as CSV
-    under a ``TRACE_COLUMNS`` header."""
-    if not isinstance(trace, Trace):
-        trace = Trace.from_records(trace)
+def write_trace_csv(trace: Trace, path: str) -> None:
+    """Write ``trace`` as CSV under a ``TRACE_COLUMNS`` header."""
     with atomic_write(path, newline="") as f:
         f.write(",".join(TRACE_COLUMNS) + "\n")
         _write_rows(f, len(trace), trace.numbered, ("", ",", ",", ",", ",", "\n"))

@@ -115,10 +115,6 @@ class ScalingRow:
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in CSV_COLUMNS}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalingRow":
-        return cls(**{k: d[k] for k in CSV_COLUMNS})
-
 
 def run_trial(
     spec_policy: PolicySpec, n: int, delta: float, trial: int, base_seed: int,
@@ -223,11 +219,6 @@ def emit(rows: list[ScalingRow], format: str, path: str) -> None:
             f.write("\n")
     else:
         raise ValueError(f"unknown format: {format!r}")
-
-
-def read_rows_json(path: str) -> list[ScalingRow]:
-    with open(path) as f:
-        return [ScalingRow.from_dict(d) for d in json.load(f)]
 
 
 def load_spec_file(path: str) -> dict:

@@ -38,7 +38,9 @@ reads the memory from before the block (see ``_decide_blocks``).
 keys, computed from the memory when asked; no step keeps it. The memory
 only grows, so ``changes_memory`` alone tells when a run reaches a new state.
 ``run_bulk`` returns the bins it chose, and ``run_traced`` derives from
-them the key before every step, with no per-step call.
+them the key before every step by the policy's one id rule
+(``_trace_ids``), with no per-step call; a stored trace's id column is
+proven by the same rule (``core._prove_ids``).
 
 ``PolicySpec`` is a policy's name and parameters, as the CLI and scan
 specs give them; its ``build`` defaults advice's threshold from (n, delta).
@@ -105,12 +107,19 @@ class Policy:
         return chosen
 
     def run_traced(self, loads, pa, pb, ties) -> tuple[np.ndarray, np.ndarray]:
-        """``run_bulk``, plus the state id before each step: (uint64 ids, chosen).
+        """``run_bulk``, plus the state id before each step: (uint64 ids, chosen)."""
+        key, held = self.state_id(), self.snapshot()
+        chosen = self.run_bulk(loads, pa, pb, ties)
+        return self._trace_ids(key, held, chosen), chosen
 
-        A policy whose memory no step changes, as here, keeps its id.
+    def _trace_ids(self, key: int, held: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+        """The uint64 state id before each step of a run that chose the bins
+        ``chosen`` from the memory ``held`` (a ``snapshot``, which this may
+        change), whose id ``state_id`` gave as ``key``: the one rule of a
+        trace's id column. A policy whose memory no step changes, as here,
+        keeps its id.
         """
-        ids = np.full(len(pa), self.state_id(), dtype=np.uint64)
-        return ids, self.run_bulk(loads, pa, pb, ties)
+        return np.full(len(chosen), key, dtype=np.uint64)
 
     # -- introspection for analysis ------------------------------------
 
@@ -155,16 +164,12 @@ def key_weights(count: int) -> np.ndarray:
     return np.random.Philox(key=_KEY_WEIGHT_SEED).random_raw(count)
 
 
-def _add_balls(loads, chosen) -> None:
-    """Add one ball per entry of ``chosen`` to ``loads`` (an integer array or
-    a list of ints) in place, in O(len(chosen)) time."""
-    if isinstance(loads, np.ndarray):
-        # a one of the loads' own type: a Python 1 sends np.add.at down its
-        # slow path for every type but int64
-        np.add.at(loads, chosen, loads.dtype.type(1))
-    else:
-        for c in np.asarray(chosen).tolist():
-            loads[c] += 1
+def _add_balls(loads: np.ndarray, chosen) -> None:
+    """Add one ball per entry of ``chosen`` to ``loads``, an integer array,
+    in place, in O(len(chosen)) time."""
+    # a one of the loads' own type: a Python 1 sends np.add.at down its slow
+    # path for every type but int64
+    np.add.at(loads, chosen, loads.dtype.type(1))
 
 
 def _repeat_steps(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
@@ -338,8 +343,9 @@ class GreedyTwoChoicePolicy(Policy):
     memories get equal ids in any process; distinct ones may collide.
     ``block_keys`` gives the ids and rank keys of a whole block of memories
     at once, with no policy bound to them.
-    ``run_traced`` derives the key before every step of a run from its
-    chosen bins, with no call per step.
+    ``_trace_ids`` derives the key before every step of a run from its
+    chosen bins, with no call per step, by the weights that ``state_id``
+    built when it gave the key before the run.
     """
 
     name = "greedy"
@@ -417,14 +423,11 @@ class GreedyTwoChoicePolicy(Policy):
         self._adopt(chosen)
         return chosen
 
-    def run_traced(self, loads, pa, pb, ties):
+    def _trace_ids(self, key, held, chosen):
         # Step t's slot s held v: its value before the run plus the earlier
         # choices of s, capped at _top. The step adds (_rank(min(v + 1, top))
         # - _rank(v)) * W_s to the key, so the ids are the key before the run
         # plus the running sum of those terms, mod 2^64.
-        key = self.state_id()
-        held = self.snapshot()
-        chosen = self.run_bulk(loads, pa, pb, ties)
         ids = np.empty(len(chosen), dtype=np.uint64)
         for lo in range(0, len(chosen), _ID_CHUNK):
             slots = self._slot(chosen[lo : lo + _ID_CHUNK])
@@ -441,7 +444,7 @@ class GreedyTwoChoicePolicy(Policy):
             ids[lo + 1 : lo + len(gain)] = gain[:-1]
             key = int(gain[-1])
             _add_balls(held, slots)
-        return ids, chosen
+        return ids
 
     def _adopt(self, chosen: np.ndarray) -> None:
         """Account for the steps ``run_bulk`` just applied, whose chosen bins

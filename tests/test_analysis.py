@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from ballast import (
     ClusteredPolicy,
     PhaseConfig,
     SimConfig,
+    Trace,
     advice_list_size_check,
     advice_threshold,
     all_subsets,
@@ -35,7 +37,7 @@ from ballast import (
     sweep_placement_bounds,
     theoretical_bounds,
 )
-from ballast import analysis, policies
+from ballast import analysis, core, policies
 from ballast.analysis import enumerate_choice_numerators, rank_numerators
 from ballast.cli import main
 from ballast.core import STREAM_CHUNK, draw_run_streams, play
@@ -746,6 +748,43 @@ def test_probe_states_stops_at_the_cap(monkeypatch):
     assert len(calls) == cap
 
 
+@pytest.mark.parametrize("n, threshold", [(16, 4300), (100, 740)])
+def test_probe_states_cross_chunk_edges_as_the_one_shot_walk(n, threshold):
+    """No bin is listed until the second chunk, so the fresh state lies in
+    the first chunk and every other state kept in the second; they are the
+    states a walk of the one-shot streams reaches. n = 100 places its
+    chunks by a discarded pass."""
+    balls, cap = 3 * STREAM_CHUNK + 5, 40
+    oracle = make_policy("advice", threshold=threshold)
+    oracle.reset(n, balls)
+    steps = play(oracle, *draw_run_streams(SimConfig(n=n, seed=2, balls=balls)))
+    want = [oracle.snapshot().tolist() for _ in islice(analysis._new_states(oracle, steps), cap)]
+    probe = make_policy("advice", threshold=threshold)
+    got = [s.tolist() for s in probe_states(probe, n, balls, seed=2, max_states=cap)]
+    assert got == want
+    assert sum(got[1]) > STREAM_CHUNK  # the balls thrown before the second state
+
+
+def test_probe_memory_does_not_grow_with_balls():
+    """The probe draws its streams a chunk at a time and stops at the last
+    state it keeps, so a run 64 times longer peaks the same. The one-shot
+    streams, as Python lists, took about 40 B per ball."""
+    def probe(balls):
+        return list(probe_states(make_policy("greedy"), 64, balls, seed=1, max_states=4))
+
+    probe(STREAM_CHUNK)  # warm numpy's caches first
+    peaks, states = [], []
+    for balls in (STREAM_CHUNK, 64 * STREAM_CHUNK):
+        tracemalloc.start()
+        try:
+            states.append(probe(balls))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert [len(s) for s in states] == [4, 4]
+    assert peaks[1] < peaks[0] + 64 * 1024
+
+
 @pytest.mark.parametrize("name", [*POLICY_NAMES, "clustered-capped"])
 def test_dedup_is_exact_when_every_state_id_collides(name, monkeypatch):
     """The states counted without comparing are the distinct exact memories
@@ -959,17 +998,22 @@ def test_phase_report_from_trace_matches_live_run():
     cfg = SimConfig(n=64, seed=17, balls=64, record_trace=True)
     pc = PhaseConfig(n=64, phases=4)
     traced = simulate_run(cfg, make_policy("greedy"))
-    rep_trace = phase_report(traced, pc)
+    rep_trace = phase_report(traced.trace, pc)
     rep_live, live = run_phase_report(SimConfig(n=64, seed=17), make_policy("greedy"), pc)
     assert rep_trace.sizes == rep_live.sizes
     assert rep_trace.passes == rep_live.passes
     assert live.loads == traced.loads
 
 
+def _chosen_trace(chosen) -> Trace:
+    """A trace with the chosen bins ``chosen``, each offered as both bins."""
+    return Trace(np.zeros(len(chosen)), chosen, chosen, chosen)
+
+
 def test_phase_report_trace_too_short():
     pc = PhaseConfig(n=64, phases=4)
     with pytest.raises(ValueError, match="trace too short: 30 < 64 balls"):
-        phase_report([0] * 30, pc, n=64)
+        phase_report(_chosen_trace([0] * 30), pc)
 
 
 def _phase_walk(pieces, pc):
@@ -1058,7 +1102,7 @@ def test_phase_report_excludes_leftover_balls():
     # only the first 6 balls count toward S_1 and S_2.
     chosen = [0, 0, 0, 1, 1, 2, 3, 4, 5, 0]
     pc = PhaseConfig(n=6, phases=2)
-    rep = phase_report(chosen, pc, n=6)
+    rep = phase_report(_chosen_trace(chosen), pc)
     assert rep.sizes == [1, 2]  # S_1 = {0}; S_2 = {0, 1}
 
 
@@ -1109,6 +1153,35 @@ def test_phase_report_with_forbidden_one_choice_keeps_sizes():
     pc = PhaseConfig(n=n, phases=2)
     rep = phase_report_with_forbidden(make_policy("one-choice"), r.trace, pc)
     assert rep.forbidden_overlap == rep.sizes
+
+
+ID_PROOF_POLICIES = {
+    **{name: (lambda name=name: make_policy(name)) for name in POLICY_NAMES if name != "advice"},
+    "advice": lambda: make_policy("advice", threshold=2),
+    # 11 counters of 4 bits fit in 63 bits, so the ids are the packed counters
+    "clustered-packed": lambda: ClusteredPolicy(ClusterConfig(3, 15)),
+    "clustered-linear": lambda: ClusteredPolicy(ClusterConfig(1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ID_PROOF_POLICIES))
+def test_forbidden_report_proves_the_id_column(name):
+    """A trace the policy wrote passes the id proof; the same trace with one
+    step's id changed is refused at that step, though every step replays."""
+    build, n = ID_PROOF_POLICIES[name], 32
+    pc = PhaseConfig(n=n, phases=2)
+    config = SimConfig(n=n, seed=11, balls=3 * n, record_trace=True)
+    trace = simulate_run(config, build()).trace
+    if name != "illegal-fixture":
+        phase_report_with_forbidden(build(), trace, pc)
+    core._prove_ids(build(), trace, n)
+    for t in (0, 2 * n + 1):
+        ids = trace.ids.copy()
+        ids[t] ^= 1 << 63
+        forged = Trace(ids, trace.bin_a, trace.bin_b, trace.chosen)
+        assert list(core.replay(build(), forged, n)) == trace.chosen.tolist()
+        with pytest.raises(ValueError, match=rf"^trace step {t} records memory_state_id {ids[t]}, "):
+            core._prove_ids(build(), forged, n)
 
 
 # ---------------------------------------------------------------------------

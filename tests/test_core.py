@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -14,9 +15,9 @@ from ballast import (
     ClusterConfig,
     ClusteredPolicy,
     PhaseConfig,
-    RunResult,
     SimConfig,
     StepRecord,
+    Trace,
     load_histogram,
     make_policy,
     phase_report,
@@ -156,14 +157,14 @@ def test_run_bulk_matches_decide_update(build, n, extra, seed, cut):
     fast, slow = build(), build()
     fast.reset(n, balls)
     slow.reset(n, balls)
-    fast_loads, slow_loads = [0] * n, [0] * n
+    fast_loads, slow_loads = np.zeros(n, dtype=np.int64), [0] * n
     fast.run_bulk(fast_loads, pa[:cut], pb[:cut], ties[:cut])
     fast.run_bulk(fast_loads, pa[cut:], pb[cut:], ties[cut:])
     for a, b, r in zip(pa, pb, ties):
         c = slow.decide((a, b), r)
         slow_loads[c] += 1
         slow.update((a, b), c)
-    assert fast_loads == slow_loads
+    assert fast_loads.tolist() == slow_loads
     assert fast.snapshot().tolist() == slow.snapshot().tolist()
     assert exact_memory(fast) == exact_memory(slow)
     assert fast.memory_bits(n, balls) == slow.memory_bits(n, balls)
@@ -190,7 +191,7 @@ def test_run_bulk_matches_decide_update_across_blocks(name, n, balls):
     fast, slow = BLOCK_POLICIES[name](), BLOCK_POLICIES[name]()
     fast.reset(n, balls)
     slow.reset(n, balls)
-    fast_loads = [0] * n
+    fast_loads = np.zeros(n, dtype=np.int64)
     cuts = [0, 0, 1, 777, balls // 3 + 5, balls // 3 + 6, balls - 2, balls, balls]
     for lo, hi in zip(cuts, cuts[1:]):
         fast.run_bulk(fast_loads, pa[lo:hi], pb[lo:hi], ties[lo:hi])
@@ -199,7 +200,7 @@ def test_run_bulk_matches_decide_update_across_blocks(name, n, balls):
         c = slow.decide((a, b), r)
         slow_loads[c] += 1
         slow.update((a, b), c)
-    assert fast_loads == slow_loads
+    assert fast_loads.tolist() == slow_loads
     assert fast.snapshot().tolist() == slow.snapshot().tolist()
     assert exact_memory(fast) == exact_memory(slow)
     assert fast.memory_bits(n, balls) == slow.memory_bits(n, balls)
@@ -340,6 +341,21 @@ def test_only_other_n_walk_a_discarded_pass(n, passes, monkeypatch):
     assert 0 <= sum(drawn) - (3 + passes) * balls < 2 * 8
 
 
+def test_stream_walk_keeps_nothing_per_chunk():
+    """The first chunk costs the same with 10 chunks ahead and with 10^6: the
+    walk holds no list of chunk sizes, which took 9.9 MiB at 10^6 chunks."""
+    next(stream_chunks(SimConfig(n=16, balls=2 * STREAM_CHUNK)))  # warm numpy's caches first
+    peaks = []
+    for chunks in (10, 10**6):
+        tracemalloc.start()
+        try:
+            next(stream_chunks(SimConfig(n=16, balls=chunks * STREAM_CHUNK)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 4096
+
+
 def test_stream_chunk_is_a_multiple_of_four(monkeypatch):
     """numpy draws the uint8 tie bits four to a 32-bit word and drops the
     rest at the end of each call, so only such chunks keep the tie stream."""
@@ -417,23 +433,24 @@ def test_advice_run_over_many_chunks_matches_decide_update(n, threshold):
 
 @pytest.mark.parametrize("name", ["one-choice", "greedy", "clustered", "advice", "max-index"])
 def test_play_yields_ints_and_run_bulk_takes_lists_or_arrays(name):
+    """The trace's records hold Python ints, and run_bulk takes the offers
+    and tie bits as lists or arrays (the loads are always an array)."""
     n, balls = 64, 300
     config = SimConfig(n=n, seed=9, balls=balls, record_trace=True)
     r = simulate_run(config, _policy(name))
     fields = [getattr(rec, f.name) for rec in r.trace for f in dataclasses.fields(rec)]
     assert all(type(v) is int for v in fields)
-    assert RunResult.from_json(r.to_json()) == r
+    assert all(type(v) is int for v in r.loads)
 
     streams = draw_run_streams(config)
     outcomes = []
     for as_lists in (False, True):
         p = _policy(name)
         p.reset(n, balls)
-        loads = [0] * n
+        loads = np.zeros(n, dtype=np.int64)
         for lo, hi in ((0, 100), (100, balls)):
             p.run_bulk(loads, *(v[lo:hi].tolist() if as_lists else v[lo:hi] for v in streams))
-        assert all(type(v) is int for v in loads)
-        outcomes.append((loads, p.snapshot().tolist(), p.memory_bits(n, balls)))
+        outcomes.append((loads.tolist(), p.snapshot().tolist(), p.memory_bits(n, balls)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == r.loads
 
@@ -448,8 +465,9 @@ def test_play_yields_ints_and_run_bulk_takes_lists_or_arrays(name):
     pick=st.integers(0, 2**16),
 )
 def test_replay_accepts_own_traces_and_refuses_impossible_steps(build, n, extra, seed, where, pick):
-    """replay proves every trace simulate_run writes and refuses a step the rule
-    could not have taken, at that step."""
+    """replay proves every trace simulate_run writes, and so does the id
+    proof, and replay refuses a step the rule could not have taken, at that
+    step."""
     balls = n + extra
     live = build()
     trace = simulate_run(SimConfig(n=n, seed=seed, balls=balls, record_trace=True), live).trace
@@ -460,6 +478,7 @@ def test_replay_accepts_own_traces_and_refuses_impossible_steps(build, n, extra,
         walked.append(StepRecord(t, replayed.state_id(), trace[t].bin_a, trace[t].bin_b, c))
     assert walked == trace
     assert exact_memory(replayed) == exact_memory(live)
+    core._prove_ids(build(), trace, n)
 
     t = where % balls
     probe = build()
@@ -469,9 +488,10 @@ def test_replay_accepts_own_traces_and_refuses_impossible_steps(build, n, extra,
     pair = (trace[t].bin_a, trace[t].bin_b)
     possible = {probe.decide(pair, 0), probe.decide(pair, 1)}
     impossible = [b for b in range(n) if b not in possible]
-    bad = dataclasses.replace(trace[t], chosen=impossible[pick % len(impossible)])
+    chosen = trace.chosen.copy()
+    chosen[t] = impossible[pick % len(impossible)]
     with pytest.raises(ValueError, match=rf"^trace step {t} chooses bin "):
-        list(replay(build(), trace[:t] + [bad] + trace[t + 1 :], n))
+        list(replay(build(), Trace(trace.ids, trace.bin_a, trace.bin_b, chosen), n))
 
 
 @pytest.mark.parametrize("name", ["greedy", "clustered", "advice"])
@@ -491,12 +511,11 @@ def test_step_walks_ask_no_state_id(name, monkeypatch):
     assert list(replay(_policy(name), trace, n)) == trace.chosen.tolist()
 
 
-def test_replay_refuses_misnumbered_steps_and_foreign_bins():
+def test_replay_refuses_foreign_bins():
     trace = simulate_run(SimConfig(n=8, seed=1, record_trace=True), make_policy("greedy")).trace
-    swapped = [trace[0], trace[2], trace[1]] + trace[3:]
-    with pytest.raises(ValueError, match="trace step 1 is numbered 2"):
-        list(replay(make_policy("greedy"), swapped, 8))
-    foreign = trace[:3] + [dataclasses.replace(trace[3], bin_b=8)] + trace[4:]
+    bin_b = trace.bin_b.copy()
+    bin_b[3] = 8
+    foreign = Trace(trace.ids, trace.bin_a, bin_b, trace.chosen)
     with pytest.raises(ValueError, match=r"trace step 3 offers bins \(\d+, 8\) outside 0..7"):
         list(replay(make_policy("greedy"), foreign, 8))
 
@@ -510,7 +529,7 @@ def test_segmented_run_matches_plain_run():
     report, result = run_phase_report(cfg, make_policy("greedy"), pc)
     assert result == plain
     traced = simulate_run(dataclasses.replace(cfg, record_trace=True), make_policy("greedy"))
-    assert report == phase_report(traced, pc)
+    assert report == phase_report(traced.trace, pc)
 
 
 def test_pair_draws_are_uniform():
@@ -551,10 +570,12 @@ def test_histogram_counts_sum_to_n():
 
 def test_run_result_json_round_trip():
     r = simulate_run(SimConfig(n=8, seed=4, record_trace=True), make_policy("greedy"))
-    back = RunResult.from_json(r.to_json())
-    assert back.loads == r.loads
-    assert back.max_load == r.max_load
-    assert back.trace == r.trace
+    f = io.StringIO()
+    r.write_json(f)
+    back = json.loads(f.getvalue())
+    assert back["loads"] == r.loads
+    assert back["max_load"] == r.max_load
+    assert [StepRecord(*row) for row in back["trace"]] == r.trace
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,10 +18,9 @@ from ballast import (
     ExperimentSpec,
     PolicySpec,
     SimConfig,
-    StepRecord,
+    Trace,
     emit,
     make_policy,
-    read_rows_json,
     run_experiment,
     theoretical_bounds,
     trial_seed,
@@ -183,7 +183,7 @@ def test_emit_json_round_trip(tmp_path):
     rows = run_experiment(small_spec())
     path = tmp_path / "rows.json"
     emit(rows, "json", str(path))
-    assert read_rows_json(str(path)) == rows
+    assert json.loads(path.read_text()) == [r.to_dict() for r in rows]
     keys = list(json.loads(path.read_text())[0].keys())
     assert keys == list(CSV_COLUMNS)
 
@@ -199,7 +199,7 @@ def test_emitted_bytes_identical(tmp_path):
 
 
 class _BrokenRecord:
-    """A row or trace record that fails part-way through being written."""
+    """A row that fails part-way through being written."""
 
     def __getattr__(self, name):
         raise RuntimeError("record cannot be written")
@@ -209,14 +209,27 @@ class _BrokenRecord:
 
 
 @pytest.mark.parametrize("writer", ["csv", "json", "trace"])
-def test_failed_write_leaves_old_file_and_no_temporary(tmp_path, writer):
+def test_failed_write_leaves_old_file_and_no_temporary(tmp_path, writer, monkeypatch):
+    """The trace fails at its second block of rows, once the first is written
+    to the temporary file."""
     good_row = run_experiment(small_spec(trials=1, policies=(PolicySpec("greedy"),)))[0]
+    trace = Trace(*[np.arange(2 * core._IO_ROWS + 1)] * 4)
+    rows_text = core._rows_text
+    blocks = []
+
+    def failing_rows_text(columns, seps):
+        blocks.append(os.listdir(tmp_path))
+        if len(blocks) % 2 == 0:
+            raise RuntimeError("block cannot be written")
+        return rows_text(columns, seps)
+
+    monkeypatch.setattr(core, "_rows_text", failing_rows_text)
 
     def write(path):
         if writer == "trace":
-            write_trace_csv([StepRecord(0, 0, 1, 2, 1), _BrokenRecord()], path)
-        else:
-            emit([good_row, _BrokenRecord()], writer, path)
+            write_trace_csv(trace, path)
+            return
+        emit([good_row, _BrokenRecord()], writer, path)
 
     path = tmp_path / "out"
     with pytest.raises((RuntimeError, TypeError)):
@@ -227,6 +240,9 @@ def test_failed_write_leaves_old_file_and_no_temporary(tmp_path, writer):
         write(str(path))
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["out"]
+    if writer == "trace":  # the second block of each write failed beside its temporary file
+        assert len(blocks) == 4
+        assert all(len([f for f in files if f.endswith(".tmp")]) == 1 for files in blocks)
 
 
 def test_runtime_column_zero_unless_measured():
@@ -295,7 +311,7 @@ def test_cli_scan_gives_each_policy_only_its_own_parameters(tmp_path):
             "--cluster-size", "2", "--counter-cap", "5", "--advice-threshold", "3",
             "--format", "json", "--out", str(out)]
     assert main(argv) == 0
-    assert sorted({row.policy for row in read_rows_json(str(out))}) == [
+    assert sorted({row["policy"] for row in json.loads(out.read_text())}) == [
         "advice[threshold=3]", "clustered[cluster_size=2,counter_cap=5]", "greedy"
     ]
 
@@ -335,7 +351,8 @@ def test_cli_scan_spec_file_with_flag_override(tmp_path):
     out = tmp_path / "rows.json"
     code = main(["scan", "--spec", str(spec_path), "--trials", "2", "--out", str(out)])
     assert code == 0
-    rows = read_rows_json(str(out))
+    with open(out) as f:
+        rows = json.load(f)
     assert len(rows) == 2  # flag wins over the spec file's 5
 
 
@@ -566,6 +583,28 @@ def test_cli_phases_forbidden_refuses_a_trace_of_another_policy(tmp_path, capsys
     argv = ["phases", "--n", "64", "--phases", "2", "--trace-in", str(trace), "--forbidden"]
     _assert_refused(capsys, argv + ["--policy", "greedy"], "the greedy policy could not have chosen")
     assert main(argv + ["--policy", "clustered"]) == 0
+
+
+@pytest.mark.parametrize("step", [0, 40])
+def test_cli_phases_forbidden_refuses_a_trace_with_a_false_id(tmp_path, capsys, step):
+    """Every step of the trace replays under greedy, but the id one step
+    records is not the id of the state before it. Without --forbidden the
+    ids are not read."""
+    trace = _traced_run(tmp_path, capsys, "greedy", 64)
+    lines = trace.read_text().splitlines()
+    true_id = lines[step + 1].split(",")[1]
+    fields = lines[step + 1].split(",")
+    fields[1] = "12345"
+    lines[step + 1] = ",".join(fields)
+    trace.write_text("".join(line + "\n" for line in lines))
+    argv = ["phases", "--n", "64", "--phases", "2", "--trace-in", str(trace)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    _assert_refused(
+        capsys, argv + ["--policy", "greedy", "--forbidden"],
+        f"trace step {step} records memory_state_id 12345, "
+        f"but the greedy policy's state before it has id {true_id}",
+    )
 
 
 def test_cli_phases_refuses_zero_phases(capsys):

@@ -405,7 +405,7 @@ def test_incremental_state_key_matches_recomputation(name, seed, balls, cuts, op
     p = KEYED_POLICIES[name]()
     bounds = sorted({0, balls, *(round(c * balls) for c in cuts)})
     streams = draw_run_streams(SimConfig(n=KEY_N, seed=seed, balls=balls))
-    sink = [0] * KEY_N  # run_bulk's loads argument; the key reads only the policy's memory
+    sink = np.zeros(KEY_N, dtype=np.int64)  # run_bulk's loads; the key reads only the memory
     p.reset(KEY_N, balls)
     for lo, hi in zip(bounds, bounds[1:]):  # each segment a run_bulk call of its own
         p.run_bulk(sink, *(v[lo:hi] for v in streams))
@@ -450,7 +450,7 @@ def test_memory_only_grows(build, ops):
     """
     p = build()
     p.reset(KEY_N, 256)
-    sink = [0] * KEY_N  # run_bulk's loads argument
+    sink = np.zeros(KEY_N, dtype=np.int64)  # run_bulk's loads argument
 
     def grown_from(old_slots, old_exact):
         slots, exact = p.snapshot(), exact_memory(p)
@@ -652,12 +652,12 @@ class _CountingPolicy(policies.Policy):
 def test_base_run_bulk_applies_the_update_of_every_step():
     p = _CountingPolicy()
     p.reset(8, 8)
-    loads = [0] * 8
+    loads = np.zeros(8, dtype=np.int64)
     chosen = p.run_bulk(loads, [1, 2, 3], [4, 5, 6], [0, 1, 0])
     assert chosen.dtype == np.int64 and chosen.tolist() == [1, 5, 3]
     assert p.applied == 3  # the last step's too
     assert p.run_bulk(loads, [], [], []).tolist() == [] and p.applied == 3
-    assert loads == [0, 1, 0, 1, 0, 1, 0, 0]
+    assert loads.tolist() == [0, 1, 0, 1, 0, 1, 0, 0]
 
 
 def _clustered(size, cap):
