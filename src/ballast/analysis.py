@@ -48,7 +48,7 @@ import collections
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,11 +59,9 @@ from .core import (
     SimConfig,
     Trace,
     _prove_ids,
+    _prove_steps,
     _walk_chunks,
     count_dtype,
-    play,
-    replay,
-    stream_chunks,
 )
 
 
@@ -552,34 +550,36 @@ def enumerate_clustered_states(num_clusters: int, cap: int, max_balls: int) -> n
 def probe_states(
     policy, n: int, balls: int, seed: int, max_states: int = 256
 ) -> Iterator[np.ndarray]:
-    """Snapshots (1-D int64 rows) of the distinct memory states visited in
-    one seeded run, at most ``max_states``, yielded as the run reaches them:
-    the run walks on only when the next one is taken, so no more than one
-    is held here. The run moves ``policy``, so a sweep of these states
-    should walk them with another instance. The streams are drawn a
-    ``stream_chunks`` chunk at a time, and only up to the last state kept."""
+    """Snapshots (1-D int64 rows) of the distinct memory states one seeded run
+    visits, the final one included, at most ``max_states``, as it reaches
+    them. The run is the engine's untraced walk, which moves ``policy``;
+    no chunk past the last state kept is decided."""
     policy.reset(n, balls)
-    chunks = stream_chunks(SimConfig(n=n, seed=seed, balls=balls))
-    states = _new_states(policy, chain.from_iterable(play(policy, *c) for c in chunks))
-    # islice stops at the cap without walking on to the next state
-    for _ in islice(states, max_states):
-        yield policy.snapshot()
+    counts = np.zeros(n, dtype=count_dtype(balls))
+    chunks = _walk_chunks(SimConfig(n=n, seed=seed, balls=balls), policy, counts)
+    yield from islice(_state_rows(policy, policy.snapshot(), chunks, final=True), max_states)
 
 
-def _new_states(policy, steps: Iterator[int]) -> Iterator[int | None]:
-    """Walk ``steps`` (``play`` or ``replay`` of ``policy``, which yield each
-    step's chosen bin); yield, with the policy in it, the chosen bin of each
-    step whose pre-step state is new, then None if the final state is. The
-    memory only grows, so a state is new iff it is the first or the step
-    before it changed the memory (``Policy.changes_memory``). No state is
-    copied or compared, so no id collision can merge two states."""
-    changed = True  # the fresh state is new
-    for c in steps:
-        if changed:
-            yield c
-        changed = policy.changes_memory(c)
-    if changed:
-        yield None
+def _state_rows(policy, held: np.ndarray, chunks, final: bool) -> Iterator[np.ndarray]:
+    """The memory row (``held`` plus each slot's choices so far, capped) before
+    each step that starts a new state of a run that chose the bins of
+    ``chunks`` from ``held``, then after the last step if ``final`` and new.
+    The memory only grows, so a state is new iff it is the first or the key
+    of the step before it rose (``Policy._walk``); no id is compared."""
+    top = getattr(policy, "_top", None)
+    mem, walked = held.copy(), held.copy()
+    new = True  # the fresh state is new
+    pieces = (piece for chosen in chunks for piece in policy._walk(walked, chosen))
+    for slots, rise, _ in pieces:
+        done = 0
+        for t in np.flatnonzero(np.concatenate(([new], rise[:-1] != 0))).tolist():
+            np.add.at(mem, slots[done:t], 1)
+            done = t
+            yield mem.copy() if top is None else np.minimum(mem, top)
+        np.add.at(mem, slots[done:], 1)
+        new = bool(rise[-1])
+    if final and new:
+        yield mem.copy() if top is None else np.minimum(mem, top)
 
 
 # ---------------------------------------------------------------------------
@@ -760,16 +760,14 @@ def forbidden_union_over_trace(policy, trace: Trace, n: int, epsilon):
     """Union of forbidden sets over the distinct memory states in which a run
     decided a step (the state after its last ball decides none).
 
-    Replays the trace through a fresh policy binding (``core.replay``, which
-    refuses a trace the policy could not have made) and walks the snapshot of
-    each new state on the same policy: only a policy without ``block_keys``
-    is bound by the walk, and such a policy has no memory, so the replay's
-    state is kept. n <= 4096. Returns (union set, number of distinct states).
+    Proves the trace's steps (``core._prove_steps``), then walks the rows
+    of its new states (``_state_rows``) on the same policy, which only a
+    policy without ``block_keys``, and so with no memory, is bound by.
+    n <= 4096. Returns (union set, number of distinct states).
     """
     eps = as_exact(epsilon)
-    rows = (
-        policy.snapshot() for c in _new_states(policy, replay(policy, trace, n)) if c is not None
-    )
+    _prove_steps(policy, trace, n)
+    rows = _state_rows(policy, policy.snapshot(), [trace.chosen], final=False)
     union, distinct = np.zeros(n, dtype=bool), 0
     for _, nums, _ in _numerator_blocks(policy, n, rows):
         union |= _forbidden(nums, n, eps).any(axis=0)
@@ -784,8 +782,8 @@ def phase_report_with_forbidden(
 
     For each phase i reports |S_i \\ U| where U is the union of forbidden
     sets over every distinct memory state the run visited -- a harsher
-    subtraction than any single state's forbidden set. Once the union's
-    replay has proven every step, the trace's id column is proven too
+    subtraction than any single state's forbidden set. Once the union has
+    proven every step, the trace's id column is proven too
     (``core._prove_ids``), so a trace whose ids its steps do not give is
     refused with ``ValueError``.
     """

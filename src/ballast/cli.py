@@ -232,6 +232,8 @@ def cmd_verify(args) -> int:
     if n > core.PAIR_GUARD:
         print(f"verify needs n <= {core.PAIR_GUARD}", file=sys.stderr)
         return 2
+    if not 0 <= args.seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")  # as run and phases refuse it
     for flag, count in (("--n", n), ("--subsets", args.subsets), ("--balls", args.balls),
                         ("--max-states", args.max_states)):
         if count is not None and count < 1:

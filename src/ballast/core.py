@@ -33,20 +33,13 @@ process. The policy derives the whole id column from the chosen bins
 views. Traces and run results are written, and traces read, a block of
 rows at a time through numpy, in the text ``csv`` and ``json`` would give.
 
-Every step-by-step walk goes through one of two generators. ``play``
-decides each step of drawn streams; ``replay`` walks a stored trace and
-proves it on the way. Both yield a step's chosen bin while the policy is
-still in the state that decided it, and apply the step when the next one
-is asked for; a caller that wants the state's id asks the policy between
-yields, so a walk costs no id per step. A trace replays under a policy
-for n bins only if both offered bins of every step lie in 0..n-1 and
-every ``chosen`` is ``decide(pair, 0)`` or ``decide(pair, 1)`` in the
-replayed state; ``replay`` raises ``ValueError`` naming the first step
-that is not. A ``Trace`` is numbered by position, and ``read_trace_csv``
-refuses a file whose steps are not numbered 0, 1, .... The id column is
-proven once the steps are (``_prove_ids``): it must be the column the
-policy's ``_trace_ids`` rule, the rule ``run_traced`` writes it by, gives
-from the reset state and the chosen bins.
+``_prove_steps`` proves a stored trace by the picks of the policy's walk
+of its chosen column (``Policy._walk``): every step's offers must lie in
+0..n-1 and its ``chosen`` be ``decide(pair, 0)`` or ``decide(pair, 1)`` in
+the state the earlier steps lead to, else ``ValueError`` names the first
+step that is not. ``read_trace_csv`` refuses steps not numbered 0, 1, ....
+The id column is proven once the steps are (``_prove_ids``), by the rule
+``run_traced`` writes it by (``_trace_ids``) from the reset state.
 """
 
 from __future__ import annotations
@@ -346,44 +339,35 @@ def _walk_counts(config: SimConfig, policy) -> np.ndarray:
     return counts
 
 
-def play(policy, pa, pb, ties) -> Iterator[int]:
-    """Decide every step of the streams under ``policy``, as it is bound now.
-
-    Each step's chosen bin is yielded before the policy applies the step, so
-    between two yields the policy is in the state that decided the last one.
-    The streams are ``draw_run_streams`` arrays; the bins are Python ints.
-    """
-    for a, b, r in zip(pa.tolist(), pb.tolist(), ties.tolist()):
-        c = policy.decide((a, b), r)
-        yield c
-        policy.update((a, b), c)
-
-
-def replay(policy, trace: Trace, n: int) -> Iterator[int]:
-    """Rebind ``policy`` to n bins and walk ``trace`` through it, like ``play``.
-
-    A step the policy could not have taken raises ``ValueError`` naming it
-    (see the module docstring).
-    """
+def _prove_steps(policy, trace: Trace, n: int) -> None:
+    """Rebind ``policy`` to n bins and prove ``trace``'s steps from that state,
+    which it keeps (see the module docstring)."""
     policy.reset(n, max(len(trace), 1))
-    for rec in trace:
-        t, a, b, c = rec.step, rec.bin_a, rec.bin_b, rec.chosen
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"trace step {t} offers bins ({a}, {b}) outside 0..{n - 1}")
-        if c != policy.decide((a, b), 0) and c != policy.decide((a, b), 1):
+    a, b, c = trace.bin_a, trace.bin_b, trace.chosen
+    outside = np.flatnonzero((a < 0) | (a >= n) | (b < 0) | (b >= n))
+    stop = int(outside[0]) if len(outside) else len(trace)
+    # a chosen bin outside 0..n-1 is no offered bin, so clipping it leaves the
+    # step refused, and the walk reads only the steps before the first refused one
+    walk = policy._walk(policy.snapshot(), np.clip(c[:stop], 0, n - 1), (a[:stop], b[:stop]))
+    lo = 0
+    for _, _, (d0, d1) in walk:
+        wrong = np.flatnonzero((c[lo : lo + len(d0)] != d0) & (c[lo : lo + len(d0)] != d1))
+        if len(wrong):
+            t = lo + int(wrong[0])
             raise ValueError(
-                f"trace step {t} chooses bin {c} from ({a}, {b}), "
+                f"trace step {t} chooses bin {c[t]} from ({a[t]}, {b[t]}), "
                 f"which the {policy.name} policy could not have chosen"
             )
-        yield c
-        policy.update((a, b), c)
+        lo += len(d0)
+    if stop < len(trace):
+        raise ValueError(f"trace step {stop} offers bins ({a[stop]}, {b[stop]}) outside 0..{n - 1}")
 
 
 def _prove_ids(policy, trace: Trace, n: int) -> None:
     """Rebind ``policy`` to n bins and rebuild ``trace``'s id column from
     that state and the chosen bins by ``policy._trace_ids``; raise
     ``ValueError`` naming the first step that records another id. Only a
-    trace ``replay`` has proven is worth proving: the rule trusts its
+    trace ``_prove_steps`` has proven is worth proving: the rule trusts its
     chosen bins."""
     policy.reset(n, max(len(trace), 1))
     ids = policy._trace_ids(policy.state_id(), policy.snapshot(), trace.chosen)

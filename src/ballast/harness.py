@@ -76,6 +76,8 @@ class ExperimentSpec:
             raise ValueError("policies must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"base_seed must fit in 64 bits, got {self.base_seed}")
         if not 0 < self.delta <= 1:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if self.format not in ("csv", "json"):
@@ -146,7 +148,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ScalingRow]:
     """All (policy, n, trial) rows of a scan, canonically sorted.
 
     Trials are independent (seed = base_seed XOR trial), so jobs > 1 runs
-    them in worker processes; ordering of the output never depends on it.
+    them in that many worker processes, at most one per trial; ordering never depends on it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -159,7 +161,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ScalingRow]:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_mmap_threshold) as pool:
+        workers = min(jobs, len(tasks))  # a fork pool starts every worker at its first task
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_mmap_threshold) as pool:
             rows = list(pool.map(_run_trial_star, tasks, chunksize=1))
     else:
         rows = [run_trial(*t) for t in tasks]

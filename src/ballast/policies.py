@@ -35,12 +35,12 @@ so the analysis can count ranks instead of enumerating pairs.
 step of a block that offers no slot an earlier step of the block offered
 reads the memory from before the block (see ``_decide_blocks``).
 ``state_id`` labels the current memory state by a key linear in the slot
-keys, computed from the memory when asked; no step keeps it. The memory
-only grows, so ``changes_memory`` alone tells when a run reaches a new state.
-``run_bulk`` returns the bins it chose, and ``run_traced`` derives from
-them the key before every step by the policy's one id rule
-(``_trace_ids``), with no per-step call; a stored trace's id column is
-proven by the same rule (``core._prove_ids``).
+keys, computed from the memory when asked; no step keeps it.
+
+What a slot held before each step follows from the run's first memory
+and chosen bins (``_values_before``), so one walk of the chosen column
+(``Policy._walk``) answers every state question: the key rises sum to the
+id column and mark new states, and the picks prove a stored trace.
 
 ``PolicySpec`` is a policy's name and parameters, as the CLI and scan
 specs give them; its ``build`` defaults advice's threshold from (n, delta).
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import count_dtype, play
+from .core import count_dtype
 
 
 def int_width(maxval: int) -> int:
@@ -96,15 +96,31 @@ class Policy:
         pass
 
     def run_bulk(self, loads, pa, pb, ties) -> np.ndarray:
-        """Apply the given steps of a run; return their chosen bins (int64).
+        """Apply the given steps of a run; return their chosen bins (a fresh int64 array).
 
         Must match decide/update exactly. A run may be applied in
-        consecutive pieces, each in O(steps) time. Here ``core.play`` decides
-        each step, drawn to its end so that the last step's update runs.
+        consecutive pieces, each in O(steps) time. Here the policy has no
+        memory, so one ``decide`` on the arrays decides every step.
         """
-        chosen = np.fromiter(play(self, *map(np.asarray, (pa, pb, ties))), dtype=np.int64)
+        pa, pb = (np.asarray(v, dtype=np.int64) for v in (pa, pb))
+        chosen = np.broadcast_to(self.decide((pa, pb), np.asarray(ties)), pa.shape)
+        chosen = np.array(chosen, dtype=np.int64)  # a fresh array: one-choice's decide is pa
         _add_balls(loads, chosen)
         return chosen
+
+    def _walk(self, held, chosen, offers=None):
+        """Walk a run that chose ``chosen`` from the memory ``held`` (a snapshot,
+        which this advances), ``_ID_CHUNK`` steps a piece: yield its chosen
+        slots, each step's key rise (nonzero iff it changes the memory the rule
+        reads) and, given ``offers`` = (bin_a, bin_b), the rule's picks under
+        tie bits 0 and 1, else None. Here no slot is chosen and no key rises."""
+        for lo in range(0, len(chosen), _ID_CHUNK):
+            k = min(_ID_CHUNK, len(chosen) - lo)
+            picks = None
+            if offers is not None:
+                pair = tuple(o[lo : lo + _ID_CHUNK] for o in offers)
+                picks = tuple(np.broadcast_to(self.decide(pair, tie), k) for tie in (0, 1))
+            yield held[:0], np.zeros(k, dtype=np.int64), picks
 
     def run_traced(self, loads, pa, pb, ties) -> tuple[np.ndarray, np.ndarray]:
         """``run_bulk``, plus the state id before each step: (uint64 ids, chosen)."""
@@ -126,11 +142,6 @@ class Policy:
     def state_id(self) -> int:
         """Integer label of the memory state: equal states, equal ids."""
         return 0
-
-    def changes_memory(self, chosen: int) -> bool:
-        """Whether a ball in bin ``chosen`` changes the memory the rule reads,
-        asked before the step; the state after it is then new."""
-        return False
 
     def snapshot(self) -> np.ndarray:
         """A fresh copy of the memory: a 1-D int64 row of one value per slot,
@@ -279,17 +290,26 @@ def _decide_blocks(mem: np.ndarray, sa, sb, ties, prefer, cap=None) -> np.ndarra
     return won
 
 
-def _earlier_choices(slots: np.ndarray) -> np.ndarray:
-    """For each step, how many earlier steps chose its slot."""
-    order = np.argsort(slots, kind="stable")
-    grouped = slots[order]
-    earlier = np.empty(len(slots), dtype=np.int64)
-    # a step's place in its slot's group, less the place of the group's first step
-    earlier[order] = np.arange(len(slots)) - np.searchsorted(grouped, grouped)
-    return earlier
+def _values_before(held: np.ndarray, chosen_slots: np.ndarray, slots: np.ndarray, top):
+    """What each entry of ``slots`` (one column per step) held before its step
+    in a run that chose ``chosen_slots`` from ``held``: its value there plus
+    its earlier choices, capped at ``top`` (None: no cap). One stable sort of
+    the (slot, step) entries, a step's queries before its own choice, puts
+    each query just after the earlier choices of its slot."""
+    k = len(chosen_slots)
+    steps = 2 * np.arange(k)
+    keys = np.concatenate((chosen_slots * (2 * k) + steps + 1, (slots * (2 * k) + steps).ravel()))
+    order = np.argsort(keys, kind="stable")
+    choice = order < k
+    before = np.cumsum(choice) - choice  # the choices sorted before each entry
+    group = keys[order] // (2 * k)
+    earlier = np.empty_like(before)
+    earlier[order] = before - before[np.searchsorted(group, group)]  # less those of other slots
+    values = held[slots] + earlier[k:].reshape(slots.shape)
+    return values if top is None else np.minimum(values, top, out=values)
 
 
-_ID_CHUNK = 1 << 14  # steps per piece of a traced run's id column
+_ID_CHUNK = 1 << 14  # steps per piece of a run's walk (``Policy._walk``)
 
 
 class OneChoicePolicy(Policy):
@@ -299,11 +319,6 @@ class OneChoicePolicy(Policy):
 
     def decide(self, pair, tie_bit):
         return pair[0]
-
-    def run_bulk(self, loads, pa, pb, ties):
-        chosen = np.asarray(pa, dtype=np.int64)
-        _add_balls(loads, chosen)
-        return chosen
 
     def memory_bits(self, n, balls):
         return 0
@@ -343,9 +358,6 @@ class GreedyTwoChoicePolicy(Policy):
     memories get equal ids in any process; distinct ones may collide.
     ``block_keys`` gives the ids and rank keys of a whole block of memories
     at once, with no policy bound to them.
-    ``_trace_ids`` derives the key before every step of a run from its
-    chosen bins, with no call per step, by the weights that ``state_id``
-    built when it gave the key before the run.
     """
 
     name = "greedy"
@@ -401,13 +413,6 @@ class GreedyTwoChoicePolicy(Policy):
             self._grow(1)
             self._mem[s] += 1
 
-    def changes_memory(self, chosen):
-        # iff the chosen slot's key changes: always for greedy, below the cap
-        # for clustered, once the load reaches the threshold for advice
-        v = self._mem[chosen // self._width]
-        grown = v + 1 if self._top is None else min(v + 1, self._top)
-        return self._rank(grown) != self._rank(v)
-
     def _slot(self, bins: np.ndarray) -> np.ndarray:
         return bins if self._width == 1 else bins // self._width
 
@@ -423,27 +428,35 @@ class GreedyTwoChoicePolicy(Policy):
         self._adopt(chosen)
         return chosen
 
-    def _trace_ids(self, key, held, chosen):
-        # Step t's slot s held v: its value before the run plus the earlier
-        # choices of s, capped at _top. The step adds (_rank(min(v + 1, top))
-        # - _rank(v)) * W_s to the key, so the ids are the key before the run
-        # plus the running sum of those terms, mod 2^64.
-        ids = np.empty(len(chosen), dtype=np.uint64)
+    def _walk(self, held, chosen, offers=None):
+        # step t's chosen slot rises from its value before the step, v, to
+        # min(v + 1, top); the picks compare the offered slots' values before it
         for lo in range(0, len(chosen), _ID_CHUNK):
             slots = self._slot(chosen[lo : lo + _ID_CHUNK])
-            v = held[slots] + _earlier_choices(slots)
-            grown = v + 1
-            if self._top is not None:
-                np.minimum(v, self._top, out=v)
-                np.minimum(grown, self._top, out=grown)
-            gain = (self._rank(grown) - self._rank(v)).astype(np.uint64)
+            pair = () if offers is None else tuple(o[lo : lo + _ID_CHUNK] for o in offers)
+            v = _values_before(held, slots, np.stack((slots, *map(self._slot, pair))), self._top)
+            grown = v[0] + 1 if self._top is None else np.minimum(v[0] + 1, self._top)
+            picks = None
+            if offers is not None:
+                a, b = pair
+                picks = tuple(np.where(self._prefer(v[1], v[2], tie), b, a) for tie in (0, 1))
+            yield slots, self._rank(grown) - self._rank(v[0]), picks
+            _add_balls(held, slots)
+
+    def _trace_ids(self, key, held, chosen):
+        # step t adds rise_t * W_s to the key, s its chosen slot (W as state_id built it
+        # for the key), so the ids are the key plus the running sum, mod 2^64
+        ids = np.empty(len(chosen), dtype=np.uint64)
+        lo = 0
+        for slots, rise, _ in self._walk(held, chosen):
+            gain = rise.astype(np.uint64)
             gain *= self._wv[slots]
             np.cumsum(gain, out=gain)
-            gain += key  # the key after each step of the chunk
+            gain += key  # the key after each step of the piece
             ids[lo] = key
             ids[lo + 1 : lo + len(gain)] = gain[:-1]
             key = int(gain[-1])
-            _add_balls(held, slots)
+            lo += len(gain)
         return ids
 
     def _adopt(self, chosen: np.ndarray) -> None:

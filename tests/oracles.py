@@ -8,8 +8,9 @@ file so the bands can be re-derived.
 The placement checks of one state and one subset in ``Fraction``s, the
 advice list built by its definition, the state key in Python integers, the
 recursive clustered-state enumeration, the per-pair walk of every ordered
-pair and the sweep's per-bin margin arithmetic are here too: they restate
-what the program computes in another way, and no command reads them.
+pair, the per-step walks of a run (``play``, ``replay``, ``new_states``)
+and the sweep's per-bin margin arithmetic are here too: they restate what
+the program computes in another way, and no command reads them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from ballast import (
     AdvicePolicy,
     ClusterConfig,
     ClusteredPolicy,
+    GreedyTwoChoicePolicy,
     PlacementProbs,
+    Trace,
     forbidden_set,
     make_policy,
     policies,
@@ -61,7 +64,7 @@ def exact_memory(policy):
     """The exact memory a policy's rule reads, as a comparable value: its
     snapshot, or for advice the listed bins with their loads. Two steps are
     in the same memory state iff these compare equal; the oracle for the
-    state counts that ``Policy.changes_memory`` gives without comparing."""
+    state counts that the program reads off key rises without comparing."""
     if isinstance(policy, AdvicePolicy):
         return advice_list(policy).entries
     return tuple(policy.snapshot().tolist())
@@ -83,6 +86,66 @@ def reference_two_choice(n: int, balls: int, seed: int) -> list[int]:
             c = a if rng.random() < 0.5 else b
         loads[c] += 1
     return loads
+
+
+# ---------------------------------------------------------------------------
+# the per-step walks: each step decided or proven, then applied, in Python ints
+
+
+def play(policy, pa, pb, ties):
+    """Decide every step of the streams (arrays) under ``policy``, as it is
+    bound now. Each step's chosen bin is yielded before the policy applies
+    the step, so between two yields the policy is in the state that
+    decided the last one."""
+    for a, b, r in zip(pa.tolist(), pb.tolist(), ties.tolist()):
+        c = policy.decide((a, b), r)
+        yield c
+        policy.update((a, b), c)
+
+
+def replay(policy, trace: Trace, n: int):
+    """Rebind ``policy`` to n bins and walk ``trace`` through it, like
+    ``play``, proving each step first: its offers lie in 0..n-1 and its
+    chosen bin is ``decide(pair, 0)`` or ``decide(pair, 1)``. The first
+    step that is not raises ``ValueError`` naming it."""
+    policy.reset(n, max(len(trace), 1))
+    for rec in trace:
+        t, a, b, c = rec.step, rec.bin_a, rec.bin_b, rec.chosen
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"trace step {t} offers bins ({a}, {b}) outside 0..{n - 1}")
+        if c != policy.decide((a, b), 0) and c != policy.decide((a, b), 1):
+            raise ValueError(
+                f"trace step {t} chooses bin {c} from ({a}, {b}), "
+                f"which the {policy.name} policy could not have chosen"
+            )
+        yield c
+        policy.update((a, b), c)
+
+
+def changes_memory(policy, chosen: int) -> bool:
+    """Whether a ball in bin ``chosen`` changes the memory the rule reads,
+    asked before the step: iff the chosen slot's key changes, which is
+    always for greedy, below the cap for clustered, once the load reaches
+    the threshold for advice, and never for a policy with no memory."""
+    if not isinstance(policy, GreedyTwoChoicePolicy):
+        return False
+    v = policy._mem[chosen // policy._width]
+    grown = v + 1 if policy._top is None else min(v + 1, policy._top)
+    return policy._rank(grown) != policy._rank(v)
+
+
+def new_states(policy, steps):
+    """Walk ``steps`` (``play`` or ``replay`` of ``policy``); yield, with the
+    policy in it, the chosen bin of each step whose pre-step state is new,
+    then None if the final state is. The memory only grows, so a state is
+    new iff it is the first or the step before it changed the memory."""
+    changed = True  # the fresh state is new
+    for c in steps:
+        if changed:
+            yield c
+        changed = changes_memory(policy, c)
+    if changed:
+        yield None
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from ballast import (
 from ballast import analysis, core, policies
 from ballast.analysis import enumerate_choice_numerators, rank_numerators
 from ballast.cli import main
-from ballast.core import STREAM_CHUNK, draw_run_streams, play
+from ballast.core import STREAM_CHUNK, draw_run_streams
 
 from oracles import (
     ENUMERATED_POLICIES,
@@ -51,8 +51,11 @@ from oracles import (
     exact_memory,
     floats,
     fractions,
+    new_states,
     pair_walk,
+    play,
     poisson_tail_oracle,
+    replay,
 )
 
 
@@ -735,17 +738,20 @@ def test_probe_states_dedup_and_cap():
 
 
 def test_probe_states_stops_at_the_cap(monkeypatch):
-    """Once max_states states are kept the walk ends; the final state is not
-    inspected, and only kept states are copied."""
-    n, balls, cap = 16, 40, 5
+    """Once max_states states are kept the walk ends: a run of three chunks
+    whose first chunk reaches every kept state decides that chunk alone."""
+    n, balls, cap = 16, 3 * STREAM_CHUNK, 5
     calls = []
-    policy = make_policy("greedy")
-    original = type(policy).snapshot
-    monkeypatch.setattr(type(policy), "snapshot", lambda self: calls.append(1) or original(self))
-    states = list(probe_states(policy, n, balls, seed=1, max_states=cap))
+    run_bulk = policies.GreedyTwoChoicePolicy.run_bulk
+
+    def counted(self, *args):
+        calls.append(len(args[1]))
+        return run_bulk(self, *args)
+
+    monkeypatch.setattr(policies.GreedyTwoChoicePolicy, "run_bulk", counted)
+    states = list(probe_states(make_policy("greedy"), n, balls, seed=1, max_states=cap))
     assert len(states) == cap
-    # one snapshot per kept state, and none for a state the walk did not keep
-    assert len(calls) == cap
+    assert calls == [STREAM_CHUNK]
 
 
 @pytest.mark.parametrize("n, threshold", [(16, 4300), (100, 740)])
@@ -758,7 +764,7 @@ def test_probe_states_cross_chunk_edges_as_the_one_shot_walk(n, threshold):
     oracle = make_policy("advice", threshold=threshold)
     oracle.reset(n, balls)
     steps = play(oracle, *draw_run_streams(SimConfig(n=n, seed=2, balls=balls)))
-    want = [oracle.snapshot().tolist() for _ in islice(analysis._new_states(oracle, steps), cap)]
+    want = [oracle.snapshot().tolist() for _ in islice(new_states(oracle, steps), cap)]
     probe = make_policy("advice", threshold=threshold)
     got = [s.tolist() for s in probe_states(probe, n, balls, seed=2, max_states=cap)]
     assert got == want
@@ -798,15 +804,15 @@ def test_dedup_is_exact_when_every_state_id_collides(name, monkeypatch):
         return make_policy(name, threshold=2) if name == "advice" else make_policy(name)
 
     trace = simulate_run(SimConfig(n=n, seed=5, balls=balls, record_trace=True), build()).trace
-    replay = build()
-    replay.reset(n, balls)
+    oracle = build()
+    oracle.reset(n, balls)
     before_steps = set()
     for rec in trace:
-        before_steps.add(exact_memory(replay))
-        replay.update((rec.bin_a, rec.bin_b), rec.chosen)
-    expect_probed = len(before_steps | {exact_memory(replay)})
+        before_steps.add(exact_memory(oracle))
+        oracle.update((rec.bin_a, rec.bin_b), rec.chosen)
+    expect_probed = len(before_steps | {exact_memory(oracle)})
     # the policies with memory visit many states, the stateless ones one
-    assert len(before_steps) > 2 or exact_memory(replay) == ()
+    assert len(before_steps) > 2 or exact_memory(oracle) == ()
 
     for collide in (False, True):
         if collide:
@@ -1179,7 +1185,8 @@ def test_forbidden_report_proves_the_id_column(name):
         ids = trace.ids.copy()
         ids[t] ^= 1 << 63
         forged = Trace(ids, trace.bin_a, trace.bin_b, trace.chosen)
-        assert list(core.replay(build(), forged, n)) == trace.chosen.tolist()
+        assert list(replay(build(), forged, n)) == trace.chosen.tolist()
+        core._prove_steps(build(), forged, n)
         with pytest.raises(ValueError, match=rf"^trace step {t} records memory_state_id {ids[t]}, "):
             core._prove_ids(build(), forged, n)
 

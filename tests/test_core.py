@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ballast import (
     load_histogram,
     make_policy,
     phase_report,
+    probe_states,
     read_trace_csv,
     run_phase_report,
     simulate_run,
@@ -28,9 +30,9 @@ from ballast import (
     write_trace_csv,
 )
 from ballast import core, policies
-from ballast.core import STREAM_CHUNK, draw_run_streams, play, replay, stream_chunks
+from ballast.core import STREAM_CHUNK, draw_run_streams, stream_chunks
 
-from oracles import any_policy_builder, exact_memory, reference_two_choice
+from oracles import any_policy_builder, exact_memory, play, reference_two_choice, replay
 
 LEGAL_POLICIES = ["one-choice", "greedy", "clustered", "max-index", "min-index"]
 
@@ -465,9 +467,9 @@ def test_play_yields_ints_and_run_bulk_takes_lists_or_arrays(name):
     pick=st.integers(0, 2**16),
 )
 def test_replay_accepts_own_traces_and_refuses_impossible_steps(build, n, extra, seed, where, pick):
-    """replay proves every trace simulate_run writes, and so does the id
-    proof, and replay refuses a step the rule could not have taken, at that
-    step."""
+    """The proof and the replay oracle accept every trace simulate_run
+    writes, and so does the id proof; both refuse a step the rule could not
+    have taken, at that step."""
     balls = n + extra
     live = build()
     trace = simulate_run(SimConfig(n=n, seed=seed, balls=balls, record_trace=True), live).trace
@@ -478,6 +480,7 @@ def test_replay_accepts_own_traces_and_refuses_impossible_steps(build, n, extra,
         walked.append(StepRecord(t, replayed.state_id(), trace[t].bin_a, trace[t].bin_b, c))
     assert walked == trace
     assert exact_memory(replayed) == exact_memory(live)
+    core._prove_steps(build(), trace, n)
     core._prove_ids(build(), trace, n)
 
     t = where % balls
@@ -490,25 +493,72 @@ def test_replay_accepts_own_traces_and_refuses_impossible_steps(build, n, extra,
     impossible = [b for b in range(n) if b not in possible]
     chosen = trace.chosen.copy()
     chosen[t] = impossible[pick % len(impossible)]
+    forged = Trace(trace.ids, trace.bin_a, trace.bin_b, chosen)
     with pytest.raises(ValueError, match=rf"^trace step {t} chooses bin "):
-        list(replay(build(), Trace(trace.ids, trace.bin_a, trace.bin_b, chosen), n))
+        list(replay(build(), forged, n))
+    with pytest.raises(ValueError, match=rf"^trace step {t} chooses bin "):
+        core._prove_steps(build(), forged, n)
+
+
+def _outcome(prove):
+    try:
+        prove()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_forgery = st.tuples(
+    st.sampled_from(["bin_a", "bin_b", "chosen"]),
+    st.integers(0, 2**16),
+    st.one_of(st.integers(-3, 20), st.sampled_from([-(2**63), 2**62, 2**63 - 1])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    build=any_policy_builder(),
+    n=st.integers(1, 16),
+    extra=st.integers(0, 40),
+    seed=st.integers(0, 2**64 - 1),
+    forgeries=st.lists(_forgery, max_size=3),
+    piece=st.integers(1, 20),
+)
+def test_array_proof_is_the_replay_oracle(build, n, extra, seed, forgeries, piece):
+    """The array proof accepts and refuses what the per-step replay does,
+    naming the same first step with the same message, on simulate_run
+    traces and on traces forged at any step: a chosen bin the rule could
+    or could not have picked, one outside 0..n-1, and offers of foreign
+    bins. The proof's walk is cut into pieces of ``piece`` steps."""
+    balls = n + extra
+    trace = simulate_run(SimConfig(n=n, seed=seed, balls=balls, record_trace=True), build()).trace
+    columns = {"bin_a": trace.bin_a.copy(), "bin_b": trace.bin_b.copy(), "chosen": trace.chosen.copy()}
+    for column, where, value in forgeries:
+        columns[column][where % balls] = value
+    forged = Trace(trace.ids, columns["bin_a"], columns["bin_b"], columns["chosen"])
+    want = _outcome(lambda: list(replay(build(), forged, n)))
+    with mock.patch.object(policies, "_ID_CHUNK", piece):
+        assert _outcome(lambda: core._prove_steps(build(), forged, n)) == want
+    if not forgeries:
+        assert want is None
 
 
 @pytest.mark.parametrize("name", ["greedy", "clustered", "advice"])
 def test_step_walks_ask_no_state_id(name, monkeypatch):
-    """play and replay yield the chosen bins without asking for a state id."""
+    """The trace proof and the probe's state walk read the chosen bins
+    without asking for a state id."""
     n, balls = 16, 64
     config = SimConfig(n=n, seed=3, balls=balls, record_trace=True)
     trace = simulate_run(config, _policy(name)).trace
+    states = list(probe_states(_policy(name), n, balls, seed=3))
 
     def refuse(self):
         raise AssertionError("a step walk asked for a state id")
 
     monkeypatch.setattr(policies.GreedyTwoChoicePolicy, "state_id", refuse)
-    p = _policy(name)
-    p.reset(n, balls)
-    assert list(play(p, *draw_run_streams(config))) == trace.chosen.tolist()
-    assert list(replay(_policy(name), trace, n)) == trace.chosen.tolist()
+    core._prove_steps(_policy(name), trace, n)
+    got = list(probe_states(_policy(name), n, balls, seed=3))
+    assert [s.tolist() for s in got] == [s.tolist() for s in states]
 
 
 def test_replay_refuses_foreign_bins():
@@ -518,6 +568,8 @@ def test_replay_refuses_foreign_bins():
     foreign = Trace(trace.ids, trace.bin_a, bin_b, trace.chosen)
     with pytest.raises(ValueError, match=r"trace step 3 offers bins \(\d+, 8\) outside 0..7"):
         list(replay(make_policy("greedy"), foreign, 8))
+    with pytest.raises(ValueError, match=r"trace step 3 offers bins \(\d+, 8\) outside 0..7"):
+        core._prove_steps(make_policy("greedy"), foreign, 8)
 
 
 def test_segmented_run_matches_plain_run():

@@ -55,6 +55,10 @@ def test_spec_validation():
         small_spec(policies=())
     with pytest.raises(ValueError):
         small_spec(format="xml")
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="base_seed must fit in 64 bits"):
+            small_spec(base_seed=seed)
+    assert small_spec(base_seed=2**64 - 1).base_seed == 2**64 - 1
 
 
 def test_unknown_policy_surfaces():
@@ -81,6 +85,34 @@ def test_rows_deterministic_across_calls():
 def test_parallel_jobs_match_sequential():
     spec = small_spec(trials=3)
     assert run_experiment(spec, jobs=2) == run_experiment(spec, jobs=1)
+
+
+def test_pool_has_no_more_workers_than_trials(monkeypatch):
+    """A fork pool starts all its workers at the first task, so the pool is
+    sized by the trials when --jobs asks for more. A recording stand-in
+    takes the pool's place; no real pool is started."""
+    import concurrent.futures
+
+    built = []
+
+    class Recording:
+        def __init__(self, max_workers, initializer):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    spec = small_spec(policies=(PolicySpec("greedy"),))
+    assert run_experiment(spec, jobs=10**6) == run_experiment(spec, jobs=1)
+    assert run_experiment(small_spec(trials=3), jobs=4) == run_experiment(small_spec(trials=3))
+    assert built == [2, 4]
 
 
 def test_untraced_trial_holds_8_bytes_per_bin():
@@ -660,6 +692,24 @@ def test_cli_bad_env_seed_exits_cleanly(monkeypatch, capsys, command):
     monkeypatch.setenv("BALLAST_SEED", "abc")
     assert main(command) == 2
     assert "BALLAST_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scan", "verify", "run", "phases"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_refuses_a_seed_past_64_bits(tmp_path, capsys, command, seed):
+    """Every command that takes --seed refuses one outside 0..2^64-1 with a
+    clean exit 2, before any output is written."""
+    out = tmp_path / "out"
+    argv = {
+        "scan": ["scan", "--n", "16", "--policy", "greedy", "--trials", "2", "--out", str(out)],
+        "verify": ["verify", "--policy", "clustered", "--n", "8", "--balls", "4", "--subsets", "5"],
+        "run": ["run", "--policy", "greedy", "--n", "16", "--out", str(out)],
+        "phases": ["phases", "--policy", "greedy", "--n", "16", "--phases", "2"],
+    }[command]
+    assert main([*argv, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed must fit in 64 bits" in captured.err
+    assert not out.exists()
 
 
 def test_cli_error_paths(tmp_path):

@@ -3,7 +3,9 @@
 import dataclasses
 import inspect
 import math
+import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,16 +22,18 @@ from ballast import (
     simulate_run,
 )
 from ballast import policies
-from ballast.core import STREAM_CHUNK, draw_run_streams, play
+from ballast.core import STREAM_CHUNK, draw_run_streams
 
 from oracles import (
     ENUMERATED_POLICIES,
     advice_list,
     any_policy_builder,
     build_advice,
+    changes_memory,
     choice_dist,
     exact_memory,
     key_oracle,
+    play,
 )
 
 
@@ -437,11 +441,17 @@ _grow_op = st.tuples(st.sampled_from(["steps", "bulk"]), st.lists(_step, max_siz
 
 
 @settings(max_examples=100, deadline=None)
-@given(build=any_policy_builder(), ops=st.lists(_grow_op, min_size=1, max_size=20))
-def test_memory_only_grows(build, ops):
+@given(
+    build=any_policy_builder(),
+    ops=st.lists(_grow_op, min_size=1, max_size=20),
+    piece=st.integers(1, 16),
+)
+def test_memory_only_grows(build, ops, piece):
     """For every policy in POLICY_TABLE, no update and no run_bulk lowers a
     memory slot, and advice's list only gains bins; a step changes the exact
-    memory iff ``changes_memory`` said so.
+    memory iff its key rose in the walk of its chosen bins (``_walk``, cut
+    into pieces of ``piece`` steps), and iff the oracle's ``changes_memory``
+    says so.
 
     The state walks of the analysis count a state as new when the step before
     it changed the memory, which is exact only because no policy's memory can
@@ -466,12 +476,18 @@ def test_memory_only_grows(build, ops):
             p.run_bulk(sink, *([s[i] for s in steps] for i in range(3)))
             grown_from(*old)
             continue
+        held, chosen, changed = p.snapshot(), [], []
         for a, b, r in steps:
             old = p.snapshot(), exact_memory(p)
             c = p.decide((a, b), r)
-            changes = p.changes_memory(c)
+            oracle = changes_memory(p, c)
             p.update((a, b), c)
-            assert changes == (grown_from(*old) != old[1])
+            chosen.append(c)
+            changed.append(grown_from(*old) != old[1])
+            assert oracle == changed[-1]
+        with mock.patch.object(policies, "_ID_CHUNK", piece):
+            walk = p._walk(held, np.array(chosen, dtype=np.int64))
+            assert [x != 0 for _, rise, _ in walk for x in rise.tolist()] == changed
 
 
 def test_no_state_id_hashes_the_memory():
@@ -489,6 +505,71 @@ def test_choice_dist_is_stated_once():
             assert not hasattr(cls, "choice_dist"), cls.__name__
     for module in Path(policies.__file__).parent.glob("*.py"):
         assert "choice_dist" not in module.read_text(), module.name
+
+
+def test_step_walks_are_test_oracles_only():
+    """The per-step walks of a run are the tests' oracle: no module of the
+    program defines or calls ``play``, ``replay``, ``changes_memory`` or
+    ``_new_states``, and no policy has ``changes_memory``."""
+    named = r"(?<![\w-])(?:play|replay|changes_memory|_new_states)"
+    for cls in vars(policies).values():
+        if isinstance(cls, type) and issubclass(cls, policies.Policy):
+            assert not hasattr(cls, "changes_memory"), cls.__name__
+    for module in Path(policies.__file__).parent.glob("*.py"):
+        text = module.read_text()
+        assert not re.search(rf"{named}\s*\(|\.(?:changes_memory|_new_states)\b", text), module.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    slots=st.integers(1, 6),
+    top=st.one_of(st.none(), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_values_before_is_a_per_step_count(slots, top, data):
+    """What each queried slot held before its step equals a dict of slot
+    values that each step's choice then raises by one, up to the cap."""
+    k = data.draw(st.integers(0, 30))
+    slot = st.integers(0, slots - 1)
+    held = data.draw(st.lists(st.integers(0, 4 if top is None else top), min_size=slots, max_size=slots))
+    chosen = data.draw(st.lists(slot, min_size=k, max_size=k))
+    asked = data.draw(st.lists(st.lists(slot, min_size=k, max_size=k), min_size=1, max_size=3))
+    value = dict(enumerate(held))
+    want = [[0] * k for _ in asked]
+    for t, c in enumerate(chosen):
+        for row, query in zip(want, asked):
+            row[t] = value[query[t]]
+        value[c] = value[c] + 1 if top is None else min(value[c] + 1, top)
+    got = policies._values_before(
+        np.array(held, dtype=np.int64), np.array(chosen, dtype=np.int64),
+        np.array(asked, dtype=np.int64).reshape(len(asked), k), top,
+    )
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("name", ENUMERATED_POLICIES)
+def test_base_run_bulk_is_the_step_walk_across_chunk_edges(name):
+    """The memoryless rules decide a whole piece with one ``decide`` on its
+    arrays: an untraced run over three chunks, and run_bulk on the one-shot
+    streams cut at and around the chunk edges, choose what ``play`` does,
+    into fresh writable int64 arrays."""
+    n, balls = 1000, 2 * STREAM_CHUNK + 3
+    config = SimConfig(n=n, seed=len(name), balls=balls)
+    streams = draw_run_streams(config)
+    oracle = make_policy(name)
+    oracle.reset(n, balls)
+    want = np.fromiter(play(oracle, *streams), dtype=np.int64, count=balls)
+    assert simulate_run(config, make_policy(name)).loads == np.bincount(want, minlength=n).tolist()
+    p = make_policy(name)
+    p.reset(n, balls)
+    loads = np.zeros(n, dtype=np.int64)
+    bounds = [0, 1, STREAM_CHUNK - 1, STREAM_CHUNK + 1, 2 * STREAM_CHUNK, balls]
+    for lo, hi in zip(bounds, bounds[1:]):
+        pa, pb, ties = (v[lo:hi] for v in streams)
+        chosen = p.run_bulk(loads, pa, pb, ties)
+        assert chosen.dtype == np.int64 and chosen.flags.writeable
+        assert not np.shares_memory(chosen, pa) and chosen.tolist() == want[lo:hi].tolist()
+    assert loads.tolist() == np.bincount(want, minlength=n).tolist()
 
 
 @pytest.mark.parametrize("name", ENUMERATED_POLICIES)
@@ -631,33 +712,6 @@ def test_memoryless_restore_takes_only_the_empty_row(name):
     for bad in (np.array([0]), (0,), np.zeros(2, dtype=np.int64)):  # np.array([0]) is falsy
         with pytest.raises(ValueError):
             p.restore(bad)
-
-
-class _CountingPolicy(policies.Policy):
-    """A toy with memory on the base ``run_bulk``: it counts the steps it applied."""
-
-    name = "counting"
-
-    def reset(self, n, balls):
-        super().reset(n, balls)
-        self.applied = 0
-
-    def decide(self, pair, tie_bit):
-        return pair[tie_bit]
-
-    def update(self, pair, chosen):
-        self.applied += 1
-
-
-def test_base_run_bulk_applies_the_update_of_every_step():
-    p = _CountingPolicy()
-    p.reset(8, 8)
-    loads = np.zeros(8, dtype=np.int64)
-    chosen = p.run_bulk(loads, [1, 2, 3], [4, 5, 6], [0, 1, 0])
-    assert chosen.dtype == np.int64 and chosen.tolist() == [1, 5, 3]
-    assert p.applied == 3  # the last step's too
-    assert p.run_bulk(loads, [], [], []).tolist() == [] and p.applied == 3
-    assert loads.tolist() == [0, 1, 0, 1, 0, 1, 0, 0]
 
 
 def _clustered(size, cap):

@@ -26,7 +26,9 @@ from ballast import (
     write_trace_csv,
 )
 from ballast import core, policies
-from ballast.core import TRACE_COLUMNS, draw_run_streams, play
+from ballast.core import TRACE_COLUMNS, draw_run_streams
+
+from oracles import play
 
 
 @st.composite
