@@ -24,7 +24,6 @@ _EXPORTS = {
         "TheoreticalBounds",
         "advice_list_size_check",
         "advice_threshold",
-        "all_subsets",
         "default_epsilon_grid",
         "enumerate_clustered_states",
         "exact_placement_probs",
@@ -34,7 +33,6 @@ _EXPORTS = {
         "phase_report_with_forbidden",
         "poisson_upper_tail",
         "probe_states",
-        "random_subsets",
         "run_phase_report",
         "sweep_placement_bounds",
         "theoretical_bounds",

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import collections
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -228,7 +229,10 @@ def exact_placement_probs(policy, n: int, state=None) -> PlacementProbs:
 
 def as_exact(eps) -> Fraction:
     """Exact value of an epsilon given as Fraction, decimal string, or int ratio."""
-    e = Fraction(eps) if not isinstance(eps, Fraction) else eps
+    try:
+        e = Fraction(eps)
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon {eps} has a zero denominator") from None
     if not 0 < e < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {eps}")
     return e
@@ -308,29 +312,16 @@ _EXACT_INT = 1 << 63  # int64 holds every integer below this
 _PRODUCT_BLOCK = 1 << 20  # float64 entries in one block of the sampled product
 
 
-def random_subsets(n: int, count: int, seed: int) -> np.ndarray:
-    """count x n 0/1 matrix of uniformly random subsets (each bin i.i.d. fair)."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng.integers(0, 2, size=(count, n), dtype=np.int64)
-
-
 def random_subset_blocks(n: int, count: int, seed: int, rows: int) -> Iterator[np.ndarray]:
-    """The rows of ``random_subsets(n, count, seed)``, ``rows`` at a time.
+    """``count`` uniformly random subsets of n bins (each bin i.i.d. fair), as
+    int64 0/1 rows, ``rows`` at a time.
 
     Each 0/1 value takes one 32-bit word of the generator, whatever the
-    block, so the blocks are the one-shot matrix cut into pieces.
+    block, so every block size cuts the same rows into pieces.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     for start in range(0, count, rows):
         yield rng.integers(0, 2, size=(min(rows, count - start), n), dtype=np.int64)
-
-
-def all_subsets(n: int) -> np.ndarray:
-    """2^n x n matrix of every subset; only sensible for tiny n."""
-    if n > 16:
-        raise ValueError("exhaustive subsets only supported for n <= 16")
-    rows = np.arange(1 << n, dtype=np.int64)
-    return (rows[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
 
 
 def sweep_placement_bounds(
@@ -338,7 +329,6 @@ def sweep_placement_bounds(
     n: int,
     states: Iterable,
     epsilons: Sequence = (),
-    subsets: np.ndarray | None = None,
     subset_seed: int = 0xF00D,
     n_subsets: int | None = None,
 ) -> SweepResult:
@@ -362,18 +352,16 @@ def sweep_placement_bounds(
     margins are exact ratios rounded once. An epsilon with ``2 q n^2 >=
     2^63`` raises ``ValueError``.
 
-    ``subsets`` (a 0/1 matrix, one subset a row) or ``n_subsets`` random
-    subsets add a sampled cross-check: the reported subset margin is then
-    the worst over those rows, and a sampled sum below the exact minimum
-    raises ``RuntimeError``. Random rows are drawn a block at a time, so
-    neither they nor the float64 product is ever held whole. The product's
-    entries are integers of at most ``2 q n^2``, exact while
-    ``4 q n^2 < 2^53``, so with the cross-check a larger denominator raises
-    ``ValueError``.
+    ``n_subsets`` random subsets, drawn from ``subset_seed``
+    (``random_subset_blocks``), add a sampled cross-check
+    (``_sampled_worst``): the reported subset margin is then the worst
+    over those rows, and a sampled sum below the exact minimum raises
+    ``RuntimeError``. The product's entries are integers of at most
+    ``2 q n^2``, exact while ``4 q n^2 < 2^53``, so with the cross-check a
+    larger denominator raises ``ValueError``.
     """
     eps_list = [as_exact(e) for e in (epsilons or default_epsilon_grid())]
-    cross_check = subsets is not None or n_subsets is not None
-    if cross_check:
+    if n_subsets is not None:
         scale, limit, needs = 4, _EXACT_FLOAT, "4 q n^2 < 2^53"
     else:
         scale, limit, needs = 2, _EXACT_INT, "2 q n^2 < 2^63"
@@ -383,13 +371,14 @@ def sweep_placement_bounds(
                 f"epsilon {eps} is too fine for an exact sweep at n={n}: "
                 f"needs {needs} for its denominator q = {eps.denominator}"
             )
-    sampled = _SampledSubsets(n, subsets, n_subsets, subset_seed) if cross_check else None
+    if n_subsets is not None and n_subsets < 1:
+        raise ValueError("the sampled subset cross-check needs at least one subset")
     result = SweepResult(
         policy=getattr(policy, "name", type(policy).__name__),
         n=n,
         states_checked=0,
         epsilons=[float(e) for e in eps_list],
-        n_subsets=None if sampled is None else sampled.count,
+        n_subsets=n_subsets,
     )
 
     # each epsilon p/q as int64 columns: q, p n, F's cut t = ceil(2np/q) and 2np
@@ -432,8 +421,10 @@ def sweep_placement_bounds(
                         "bins": np.nonzero(w < 0)[0].tolist(),
                     }
                 )
-        if sampled is not None:
-            worst = np.column_stack(sampled.worst(nums, eps_list, list(worst.T), ids))
+        if n_subsets is not None:
+            worst = np.column_stack(
+                _sampled_worst(n_subsets, subset_seed, nums, eps_list, list(worst.T), ids)
+            )
         subset_margin = _ratio(worst, dens).min(axis=1)
         size_margin = _ratio(pn - q * fsize, qs).min(axis=1)
         margins = np.column_stack((subset_margin, size_margin))
@@ -464,66 +455,46 @@ def _ratio(num: np.ndarray, dens: list[int]) -> np.ndarray:
     return np.array([[x / d for x, d in zip(row, dens)] for row in num.tolist()])  # int / int
 
 
-class _SampledSubsets:
-    """The sampled cross-check: 0/1 subset rows, given or drawn from a seed.
+def _sampled_worst(
+    count: int, seed: int, nums: np.ndarray, eps_list: list, exact: list, ids: list
+) -> list:
+    """The sampled cross-check: the worst sum of w over ``count`` subset rows
+    drawn from ``seed``, per epsilon and state, checked against ``exact``.
 
-    Rows are taken a block at a time and turned into float64 per block, so
-    however many rows there are, the check holds one block of them at a
-    time. The empty subset sums to 0. It takes part in the reported worst
-    sum, as every row does, but it is no test of the exact minimum, which is
-    taken over non-empty subsets only; so only the non-empty rows are
-    multiplied.
+    A row S sums to ``q (S . num) - 2 n p |S \\ F|``. Each block of rows
+    (``random_subset_blocks``; with its products, about ``_PRODUCT_BLOCK``
+    entries) is drawn once; its ``S . num`` serves every epsilon, and
+    ``|S \\ F|`` is one product per epsilon. The empty subset sums to 0: it
+    counts in the reported worst sum but is no test of the exact minimum,
+    which is over non-empty subsets, so only non-empty rows are multiplied.
+    A non-empty row summing below the exact minimum means one of the two
+    computations is wrong: the first such (row, state) of the first block
+    and epsilon that has one is raised as an internal error.
     """
-
-    def __init__(self, n: int, subsets: np.ndarray | None, count: int | None, seed: int):
-        self.n, self.subsets, self.seed = n, subsets, seed
-        self.count = len(subsets) if subsets is not None else count
-        if self.count == 0:
-            raise ValueError("the sampled subset cross-check needs at least one subset")
-
-    def _blocks(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
-        """(index of the first row, int64 0/1 block) over every row, in order."""
-        if self.subsets is not None:
-            for start in range(0, self.count, rows):
-                yield start, self.subsets[start : start + rows]
-        else:
-            blocks = random_subset_blocks(self.n, self.count, self.seed, rows)
-            yield from zip(range(0, self.count, rows), blocks)
-
-    def worst(self, nums: np.ndarray, eps_list: list, exact: list, ids: list) -> list:
-        """Worst sum of w over the rows, per epsilon and state, checked against ``exact``.
-
-        A row S sums to ``q (S . num) - 2 n p |S \\ F|``. Each block of rows
-        is drawn once; its ``S . num`` serves every epsilon, and ``|S \\ F|``
-        is one product per epsilon. A block and its products hold about
-        ``_PRODUCT_BLOCK`` entries. A non-empty row summing below the exact
-        minimum means one of the two computations is wrong: the first such
-        (row, state) of the first block and epsilon that has one is raised
-        as an internal error, never reported as a pass.
-        """
-        n = self.n
-        nums_t = nums.T.astype(np.float64)  # exact: every entry is below 2^53
-        worst = [np.full(len(nums), np.inf) for _ in eps_list]
-        for start, block in self._blocks(max(1, _PRODUCT_BLOCK // max(n, len(nums)))):
-            filled = np.flatnonzero(block.any(axis=1))
-            if len(filled) < len(block):
-                for low in worst:
-                    np.minimum(low, 0.0, out=low)
-                block = block[filled]
-            rows = block.astype(np.float64)
-            taken = rows @ nums_t  # (rows, states)
-            for eps, floor, low in zip(eps_list, exact, worst):
-                q, pe = eps.denominator, eps.numerator
-                outside = rows @ (~_forbidden(nums_t, n, eps)).astype(np.float64)
-                diff = q * taken - (2 * n * pe) * outside
-                if (diff < floor).any():
-                    si, sj = np.nonzero(diff < floor)
-                    raise RuntimeError(
-                        f"sampled subset {start + filled[si[0]]} of state {ids[sj[0]]} at "
-                        f"epsilon {eps} sums below the exact minimum over all subsets"
-                    )
-                np.minimum(low, diff.min(axis=0, initial=np.inf), out=low)
-        return worst
+    n = nums.shape[1]
+    nums_t = nums.T.astype(np.float64)  # exact: every entry is below 2^53
+    worst = [np.full(len(nums), np.inf) for _ in eps_list]
+    rows = max(1, _PRODUCT_BLOCK // max(n, len(nums)))
+    for start, block in zip(range(0, count, rows), random_subset_blocks(n, count, seed, rows)):
+        filled = np.flatnonzero(block.any(axis=1))
+        if len(filled) < len(block):
+            for low in worst:
+                np.minimum(low, 0.0, out=low)
+            block = block[filled]
+        block = block.astype(np.float64)
+        taken = block @ nums_t  # (rows, states)
+        for eps, floor, low in zip(eps_list, exact, worst):
+            q, pe = eps.denominator, eps.numerator
+            outside = block @ (~_forbidden(nums_t, n, eps)).astype(np.float64)
+            diff = q * taken - (2 * n * pe) * outside
+            if (diff < floor).any():
+                si, sj = np.nonzero(diff < floor)
+                raise RuntimeError(
+                    f"sampled subset {start + filled[si[0]]} of state {ids[sj[0]]} at "
+                    f"epsilon {eps} sums below the exact minimum over all subsets"
+                )
+            np.minimum(low, diff.min(axis=0, initial=np.inf), out=low)
+    return worst
 
 
 def enumerate_clustered_states(num_clusters: int, cap: int, max_balls: int) -> np.ndarray:
@@ -875,27 +846,45 @@ class PoissonTail:
 
 
 def poisson_upper_tail(lam: float, t: int) -> PoissonTail:
-    """Upper tail by complementing the partial CDF sum.
+    """Upper tail Pr(X >= t): the last row of ``_poisson_tails(lam, t)``."""
+    *_, last = _poisson_tails(lam, t)
+    return last
 
-    The pmf follows the stable recurrence p_k = p_{k-1} * lam / k; tiny
-    negative complements from rounding clamp to 0.
+
+def _poisson_tails(lam: float, t_max: int) -> Iterator[PoissonTail]:
+    """Upper tails for t = 0..t_max from one walk of the pmf, by
+    complementing the partial CDF sum.
+
+    The pmf follows the stable recurrence p_k = p_{k-1} * lam / k from
+    e^-lambda. Where that is below the normal float range (lambda above
+    about 708.4), the walk starts from f = e^(-lambda / 2^j), normal for
+    the least such j (the division is exact), and multiplies in the other
+    2^j - 1 factors of f as the pmf grows, each once the product stays
+    normal; until then the pmf is below every normal float and adds
+    nothing. Tiny negative complements from rounding clamp to 0.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
-    if t < 0 or int(t) != t:
+    if t_max < 0 or int(t_max) != t_max:
         raise ValueError("t must be a non-negative integer")
-    t = int(t)
-    pmf = math.exp(-lam)
+    tiny = sys.float_info.min
+    j = 0
+    while math.exp(-lam / 2**j) < tiny:
+        j += 1
+    f = pmf = math.exp(-lam / 2**j)
+    pending = 2**j - 1  # factors of f not yet in pmf
+    log_lam = math.log(lam)
     cdf = 0.0
-    for k in range(t):
-        if k > 0:
-            pmf *= lam / k
-        cdf += pmf
-    tail = 1.0 - cdf
-    if tail < 0.0:
-        tail = 0.0
-    leading = math.exp(-lam + t * math.log(lam) - math.lgamma(t + 1))
-    return PoissonTail(lam=lam, t=t, probability=tail, leading_term=leading)
+    for t in range(int(t_max) + 1):
+        leading = math.exp(-lam + t * log_lam - math.lgamma(t + 1))
+        yield PoissonTail(lam=lam, t=t, probability=max(1.0 - cdf, 0.0), leading_term=leading)
+        if t > 0:
+            pmf *= lam / t
+        while pending and pmf * f >= tiny:
+            pmf *= f
+            pending -= 1
+        if not pending:
+            cdf += pmf
 
 
 @dataclass(frozen=True)

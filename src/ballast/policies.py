@@ -699,6 +699,11 @@ class IllegalFixedBinPolicy(Policy):
     def __init__(self, target: int = 0):
         self.target = target
 
+    def reset(self, n, balls):
+        if n >= 1 and not 0 <= self.target < n:  # n < 1 is refused by each caller
+            raise ValueError(f"illegal-fixture target {self.target} is outside 0..{n - 1} (n={n})")
+        super().reset(n, balls)
+
     def decide(self, pair, tie_bit):
         return self.target
 

@@ -47,6 +47,16 @@ def poisson_tail_oracle(lam: float, t: int, terms: int = 64) -> float:
     return total
 
 
+def poisson_tail_log_oracle(lam: float, t: int) -> float:
+    """Direct summation of the upper tail in log space: ``math.fsum`` of the
+    pmf exp(-lam + k ln lam - lgamma(k + 1)) from k = t to 40 standard
+    deviations past the mean, past which the terms are negligible. It holds
+    where ``poisson_tail_oracle`` overflows on lam**k (lam = 800) or
+    e^-lam leaves the normal float range (lam above about 708.4)."""
+    stop = max(t, math.ceil(lam + 40 * math.sqrt(lam))) + 64
+    return math.fsum(math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1)) for k in range(t, stop))
+
+
 @st.composite
 def any_policy_builder(draw):
     """A zero-argument builder for any registered policy, parameters drawn."""

@@ -30,13 +30,11 @@ import pytest
 from ballast import (
     ClusterConfig,
     advice_threshold,
-    all_subsets,
     default_cluster_config,
     enumerate_clustered_states,
     exact_placement_probs,
     make_policy,
     poisson_upper_tail,
-    random_subsets,
     simulate_run,
     sweep_placement_bounds,
     SimConfig,
@@ -57,8 +55,6 @@ def test_criterion_1_exhaustive_bound_verification():
     """Zero violations of either placement bound over all policies/states."""
     n = 16
     t0 = time.perf_counter()
-    subsets = random_subsets(n, 1000, seed=0xF00D)
-
     jobs = []
     for name in ("one-choice", "max-index", "min-index", "greedy"):
         p = make_policy(name)
@@ -72,7 +68,7 @@ def test_criterion_1_exhaustive_bound_verification():
 
     total_states = 0
     for name, policy, sts in jobs:
-        res = sweep_placement_bounds(policy, n, sts, subsets=subsets)
+        res = sweep_placement_bounds(policy, n, sts, n_subsets=1000, subset_seed=0xF00D)
         assert res.ok, f"{name} violated placement bounds: {res.to_dict()}"
         total_states += res.states_checked
     assert total_states == 4 + math.comb(16, 8)

@@ -3,9 +3,12 @@
 import hashlib
 import json
 import math
+import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +24,6 @@ from ballast import (
     Trace,
     advice_list_size_check,
     advice_threshold,
-    all_subsets,
     default_epsilon_grid,
     enumerate_clustered_states,
     exact_placement_probs,
@@ -54,6 +56,7 @@ from oracles import (
     new_states,
     pair_walk,
     play,
+    poisson_tail_log_oracle,
     poisson_tail_oracle,
     replay,
 )
@@ -184,31 +187,25 @@ def test_bounds_reject_bad_subset():
         check_placement_bounds(pp, Fraction(1, 2), {0, 9})
 
 
-def test_exhaustive_small_sweep_zero_violations():
-    # all subsets, full epsilon grid, tiny n: brute force is the oracle
-    n = 8
-    for name in ("one-choice", "max-index", "min-index", "greedy"):
-        p = _bound_policy(name, n)
-        res = sweep_placement_bounds(p, n, [p.snapshot()], subsets=all_subsets(n))
-        assert res.ok, f"{name}: {res.to_dict()}"
-        assert res.n_subsets == 256
+def _sampled_rows(n: int, count: int, seed: int) -> np.ndarray:
+    """The rows the sampled cross-check draws, as one matrix."""
+    return np.concatenate(list(analysis.random_subset_blocks(n, count, seed, count)))
 
 
 def test_sweep_agrees_with_single_checks():
     # dual route: the batched float64 sweep must match the Fraction-based
     # checker exactly for the same states, epsilons, and subsets
-    import numpy as np
-
-    n = 16
-    M = np.zeros((256, n), dtype=np.int64)
-    M[:, :8] = all_subsets(8)  # bitmask rows over the first 8 bins
+    n, count, seed = 16, 256, 0x5EED
+    M = _sampled_rows(n, count, seed)
     eps_grid = [Fraction(1, 20), Fraction(1, 2), Fraction(19, 20)]
     for name, params in (("greedy", {}), ("clustered", {}), ("advice", {"threshold": 2})):
         p = _bound_policy(name, n, **params)
         states = list(probe_states(p, n, 24, seed=9, max_states=8))
         assert len(states) > 1
-        res = sweep_placement_bounds(p, n, states, epsilons=eps_grid, subsets=M)
-        assert res.ok
+        res = sweep_placement_bounds(
+            p, n, states, epsilons=eps_grid, n_subsets=count, subset_seed=seed
+        )
+        assert res.ok and res.n_subsets == count
         assert len(res.worst_margins) == len(states)
         for state in states:
             pp = exact_placement_probs(p, n, state=state)
@@ -228,17 +225,19 @@ def test_sweep_agrees_with_single_checks():
 def test_sweep_refuses_epsilons_it_cannot_sum_exactly():
     # with the sampled cross-check, 4 q n^2 < 2^53 keeps every float64
     # partial sum an exact integer
-    n = 4
+    n, count = 4, 64
     p = _bound_policy("greedy", n)
     state = (3, 0, 1, 0)
     with pytest.raises(ValueError, match="too fine for an exact sweep"):
-        sweep_placement_bounds(p, n, [state], epsilons=[Fraction(1, 2**47)], subsets=all_subsets(n))
+        sweep_placement_bounds(p, n, [state], epsilons=[Fraction(1, 2**47)], n_subsets=count)
     finest = Fraction(2**46 - 1, 2**47 - 1)
-    res = sweep_placement_bounds(p, n, [state], epsilons=[finest], subsets=all_subsets(n))
+    res = sweep_placement_bounds(p, n, [state], epsilons=[finest], n_subsets=count)
     pp = exact_placement_probs(p, n, state=state)
+    rows = _sampled_rows(n, count, 0xF00D)  # the default subset_seed
+    assert not rows.any(axis=1).all()  # an empty row counts, and is no test of the minimum
     reports = [
         check_placement_bounds(pp, finest, {i for i in range(n) if row[i]})
-        for row in all_subsets(n)
+        for row in rows
     ]
     assert res.worst_margins[pp.memory_state_id][0] == float(min(r.lhs - r.rhs for r in reports))
 
@@ -427,8 +426,8 @@ def test_negative_weights_count_as_subset_violations(monkeypatch):
     p = _bound_policy("greedy", n)
     sid = p.state_id()
     monkeypatch.setattr(analysis, "rank_numerators", lambda keys: np.array([[-1, -2, 20, 12]] * len(keys)))
-    for subsets in (None, all_subsets(n)):
-        res = sweep_placement_bounds(p, n, [p.snapshot()], epsilons=[Fraction(1, 2)], subsets=subsets)
+    for n_subsets in (None, 64):
+        res = sweep_placement_bounds(p, n, [p.snapshot()], epsilons=[Fraction(1, 2)], n_subsets=n_subsets)
         assert res.subset_violations == 1
         assert res.violation_samples[-1] == {"kind": "subset", "state": sid, "epsilon": 0.5, "bins": [0, 1]}
         # q = 2: w = (-2, -4, 32, 16), so the lightest subset is {0, 1}, -6 / (2 q n^2)
@@ -492,14 +491,17 @@ def test_counts_below_is_a_direct_count_below_each_cut(data):
     assert np.array_equal(analysis._counts_below(rows, cut), direct)
 
 
-def test_sampled_sum_below_the_exact_minimum_raises():
-    n = 4
+def test_sampled_sum_below_the_exact_minimum_raises(monkeypatch):
+    n, count = 4, 16
     p = _bound_policy("greedy", n)
-    with pytest.raises(RuntimeError, match="sampled subset 1 .* below the exact minimum"):
-        sweep_placement_bounds(p, n, [p.snapshot()], subsets=-all_subsets(n))
+    first = int(np.flatnonzero(_sampled_rows(n, count, 0xF00D).any(axis=1))[0])
+    drawn = analysis.random_subset_blocks
+    monkeypatch.setattr(analysis, "random_subset_blocks", lambda *args: (-b for b in drawn(*args)))
+    with pytest.raises(RuntimeError, match=f"sampled subset {first} .* below the exact minimum"):
+        sweep_placement_bounds(p, n, [p.snapshot()], n_subsets=count)
 
 
-# sha256 of json.dumps(random_subsets(n, count, seed).tolist()), the one-shot rows
+# sha256 of json.dumps(rows.tolist()) for the rows drawn in one block
 SUBSET_DIGESTS = {
     (16, 4001, 0x5B5E7): "8025fc2b865c94b1656094ec2e3ca44ddc6d0fc05bd28b1e77d8c7cb435e31b2",
     (4096, 33, 0xF00D): "4b407293d2fb01a77b4a6e547db743b72cb805e961a8a51a683fd9376386a11c",
@@ -512,19 +514,18 @@ def test_subset_blocks_are_the_one_shot_rows(n, count, seed, rows):
     blocks = list(analysis.random_subset_blocks(n, count, seed, rows))
     assert all(len(b) == rows for b in blocks[:-1])
     matrix = np.concatenate(blocks)
-    assert matrix.dtype == np.int64
-    assert np.array_equal(matrix, analysis.random_subsets(n, count, seed))
+    assert matrix.dtype == np.int64 and matrix.shape == (count, n)
     digest = hashlib.sha256(json.dumps(matrix.tolist()).encode()).hexdigest()
     assert digest == SUBSET_DIGESTS[(n, count, seed)]
 
 
 def test_sampled_cross_check_holds_one_block_of_rows(monkeypatch):
     """Seeded rows are drawn and multiplied a block at a time, for a group of
-    states at a time, and give the report the whole matrix gives."""
+    states at a time, and give the report the default block gives."""
     n, count = 256, 4000
     p = _bound_policy("greedy", n)
     states = list(probe_states(p, n, 2 * n, seed=1, max_states=5))
-    whole = sweep_placement_bounds(p, n, states, subsets=analysis.random_subsets(n, count, 7))
+    whole = sweep_placement_bounds(p, n, states, n_subsets=count, subset_seed=7)
     monkeypatch.setattr(analysis, "_PRODUCT_BLOCK", 1 << 12)
     tracemalloc.start()
     try:
@@ -590,18 +591,28 @@ def test_default_sweep_and_verify_never_build_a_subset_matrix(monkeypatch, capsy
     def refuse(*args, **kwargs):
         raise AssertionError("subset matrix built on the default path")
 
-    monkeypatch.setattr(analysis, "random_subsets", refuse)
     monkeypatch.setattr(analysis, "random_subset_blocks", refuse)
-    monkeypatch.setattr(analysis, "all_subsets", refuse)
     n = 16
     p = _bound_policy("greedy", n)
     res = sweep_placement_bounds(p, n, probe_states(p, n, 2 * n, seed=1, max_states=8))
     assert res.ok and res.n_subsets is None
     assert main(["verify", "--policy", "clustered", "--n", "8", "--balls", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["n_subsets"] is None
-    for flag in (["--subsets", "5"], ["--all-subsets"]):
-        with pytest.raises(AssertionError):  # the patch is live
-            main(["verify", "--policy", "greedy", "--n", "8", *flag])
+    with pytest.raises(AssertionError):  # the patch is live
+        main(["verify", "--policy", "greedy", "--n", "8", "--subsets", "5"])
+    with pytest.raises(SystemExit) as exc:  # the flag is gone: a usage error
+        main(["verify", "--policy", "greedy", "--n", "8", "--all-subsets"])
+    assert exc.value.code == 2
+
+
+def test_cross_check_has_one_row_source():
+    """The sampled cross-check draws its rows from the seed alone: no module
+    of the program defines a whole subset matrix or a second source of
+    rows, and no command takes ``--all-subsets``."""
+    for module in Path(analysis.__file__).parent.glob("*.py"):
+        text = module.read_text()
+        assert not re.search(r"\b(?:all_subsets|random_subsets|_SampledSubsets)\b", text), module.name
+        assert "--all-subsets" not in text, module.name
 
 
 @st.composite
@@ -1244,6 +1255,42 @@ def test_poisson_tail_matches_direct_sum_oracle():
         got = poisson_upper_tail(2, t).probability
         want = poisson_tail_oracle(2, t)
         assert abs(got - want) <= 1e-12, (t, got, want)
+
+
+def _per_t_tail(lam, t):
+    """The tail as each t once summed it on its own: the same recurrence
+    from e^-lambda, walked afresh for every t."""
+    pmf, cdf = math.exp(-lam), 0.0
+    for k in range(t):
+        if k > 0:
+            pmf *= lam / k
+        cdf += pmf
+    return max(1.0 - cdf, 0.0)
+
+
+@pytest.mark.parametrize("lam, t_max", [(0.5, 40), (2, 60), (50.0, 200), (708.3, 900)])
+def test_one_tail_walk_is_the_per_t_sum_bit_for_bit(lam, t_max):
+    """Where e^-lambda is a normal float, one walk for the whole table gives
+    every tail the per-t sum gave, in the same operations."""
+    tails = list(analysis._poisson_tails(lam, t_max))
+    assert [pt.t for pt in tails] == list(range(t_max + 1))
+    assert [pt.probability for pt in tails] == [_per_t_tail(lam, t) for t in range(t_max + 1)]
+    assert tails[-1] == poisson_upper_tail(lam, t_max)
+
+
+@pytest.mark.parametrize("lam", [740.0, 800.0])
+def test_poisson_tail_past_the_normal_range_matches_the_log_space_oracle(lam):
+    """Past lambda ~ 708.4, e^-lambda is subnormal (740) or 0 (800), where
+    the recurrence from it printed 0.50361 for P(X >= 740) at 740 and 1
+    for every tail at 800."""
+    assert math.exp(-lam) < sys.float_info.min
+    if lam == 800:
+        with pytest.raises(OverflowError):
+            poisson_tail_oracle(lam, int(lam))
+    tails = list(analysis._poisson_tails(lam, 1200))
+    for pt in tails[::7] + [tails[int(lam)]]:
+        assert abs(pt.probability - poisson_tail_log_oracle(lam, pt.t)) <= 1e-12, pt
+    assert round(tails[int(lam)].probability, 5) == {740.0: 0.50489, 800.0: 0.50470}[lam]
 
 
 def test_poisson_tail_domain():

@@ -1,5 +1,6 @@
 """Experiment harness and CLI surfaces: determinism, formats, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -413,6 +414,52 @@ def test_cli_scan_refuses_a_malformed_spec(tmp_path, capsys, spec, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", [99, -1, 8])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_scan_refuses_an_illegal_target_outside_the_bins(tmp_path, capsys, target, jobs):
+    """A target outside 0..n-1 is refused by name, where 99 raised an
+    IndexError and -1 wrapped every ball into bin n - 1."""
+    spec = {"n_values": [8], "policies": [{"name": "illegal-fixture", "target": target}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "rows.csv"
+    assert main(["scan", "--spec", str(spec_path), "--jobs", jobs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: illegal-fixture target {target} is outside 0..7 (n=8)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", [99, -1, 8])
+def test_run_trial_and_simulate_run_refuse_an_illegal_target(target):
+    message = rf"^illegal-fixture target {target} is outside 0\.\.7 \(n=8\)$"
+    with pytest.raises(ValueError, match=message):
+        harness.run_trial(PolicySpec.from_dict({"name": "illegal-fixture", "target": target}), 8, 0.5, 0, 1)
+    for traced in (False, True):
+        with pytest.raises(ValueError, match=message):
+            core.simulate_run(SimConfig(n=8, seed=1, record_trace=traced),
+                              make_policy("illegal-fixture", target=target))
+    last = make_policy("illegal-fixture", target=7)
+    assert core.simulate_run(SimConfig(n=8, seed=1, record_trace=True), last).max_load == 8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--policy", "greedy", "--n", "8", "--epsilon-grid", "1/0"],
+        ["verify", "--policy", "greedy", "--n", "8", "--epsilon-grid", "0.1:0.2:1/0"],
+        ["phases", "--policy", "greedy", "--n", "64", "--phases", "2", "--forbidden",
+         "--epsilon", "1/0"],
+    ],
+    ids=["verify-list", "verify-range", "phases"],
+)
+def test_cli_refuses_an_epsilon_with_a_zero_denominator(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "zero denominator" in captured.err
+    assert "1/0" in captured.err
+
+
 def test_cli_scan_requires_inputs(tmp_path):
     assert main(["scan", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["scan", "--n", "16", "--policy", "greedy"]) == 2
@@ -659,6 +706,19 @@ def test_cli_tail_table(tmp_path, capsys):
     assert len(text.splitlines()) == 5  # header + 4 rows
     payload = json.loads(out.read_text())
     assert payload["rows"][0]["tail"] == 1.0
+
+
+def test_cli_tail_bytes_are_pinned(tmp_path, capsys):
+    """One walk of the pmf prints and writes, bit for bit, what a sum per t did."""
+    out = tmp_path / "tail.json"
+    assert main(["tail", "--lam", "2", "--t-max", "30", "--out", str(out)]) == 0
+    digest = lambda data: hashlib.sha256(data).hexdigest()
+    assert digest(capsys.readouterr().out.encode()) == (
+        "9857c1b9c59641a587383a26d4a24e3337d98f57d4d38df1e5d4308a76f8569c"
+    )
+    assert digest(out.read_bytes()) == (
+        "6e77542ada7b26e17db2538b5cb308cb082509ab12ab046e8ae9d6a248b9198f"
+    )
 
 
 @pytest.mark.parametrize(
