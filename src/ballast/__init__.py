@@ -14,24 +14,17 @@ import importlib
 
 _EXPORTS = {
     "analysis": (
-        "AdviceSizeReport",
-        "ForbiddenSet",
         "PhaseConfig",
         "PhaseReport",
-        "PlacementProbs",
         "PoissonTail",
         "SweepResult",
         "TheoreticalBounds",
-        "advice_list_size_check",
         "advice_threshold",
         "default_epsilon_grid",
         "enumerate_clustered_states",
-        "exact_placement_probs",
-        "forbidden_set",
         "forbidden_union_over_trace",
         "phase_report",
         "phase_report_with_forbidden",
-        "poisson_upper_tail",
         "probe_states",
         "run_phase_report",
         "sweep_placement_bounds",
@@ -41,7 +34,6 @@ _EXPORTS = {
         "PAIR_GUARD",
         "RunResult",
         "SimConfig",
-        "StepRecord",
         "Trace",
         "load_histogram",
         "read_trace_csv",

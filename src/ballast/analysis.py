@@ -70,23 +70,6 @@ from .core import (
 # placement probabilities
 
 
-@dataclass(frozen=True)
-class PlacementProbs:
-    """Exact per-bin placement probabilities for one memory state.
-
-    ``numerators[i] / (2 n^2)`` is the probability that the next ball lands
-    in bin i given the state the policy was in when this was computed.
-    """
-
-    n: int
-    memory_state_id: int
-    numerators: tuple[int, ...]
-
-    @property
-    def denominator(self) -> int:
-        return 2 * self.n * self.n
-
-
 _BLOCK = 1 << 15  # numerator entries or pairs counted at a time: 2048 states at n = 16
 
 
@@ -208,21 +191,6 @@ def _numerator_blocks(
         yield (sids if ids else None), nums, support
 
 
-def exact_placement_probs(policy, n: int, state=None) -> PlacementProbs:
-    """Reconstruct the placement-probability vector exactly, by the walk of
-    ``_numerator_blocks`` over this one state. The policy must already be
-    bound to ``n`` bins (via ``reset``) unless a ``state`` to restore is
-    supplied, in which case it is rebound first."""
-    if state is not None:
-        if getattr(policy, "n", None) != n:
-            policy.reset(n, n)
-        policy.restore(state)
-    elif getattr(policy, "n", None) != n:
-        raise ValueError("policy is not bound to this n; reset it or pass a state")
-    ((sids, nums, _),) = _numerator_blocks(policy, n, policy.snapshot()[None], ids=True)
-    return PlacementProbs(n=n, memory_state_id=sids[0], numerators=tuple(nums[0].tolist()))
-
-
 # ---------------------------------------------------------------------------
 # forbidden sets and placement bounds
 
@@ -238,14 +206,6 @@ def as_exact(eps) -> Fraction:
     return e
 
 
-@dataclass(frozen=True)
-class ForbiddenSet:
-    """Bins the current memory state starves: p_i strictly below eps/n."""
-
-    epsilon: Fraction
-    members: frozenset[int]
-
-
 def _cut(n: int, eps: Fraction) -> int:
     """F's bound: p_i < eps/n iff q num_i < 2 n p iff num_i < ceil(2 n p / q),
     which lies in 1..2n, so no product is taken and no q overflows."""
@@ -255,12 +215,6 @@ def _cut(n: int, eps: Fraction) -> int:
 def _forbidden(nums: np.ndarray, n: int, eps: Fraction) -> np.ndarray:
     """F's mask: the bins whose numerator is below ``_cut``."""
     return nums < _cut(n, eps)
-
-
-def forbidden_set(p: PlacementProbs, epsilon) -> ForbiddenSet:
-    eps = as_exact(epsilon)
-    mask = _forbidden(np.array(p.numerators, dtype=np.int64), p.n, eps)
-    return ForbiddenSet(epsilon=eps, members=frozenset(np.flatnonzero(mask).tolist()))
 
 
 def default_epsilon_grid() -> tuple[Fraction, ...]:
@@ -845,12 +799,6 @@ class PoissonTail:
     leading_term: float
 
 
-def poisson_upper_tail(lam: float, t: int) -> PoissonTail:
-    """Upper tail Pr(X >= t): the last row of ``_poisson_tails(lam, t)``."""
-    *_, last = _poisson_tails(lam, t)
-    return last
-
-
 def _poisson_tails(lam: float, t_max: int) -> Iterator[PoissonTail]:
     """Upper tails for t = 0..t_max from one walk of the pmf, by
     complementing the partial CDF sum.
@@ -885,43 +833,3 @@ def _poisson_tails(lam: float, t_max: int) -> Iterator[PoissonTail]:
             pending -= 1
         if not pending:
             cdf += pmf
-
-
-@dataclass(frozen=True)
-class AdviceSizeReport:
-    """How the final count of overloaded bins compares to the nominal bound."""
-
-    n: int
-    delta: float
-    threshold: float
-    count_over_threshold: int
-    bound: float
-    ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "threshold": self.threshold,
-            "count_over_threshold": self.count_over_threshold,
-            "bound": self.bound,
-            "ok": self.ok,
-        }
-
-
-def advice_list_size_check(loads: Sequence[int], n: int, delta: float) -> AdviceSizeReport:
-    """Count bins at or above the overload threshold and compare to the
-    nominal n^(1-delta)/(2 log2 n) bound. Advisory: the bound is an asymptotic
-    statement, so failures are reported, not raised."""
-    if len(loads) != n:
-        raise ValueError("loads length does not match n")
-    b = theoretical_bounds(n, delta)
-    count = sum(1 for v in loads if v >= b.upper_T)
-    return AdviceSizeReport(
-        n=n,
-        delta=delta,
-        threshold=b.upper_T,
-        count_over_threshold=count,
-        bound=b.advice_list_bound,
-        ok=count <= b.advice_list_bound,
-    )

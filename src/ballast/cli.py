@@ -14,6 +14,12 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
+# The one BLAS call, verify --subsets' float64 product of 0/1 rows and
+# integers below 2^53, is exact in any order, so one thread gives the same
+# bits; an OpenBLAS pool costs every process 0.07-0.1 s of CPU to start. A
+# value already set wins. It must be set before numpy first loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 # Only what build_parser needs loads here; each cmd_* imports the modules it
 # runs, so a parse error or --help never pays for numpy.
 if TYPE_CHECKING:
@@ -31,11 +37,17 @@ def _env_seed() -> int:
         raise ValueError(f"BALLAST_SEED must be an integer, got {text!r}") from None
 
 
+_GRID_LIMIT = 10_000  # epsilons one sweep takes: about 500 times the default grid's 19
+
+
 def parse_epsilon_grid(text: str) -> list[Fraction]:
     """Exact epsilon values from "start:stop:step" or a comma list.
 
     Decimal strings convert exactly (Fraction("0.05") == 1/20), so grid
-    boundaries behave exactly in the strict forbidden-set comparison.
+    boundaries behave exactly in the strict forbidden-set comparison. A
+    range is counted, and its first and last values checked, from its three
+    values before any of it is built; more than ``_GRID_LIMIT`` values are
+    refused.
     """
     from fractions import Fraction
 
@@ -52,15 +64,19 @@ def parse_epsilon_grid(text: str) -> list[Fraction]:
         start, stop, step = map(exact, parts)
         if step <= 0:
             raise ValueError("epsilon grid step must be positive")
-        grid = []
-        v = start
-        while v <= stop:
-            grid.append(v)
-            v += step
+        count = max((stop - start) // step + 1, 0)
+        grid = [start, start + (count - 1) * step] if count else []  # its ends, until checked
     else:
         grid = [exact(part) for part in text.split(",") if part]
+        count = len(grid)
     if not grid or any(not 0 < e < 1 for e in grid):
         raise ValueError(f"epsilon grid values must lie in (0, 1): {text!r}")
+    if count > _GRID_LIMIT:
+        raise ValueError(
+            f"epsilon grid {text!r} has {count} values; a sweep takes at most {_GRID_LIMIT}"
+        )
+    if ":" in text:
+        grid = [start + k * step for k in range(count)]
     return grid
 
 
@@ -327,23 +343,33 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_tail(args) -> int:
+    """Print the table, and write it with --out, a row at a time as the walk
+    yields it: the file holds the bytes ``json.dump(..., indent=1)`` gives."""
+    import contextlib
     import json
+    from itertools import chain
 
     from . import analysis, core
 
     if args.t_max < 0:
         print(f"tail --t-max needs a value >= 0, got {args.t_max}", file=sys.stderr)
         return 2
-    tails = list(analysis._poisson_tails(args.lam, args.t_max))
-    rows = []
-    print(f"{'t':>4} {'tail P(X>=t)':>16} {'leading term':>16}   lambda={args.lam}")
-    for pt in tails:
-        rows.append({"t": pt.t, "tail": pt.probability, "leading_term": pt.leading_term})
-        print(f"{pt.t:4d} {pt.probability:16.12f} {pt.leading_term:16.12f}")
-    if args.out:
-        with core.atomic_write(args.out) as f:
-            json.dump({"lambda": args.lam, "rows": rows}, f, indent=1)
-            f.write("\n")
+    tails = analysis._poisson_tails(args.lam, args.t_max)
+    first = next(tails)  # refuses a bad lambda before anything is written
+    with core.atomic_write(args.out) if args.out else contextlib.nullcontext() as f:
+        print(f"{'t':>4} {'tail P(X>=t)':>16} {'leading term':>16}   lambda={args.lam}")
+        if f:
+            f.write(f'{{\n "lambda": {json.dumps(args.lam)},\n "rows": [')
+        for pt in chain([first], tails):
+            print(f"{pt.t:4d} {pt.probability:16.12f} {pt.leading_term:16.12f}")
+            if f:
+                f.write(
+                    f'{"" if pt.t == 0 else ","}\n  {{\n   "t": {pt.t},\n'
+                    f'   "tail": {json.dumps(pt.probability)},\n'
+                    f'   "leading_term": {json.dumps(pt.leading_term)}\n  }}'
+                )
+        if f:
+            f.write("\n ]\n}\n")
     return 0
 
 

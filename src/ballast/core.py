@@ -29,9 +29,9 @@ tuple; otherwise it is a 64-bit key linear in the memory vector, with
 fixed pseudo-random weights. Equal states always get equal ids, in any
 process. The policy derives the whole id column from the chosen bins
 (``run_traced``), so tracing costs O(balls) array work. The trace is a
-``Trace``: columns of ids and bins, read as a sequence of ``StepRecord``
-views. Traces and run results are written, and traces read, a block of
-rows at a time through numpy, in the text ``csv`` and ``json`` would give.
+``Trace``: columns of ids and bins. Traces and run results are written,
+and traces read, a block of rows at a time through numpy, in the text
+``csv`` and ``json`` would give.
 
 ``_prove_steps`` proves a stored trace by the picks of the policy's walk
 of its chosen column (``Policy._walk``): every step's offers must lie in
@@ -93,22 +93,10 @@ class SimConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    step: int
-    memory_state_id: int
-    bin_a: int
-    bin_b: int
-    chosen: int
-
-
-class Trace(Sequence):
+class Trace:
     """A run's steps as columns: uint64 ``ids`` and int64 ``bin_a``,
     ``bin_b`` and ``chosen``, one row per step, numbered by position.
-
-    As a sequence it holds ``StepRecord(t, ids[t], bin_a[t], bin_b[t],
-    chosen[t])`` views with Python ints: ``len``, iteration, indexing,
-    slicing (to a list) and ``==`` against any sequence of records.
+    ``len`` is the step count, and two traces are equal when their columns are.
     """
 
     def __init__(self, ids, bin_a, bin_b, chosen):
@@ -130,21 +118,9 @@ class Trace(Sequence):
     def __len__(self) -> int:
         return len(self.chosen)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[t] for t in range(*i.indices(len(self)))]
-        t = range(len(self))[i]
-        return StepRecord(t, *(int(c[t]) for c in self.columns))
-
-    def __iter__(self) -> Iterator[StepRecord]:
-        for lo in range(0, len(self), _IO_ROWS):
-            yield from map(StepRecord, *(c.tolist() for c in self.numbered(lo, lo + _IO_ROWS)))
-
     def __eq__(self, other):
         if isinstance(other, Trace):
             return all(np.array_equal(x, y) for x, y in zip(self.columns, other.columns))
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return len(self) == len(other) and all(x == y for x, y in zip(self, other))
         return NotImplemented
 
 

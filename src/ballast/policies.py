@@ -28,9 +28,9 @@ Greedy, clustered and advice share one memory model, stated once in
 clusters of bins with capped counters; advice is greedy whose key is a
 bin's load only once the bin is listed. The values are held in the
 narrowest integer type their bound allows, as the engine holds the loads
-(``core.count_dtype``). ``rank_keys`` is the vector of the keys, and
-``block_keys`` gives the keys and state ids of a whole block of memories,
-so the analysis can count ranks instead of enumerating pairs.
+(``core.count_dtype``). ``block_keys`` gives the per-bin keys and state
+ids of a whole block of memories, so the analysis can count ranks instead
+of enumerating pairs.
 ``run_bulk`` applies the same comparison to whole arrays of steps: every
 step of a block that offers no slot an earlier step of the block offered
 reads the memory from before the block (see ``_decide_blocks``).
@@ -477,10 +477,10 @@ class GreedyTwoChoicePolicy(Policy):
 
         Each row is a memory as ``restore`` takes it and is checked as
         ``restore`` checks it (``_check``). Returns the (rows, n) int64 keys
-        ``rank_keys`` gives in those states and their uint64 ids,
-        ``_rank(rows) @ W`` wrapping mod 2^64, in a fixed number of array
-        operations whatever the rows. ``state_id`` and ``rank_keys`` are its
-        one-row case; the weights are built on first use.
+        of those states, one per bin, and their uint64 ids, ``_rank(rows) @
+        W`` wrapping mod 2^64, in a fixed number of array operations
+        whatever the rows. ``state_id`` is its one-row case; the weights are
+        built on first use.
         """
         rows = np.asarray(rows, dtype=np.int64)
         self._check(rows)
@@ -489,7 +489,7 @@ class GreedyTwoChoicePolicy(Policy):
         keys = self._rank(rows)
         ids = keys.astype(np.uint64) @ self._wv
         if self._width > 1:  # the bins of one slot share its key, so their pairs are ties
-            keys = np.repeat(keys, self._width, axis=1)[:, : self.n]
+            keys = keys[:, self._slot(np.arange(self.n))]
         return keys, ids
 
     def _check(self, rows: np.ndarray) -> None:
@@ -514,10 +514,6 @@ class GreedyTwoChoicePolicy(Policy):
         self._check(values[None])
         self._hold(values, max(int(values.max(initial=0)), -int(values.min(initial=0))))
 
-    def rank_keys(self):
-        """The per-bin keys of the current memory (``block_keys``)."""
-        return self.block_keys(self.snapshot()[None])[0][0]
-
     def memory_bits(self, n, balls):
         return n * int_width(balls)
 
@@ -537,6 +533,8 @@ class ClusterConfig:
             raise ValueError("cluster_size must be >= 1")
         if self.counter_cap < 1:
             raise ValueError("counter_cap must be >= 1")
+        if max(self.cluster_size, self.counter_cap) >= 1 << 63:
+            raise ValueError("cluster_size and counter_cap must be below 2^63, as int64 holds them")
 
     @property
     def counter_width(self) -> int:

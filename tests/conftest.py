@@ -19,7 +19,7 @@ import pytest
 from ballast import ClusterConfig, theoretical_bounds, trial_seed
 
 from batteries import battery_trial
-from oracles import poisson_tail_oracle
+from oracles import advice_list_size_check, poisson_tail_oracle
 
 ACCEPT_SEED = 0xB5EED
 TRIALS = 20
@@ -129,7 +129,7 @@ def advice_budget_battery(battery_pool):
 
 @pytest.fixture(scope="session")
 def advice_battery(battery_pool):
-    from ballast import advice_list_size_check, advice_threshold
+    from ballast import advice_threshold
 
     n = 1 << 20
     delta = 0.5

@@ -11,6 +11,13 @@ recursive clustered-state enumeration, the per-pair walk of every ordered
 pair, the per-step walks of a run (``play``, ``replay``, ``new_states``)
 and the sweep's per-bin margin arithmetic are here too: they restate what
 the program computes in another way, and no command reads them.
+
+So are the views the tests read the program through and no command
+needs: a trace's steps as records (``records``), one state's numerators
+(``exact_placement_probs``, through the program's ``_numerator_blocks``),
+its forbidden set (by the program's cut), a bin's key as the rule reads
+it (``rank_keys``), the tail at one t (the last row of the program's
+``_poisson_tails``) and the advice list-size check.
 """
 
 from __future__ import annotations
@@ -30,13 +37,20 @@ from ballast import (
     ClusterConfig,
     ClusteredPolicy,
     GreedyTwoChoicePolicy,
-    PlacementProbs,
+    PoissonTail,
     Trace,
-    forbidden_set,
+    analysis,
     make_policy,
     policies,
+    theoretical_bounds,
 )
 from ballast.analysis import as_exact
+
+
+def poisson_upper_tail(lam: float, t: int) -> PoissonTail:
+    """The tail at one t: the last row of the program's table walk up to t."""
+    *_, last = analysis._poisson_tails(lam, t)
+    return last
 
 
 def poisson_tail_oracle(lam: float, t: int, terms: int = 64) -> float:
@@ -99,6 +113,25 @@ def reference_two_choice(n: int, balls: int, seed: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# a trace's steps as records
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    step: int
+    memory_state_id: int
+    bin_a: int
+    bin_b: int
+    chosen: int
+
+
+def records(trace: Trace) -> list[StepRecord]:
+    """Row t of ``trace`` as ``StepRecord(t, ids[t], bin_a[t], bin_b[t],
+    chosen[t])``, in Python ints, for every step in order."""
+    return list(map(StepRecord, range(len(trace)), *(c.tolist() for c in trace.columns)))
+
+
+# ---------------------------------------------------------------------------
 # the per-step walks: each step decided or proven, then applied, in Python ints
 
 
@@ -119,7 +152,7 @@ def replay(policy, trace: Trace, n: int):
     chosen bin is ``decide(pair, 0)`` or ``decide(pair, 1)``. The first
     step that is not raises ``ValueError`` naming it."""
     policy.reset(n, max(len(trace), 1))
-    for rec in trace:
+    for rec in records(trace):
         t, a, b, c = rec.step, rec.bin_a, rec.bin_b, rec.chosen
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"trace step {t} offers bins ({a}, {b}) outside 0..{n - 1}")
@@ -203,6 +236,42 @@ def pair_walk(policy, n: int) -> tuple[list[int], int, tuple | None]:
 # placement probabilities, one state and one subset at a time, in Fractions
 
 
+@dataclass(frozen=True)
+class PlacementProbs:
+    """One memory state's placement probabilities: ``numerators[i] / (2 n^2)``
+    is the chance that the next ball lands in bin i."""
+
+    n: int
+    memory_state_id: int
+    numerators: tuple[int, ...]
+
+    @property
+    def denominator(self) -> int:
+        return 2 * self.n * self.n
+
+
+def exact_placement_probs(policy, n: int, state=None) -> PlacementProbs:
+    """The numerators of one state, by the program's walk
+    (``analysis._numerator_blocks``) over that one row. The policy must be
+    bound to ``n`` bins unless a ``state`` to restore is given, in which
+    case it is rebound first."""
+    if state is not None:
+        if getattr(policy, "n", None) != n:
+            policy.reset(n, n)
+        policy.restore(state)
+    elif getattr(policy, "n", None) != n:
+        raise ValueError("policy is not bound to this n; reset it or pass a state")
+    ((sids, nums, _),) = analysis._numerator_blocks(policy, n, policy.snapshot()[None], ids=True)
+    return PlacementProbs(n=n, memory_state_id=sids[0], numerators=tuple(nums[0].tolist()))
+
+
+def forbidden_set(p: PlacementProbs, epsilon) -> frozenset[int]:
+    """F = {i : p_i < eps/n} of one state, by the program's cut
+    (``analysis._forbidden``), which forms no product q num_i."""
+    mask = analysis._forbidden(np.array(p.numerators, dtype=np.int64), p.n, as_exact(epsilon))
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
 def fractions(p: PlacementProbs) -> list[Fraction]:
     return [Fraction(x, p.denominator) for x in p.numerators]
 
@@ -231,20 +300,20 @@ class PlacementBoundsReport:
 def check_placement_bounds(p: PlacementProbs, epsilon, subset: Iterable[int]) -> PlacementBoundsReport:
     """Exact check of both guarantees for one (state, epsilon, subset)."""
     eps = as_exact(epsilon)
-    fs = forbidden_set(p, eps)
+    forbidden = {i for i, p_i in enumerate(fractions(p)) if p_i < eps / p.n}
     s = set(subset)
     if any(i < 0 or i >= p.n for i in s):
         raise ValueError("subset contains out-of-range bins")
     lhs = Fraction(sum(p.numerators[i] for i in s), p.denominator)
-    rhs = eps * len(s - fs.members) / p.n
+    rhs = eps * len(s - forbidden) / p.n
     limit = eps * p.n
     return PlacementBoundsReport(
         epsilon=eps,
         subset_ok=lhs >= rhs,
-        size_ok=len(fs.members) <= limit,
+        size_ok=len(forbidden) <= limit,
         lhs=lhs,
         rhs=rhs,
-        forbidden_size=len(fs.members),
+        forbidden_size=len(forbidden),
         forbidden_limit=limit,
     )
 
@@ -277,8 +346,34 @@ def advice_list(policy: AdvicePolicy) -> AdviceList:
     return build_advice(policy.snapshot().tolist(), policy.threshold)
 
 
+@dataclass(frozen=True)
+class AdviceSizeReport:
+    """How many bins sit at or above the overload threshold ``upper_T``
+    against the nominal list bound n^(1-delta) / (2 log2 n)."""
+
+    count_over_threshold: int
+    bound: float
+    ok: bool
+
+
+def advice_list_size_check(loads, n: int, delta: float) -> AdviceSizeReport:
+    """The list-size clause of one run's final loads: advisory, since the
+    bound is asymptotic, so a count over it is reported, not raised."""
+    if len(loads) != n:
+        raise ValueError("loads length does not match n")
+    b = theoretical_bounds(n, delta)
+    count = sum(1 for v in loads if v >= b.upper_T)
+    return AdviceSizeReport(count, b.advice_list_bound, count <= b.advice_list_bound)
+
+
 # ---------------------------------------------------------------------------
 # state keys and states
+
+
+def rank_keys(policy) -> list[int]:
+    """Each bin's key in a greedy-family policy's current memory, as its rule
+    reads it: its slot's value through ``_rank``, in Python ints."""
+    return [policy._rank(policy._mem[i // policy._width]) for i in range(policy.n)]
 
 
 def key_oracle(p) -> int:

@@ -32,16 +32,14 @@ from ballast import (
     advice_threshold,
     default_cluster_config,
     enumerate_clustered_states,
-    exact_placement_probs,
     make_policy,
-    poisson_upper_tail,
     simulate_run,
     sweep_placement_bounds,
     SimConfig,
 )
 from ballast.cli import main
 
-from oracles import poisson_tail_oracle
+from oracles import exact_placement_probs, poisson_tail_oracle, poisson_upper_tail
 
 
 def _report(criterion, ok, detail):

@@ -22,17 +22,13 @@ from ballast import (
     PhaseConfig,
     SimConfig,
     Trace,
-    advice_list_size_check,
     advice_threshold,
     default_epsilon_grid,
     enumerate_clustered_states,
-    exact_placement_probs,
-    forbidden_set,
     forbidden_union_over_trace,
     make_policy,
     phase_report,
     phase_report_with_forbidden,
-    poisson_upper_tail,
     probe_states,
     run_phase_report,
     simulate_run,
@@ -46,18 +42,24 @@ from ballast.core import STREAM_CHUNK, draw_run_streams
 
 from oracles import (
     ENUMERATED_POLICIES,
+    advice_list_size_check,
     any_policy_builder,
     bin_weight_margins,
     check_placement_bounds,
     clustered_states,
     exact_memory,
+    exact_placement_probs,
     floats,
+    forbidden_set,
     fractions,
     new_states,
     pair_walk,
     play,
     poisson_tail_log_oracle,
     poisson_tail_oracle,
+    poisson_upper_tail,
+    rank_keys,
+    records,
     replay,
 )
 
@@ -139,22 +141,22 @@ def _probs_quarter_three_quarters():
 
 def test_forbidden_set_uniform_is_empty():
     pp = exact_placement_probs(_bound_policy("one-choice", 4), 4)
-    assert forbidden_set(pp, Fraction(1, 2)).members == frozenset()
+    assert forbidden_set(pp, Fraction(1, 2)) == frozenset()
 
 
 def test_forbidden_set_threshold_cases():
     pp = _probs_quarter_three_quarters()
-    assert forbidden_set(pp, Fraction(2, 5)).members == frozenset()  # 1/4 >= 0.2
+    assert forbidden_set(pp, Fraction(2, 5)) == frozenset()  # 1/4 >= 0.2
     fs = forbidden_set(pp, Fraction(3, 5))  # 1/4 < 0.3
-    assert fs.members == frozenset({0})
-    assert len(fs.members) <= Fraction(3, 5) * 2
+    assert fs == frozenset({0})
+    assert len(fs) <= Fraction(3, 5) * 2
 
 
 def test_forbidden_set_strict_boundary_excludes():
     pp = exact_placement_probs(_bound_policy("one-choice", 4), 4)
     # p_i = 1/4 exactly; eps = 1 would make eps/n = 1/4: equality stays out
     # but eps must be < 1, so probe just below and above via fractions.
-    assert forbidden_set(pp, Fraction(99, 100)).members == frozenset()
+    assert forbidden_set(pp, Fraction(99, 100)) == frozenset()
 
 
 def test_forbidden_set_epsilon_domain():
@@ -577,7 +579,7 @@ def test_clustered_sweep_binds_no_state(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("a state was bound or keyed on its own")
 
-    for method in ("restore", "state_id", "rank_keys"):
+    for method in ("restore", "state_id"):
         monkeypatch.setattr(ClusteredPolicy, method, refuse)
     assert main(["verify", "--policy", "clustered", "--n", "16", "--balls", "8", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -683,8 +685,8 @@ def test_block_rank_counts_match_per_state_counts(case):
     keys = []
     for state in states:
         policy.restore(tuple(state))
-        keys.append(policy.rank_keys())
-    block = rank_numerators(np.stack(keys))
+        keys.append(rank_keys(policy))
+    block = rank_numerators(np.array(keys, dtype=np.int64))
     for row, state in zip(block.tolist(), states):
         policy.restore(tuple(state))
         assert row == list(exact_placement_probs(policy, n).numerators)
@@ -818,7 +820,7 @@ def test_dedup_is_exact_when_every_state_id_collides(name, monkeypatch):
     oracle = build()
     oracle.reset(n, balls)
     before_steps = set()
-    for rec in trace:
+    for rec in records(trace):
         before_steps.add(exact_memory(oracle))
         oracle.update((rec.bin_a, rec.bin_b), rec.chosen)
     expect_probed = len(before_steps | {exact_memory(oracle)})
@@ -878,8 +880,7 @@ def test_size_bound_holds_for_visited_greedy_states(seed, balls):
     for state in list(probe_states(p, n, balls, seed=seed, max_states=30)):
         pp = exact_placement_probs(p, n, state=state)
         for eps in default_epsilon_grid():
-            fs = forbidden_set(pp, eps)
-            assert len(fs.members) <= eps * n
+            assert len(forbidden_set(pp, eps)) <= eps * n
 
 
 def _forbidden_oracle(num, n, eps):
@@ -892,7 +893,7 @@ def _walked_states(build, n, trace):
     p = build()
     p.reset(n, len(trace))
     walked = []
-    for rec in trace:
+    for rec in records(trace):
         walked.append((p.snapshot(), pair_walk(p, n)[0]))
         p.update((rec.bin_a, rec.bin_b), rec.chosen)
     return p, walked
@@ -906,7 +907,7 @@ def _check_forbidden_against_fractions(build, n, trace, eps, sweep=True):
     for snap, num in walked:
         members = _forbidden_oracle(num, n, eps)
         union |= members
-        assert forbidden_set(exact_placement_probs(p, n, state=snap), eps).members == members
+        assert forbidden_set(exact_placement_probs(p, n, state=snap), eps) == members
     assert forbidden_union_over_trace(build(), trace, n, eps)[0] == union
     if not sweep:
         return
@@ -939,7 +940,7 @@ def test_a_bin_exactly_at_eps_over_n_stays_outside_f():
     p = _bound_policy("max-index", 2)
     pp = exact_placement_probs(p, 2)
     assert fractions(pp)[0] == Fraction(1, 2) / 2
-    assert forbidden_set(pp, Fraction(1, 2)).members == frozenset()
+    assert forbidden_set(pp, Fraction(1, 2)) == frozenset()
     res = sweep_placement_bounds(p, 2, [p.snapshot()], epsilons=[Fraction(1, 2)])
     assert res.ok and list(res.worst_margins.values()) == [[0.0, 1.0]]  # w_0 = 0: margin 0
 
@@ -960,6 +961,8 @@ def test_forbidden_set_and_union_at_denominators_past_int64(q, name):
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_forbidden_union_asks_no_state_id_and_builds_no_probs(name, monkeypatch):
+    """The union asks no state id; the program has no one-state probability
+    record left to build, so that half holds by construction."""
     n = 16
 
     def build():
@@ -969,10 +972,9 @@ def test_forbidden_union_asks_no_state_id_and_builds_no_probs(name, monkeypatch)
     expected = forbidden_union_over_trace(build(), trace, n, Fraction(1, 4))
 
     def refuse(*args):
-        raise AssertionError("the union asked for a state id or a PlacementProbs")
+        raise AssertionError("the union asked for a state id")
 
     monkeypatch.setattr(type(build()), "state_id", refuse)
-    monkeypatch.setattr(analysis, "exact_placement_probs", refuse)
     assert forbidden_union_over_trace(build(), trace, n, Fraction(1, 4)) == expected
 
 

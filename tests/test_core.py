@@ -17,7 +17,6 @@ from ballast import (
     ClusteredPolicy,
     PhaseConfig,
     SimConfig,
-    StepRecord,
     Trace,
     load_histogram,
     make_policy,
@@ -32,7 +31,15 @@ from ballast import (
 from ballast import core, policies
 from ballast.core import STREAM_CHUNK, draw_run_streams, stream_chunks
 
-from oracles import any_policy_builder, exact_memory, play, reference_two_choice, replay
+from oracles import (
+    StepRecord,
+    any_policy_builder,
+    exact_memory,
+    play,
+    records,
+    reference_two_choice,
+    replay,
+)
 
 LEGAL_POLICIES = ["one-choice", "greedy", "clustered", "max-index", "min-index"]
 
@@ -127,7 +134,7 @@ def test_conservation_property(n, extra, seed, name):
 )
 def test_trace_legality_property(n, seed, name):
     r = simulate_run(SimConfig(n=n, seed=seed, balls=2 * n, record_trace=True), _policy(name))
-    for rec in r.trace:
+    for rec in records(r.trace):
         assert rec.chosen in (rec.bin_a, rec.bin_b)
         assert 0 <= rec.bin_a < n
         assert 0 <= rec.bin_b < n
@@ -440,7 +447,7 @@ def test_play_yields_ints_and_run_bulk_takes_lists_or_arrays(name):
     n, balls = 64, 300
     config = SimConfig(n=n, seed=9, balls=balls, record_trace=True)
     r = simulate_run(config, _policy(name))
-    fields = [getattr(rec, f.name) for rec in r.trace for f in dataclasses.fields(rec)]
+    fields = [getattr(rec, f.name) for rec in records(r.trace) for f in dataclasses.fields(rec)]
     assert all(type(v) is int for v in fields)
     assert all(type(v) is int for v in r.loads)
 
@@ -473,12 +480,13 @@ def test_replay_accepts_own_traces_and_refuses_impossible_steps(build, n, extra,
     balls = n + extra
     live = build()
     trace = simulate_run(SimConfig(n=n, seed=seed, balls=balls, record_trace=True), live).trace
+    steps = records(trace)
     replayed = build()
     walked = []
     for t, c in enumerate(replay(replayed, trace, n)):
         # between yields the policy is in the state that decided the step
-        walked.append(StepRecord(t, replayed.state_id(), trace[t].bin_a, trace[t].bin_b, c))
-    assert walked == trace
+        walked.append(StepRecord(t, replayed.state_id(), steps[t].bin_a, steps[t].bin_b, c))
+    assert walked == steps
     assert exact_memory(replayed) == exact_memory(live)
     core._prove_steps(build(), trace, n)
     core._prove_ids(build(), trace, n)
@@ -488,7 +496,7 @@ def test_replay_accepts_own_traces_and_refuses_impossible_steps(build, n, extra,
     for step, _ in enumerate(replay(probe, trace, n)):
         if step == t:
             break
-    pair = (trace[t].bin_a, trace[t].bin_b)
+    pair = (steps[t].bin_a, steps[t].bin_b)
     possible = {probe.decide(pair, 0), probe.decide(pair, 1)}
     impossible = [b for b in range(n) if b not in possible]
     chosen = trace.chosen.copy()
@@ -627,7 +635,7 @@ def test_run_result_json_round_trip():
     back = json.loads(f.getvalue())
     assert back["loads"] == r.loads
     assert back["max_load"] == r.max_load
-    assert [StepRecord(*row) for row in back["trace"]] == r.trace
+    assert [StepRecord(*row) for row in back["trace"]] == records(r.trace)
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -1,12 +1,15 @@
 """Experiment harness and CLI surfaces: determinism, formats, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -27,7 +30,7 @@ from ballast import (
     trial_seed,
     write_trace_csv,
 )
-from ballast import cli, core, harness
+from ballast import analysis, cli, core, harness
 from ballast.cli import main, parse_epsilon_grid
 
 
@@ -721,6 +724,48 @@ def test_cli_tail_bytes_are_pinned(tmp_path, capsys):
     )
 
 
+def test_cli_tail_bytes_at_t_max_0_are_pinned(tmp_path, capsys):
+    out = tmp_path / "tail.json"
+    assert main(["tail", "--lam", "2", "--t-max", "0", "--out", str(out)]) == 0
+    digest = lambda data: hashlib.sha256(data).hexdigest()
+    assert digest(capsys.readouterr().out.encode()) == (
+        "ae5627c352c58db76ab66259edcd046fa3f8c6e92363fe2caa7d5337da42da68"
+    )
+    assert digest(out.read_bytes()) == (
+        "f3a8a82322de136404dda7cb52163a4586f7fb1df32c926321ebc0c074ac55fa"
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(lam=st.sampled_from([0.5, 2.0, 37.25, 740.0, 1e-300]), t_max=st.integers(0, 60))
+def test_cli_tail_file_is_json_dump_of_the_table(tmp_path_factory, lam, t_max):
+    out = tmp_path_factory.mktemp("tail") / "tail.json"
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert main(["tail", "--lam", repr(lam), "--t-max", str(t_max), "--out", str(out)]) == 0
+    rows = [
+        {"t": pt.t, "tail": pt.probability, "leading_term": pt.leading_term}
+        for pt in analysis._poisson_tails(lam, t_max)
+    ]
+    assert out.read_text() == json.dumps({"lambda": lam, "rows": rows}, indent=1) + "\n"
+    assert len(printed.getvalue().splitlines()) == t_max + 2
+
+
+def test_cli_tail_holds_no_table(tmp_path):
+    """The rows are printed and written as the walk yields them: ten times
+    the rows peak no higher (the table held as lists grew by ~0.5 KiB a row)."""
+    peaks = []
+    for t_max in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert main(["tail", "--t-max", str(t_max), "--out", str(tmp_path / "t.json")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < peaks[0] + 64 * 1024
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -828,6 +873,47 @@ def test_output_check_leaves_a_link_to_a_directory_in_place(tmp_path):
     link.symlink_to(tmp_path / "a-directory")
     core._check_writable(str(link))  # a write would replace the link, so it passes
     assert link.is_symlink() and sorted(os.listdir(tmp_path)) == ["a-directory", "link"]
+
+
+def test_cli_refuses_a_range_too_long_to_sweep_before_building_it(capsys):
+    """0.1:0.9:1/1000000 has 800,001 values; the range is counted, not built."""
+    argv = ["verify", "--policy", "greedy", "--n", "8", "--epsilon-grid", "0.1:0.9:1/1000000"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: epsilon grid '0.1:0.9:1/1000000' has 800001 values; a sweep takes at most 10000\n"
+    )
+
+
+def test_epsilon_grid_limit_is_ten_thousand_values():
+    assert len(parse_epsilon_grid("1/20001:10000/20001:1/20001")) == 10_000
+    with pytest.raises(ValueError, match="has 10001 values; a sweep takes at most 10000$"):
+        parse_epsilon_grid("1/20002:10001/20002:1/20002")
+    with pytest.raises(ValueError, match="has 10001 values"):
+        parse_epsilon_grid(",".join(f"1/{k}" for k in range(2, 10_003)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    start=st.fractions(-1, 1), stop=st.fractions(0, 2), step=st.fractions(Fraction(1, 50), 1)
+)
+def test_epsilon_grid_range_is_the_stepped_walk(start, stop, step):
+    """A range holds start, start + step, ... up to stop, as a walk that adds
+    the step until it passes stop gives it, and is refused where that walk
+    leaves (0, 1) or is empty."""
+    walk, v = [], start
+    while v <= stop:
+        walk.append(v)
+        v += step
+    text = f"{start}:{stop}:{step}"
+    if walk and all(0 < e < 1 for e in walk):
+        assert parse_epsilon_grid(text) == walk
+    else:
+        with pytest.raises(ValueError, match="must lie in"):
+            parse_epsilon_grid(text)
 
 
 def test_parse_epsilon_grid():

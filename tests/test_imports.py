@@ -7,8 +7,10 @@ long since imported everything.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,28 @@ def test_command_loads_only_what_it_runs(trace_path, argv, loaded, absent):
     assert [m for m in absent if m in got["modules"]] == []
 
 
+BLAS_SCRIPT = """
+import json, os, sys
+import ballast.cli
+print(json.dumps({"threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_starts_no_blas_thread_pool_unless_asked(preset, expected):
+    """Importing the CLI sets OpenBLAS to one thread before numpy loads, and
+    keeps a value the caller set."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_SCRIPT], capture_output=True, text=True, env=env, check=True
+    )
+    assert json.loads(proc.stdout) == {"threads": expected, "numpy": False}
+
+
 def test_scan_with_jobs_still_runs_its_pool(tmp_path):
     argv = ["scan", "--policy", "greedy", "--n", "16", "--trials", "3", "--seed", "5"]
     pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
@@ -117,6 +141,21 @@ def test_every_lazy_name_is_its_defining_modules_object():
     for module in ("analysis", "core", "harness", "policies", "cli"):
         assert getattr(ballast, module) is sys.modules[f"ballast.{module}"]
         assert module in listed
+
+
+# what only the tests read, restated in tests/oracles.py
+TEST_ONLY = ("StepRecord", "PlacementProbs", "exact_placement_probs", "ForbiddenSet",
+             "forbidden_set", "poisson_upper_tail", "AdviceSizeReport", "advice_list_size_check",
+             "rank_keys")
+
+
+def test_the_program_keeps_no_test_only_names():
+    for module in Path(ballast.__file__).parent.glob("*.py"):
+        text = module.read_text()
+        assert not [name for name in TEST_ONLY if re.search(rf"\b{name}\b", text)], module.name
+    assert not set(TEST_ONLY) & set(ballast.__all__)
+    for view in ("__getitem__", "__iter__"):  # a trace is columns, with no record view
+        assert not hasattr(ballast.Trace, view)
 
 
 def test_unknown_name_raises_attribute_error():

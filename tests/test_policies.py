@@ -34,6 +34,8 @@ from oracles import (
     exact_memory,
     key_oracle,
     play,
+    rank_keys,
+    records,
 )
 
 
@@ -65,7 +67,7 @@ def test_greedy_tie_follows_tie_bit():
 def test_greedy_chosen_never_heavier_along_run():
     r = simulate_run(SimConfig(n=32, seed=11, balls=128, record_trace=True), make_policy("greedy"))
     loads = [0] * 32
-    for rec in r.trace:
+    for rec in records(r.trace):
         other = rec.bin_b if rec.chosen == rec.bin_a else rec.bin_a
         assert loads[rec.chosen] <= loads[other]
         loads[rec.chosen] += 1
@@ -94,7 +96,7 @@ def test_clustered_chosen_cluster_never_heavier_along_run():
     r = simulate_run(SimConfig(n=32, seed=13, balls=256, record_trace=True), p)
     counters = [0] * 8
     cap = 16
-    for rec in r.trace:
+    for rec in records(r.trace):
         other = rec.bin_b if rec.chosen == rec.bin_a else rec.bin_a
         cc, oc = rec.chosen // 4, other // 4
         if cc != oc:
@@ -180,7 +182,7 @@ def test_advice_never_picks_listed_over_unlisted():
     p = AdvicePolicy(threshold=3)
     r = simulate_run(SimConfig(n=16, seed=21, balls=256, record_trace=True), p)
     loads = [0] * 16
-    for rec in r.trace:
+    for rec in records(r.trace):
         other = rec.bin_b if rec.chosen == rec.bin_a else rec.bin_a
         if loads[rec.chosen] >= 3:
             assert loads[other] >= 3
@@ -221,7 +223,7 @@ def test_advice_bits_reflect_max_prestep_list():
     # independent replay: largest pre-step list size
     loads = [0] * n
     biggest = 0
-    for rec in r.trace:
+    for rec in records(r.trace):
         biggest = max(biggest, sum(1 for v in loads if v >= T))
         loads[rec.chosen] += 1
     assert p.memory_bits(cfg.n, cfg.balls) == biggest * (int_width(n - 1) + int_width(balls))
@@ -371,7 +373,7 @@ def test_block_keys_are_restore_then_state_id_and_rank_keys_per_row(case):
     for row, k, i in zip(rows, keys.tolist(), ids.tolist()):
         policy.restore(tuple(row))
         assert i == policy.state_id() == key_oracle(policy)
-        assert k == policy.rank_keys().tolist()
+        assert k == rank_keys(policy)
 
 
 def test_block_keys_refuse_what_restore_refuses():
@@ -383,6 +385,28 @@ def test_block_keys_refuse_what_restore_refuses():
         with pytest.raises(ValueError) as blocked:
             p.block_keys(np.array([bad]))
         assert str(blocked.value) == str(restored.value)
+
+
+def test_cluster_geometry_is_what_int64_holds():
+    """A cluster size or cap of 2^63 or more is refused (it raised
+    OverflowError in the slot and cap arithmetic); 2^63 - 1 runs."""
+    for size, cap in ((1 << 63, 1), (1, 1 << 63), (2**64, 2**64)):
+        with pytest.raises(ValueError, match=r"below 2\^63"):
+            ClusterConfig(size, cap)
+    top = (1 << 63) - 1
+    result = simulate_run(SimConfig(n=16, seed=3, balls=64), ClusteredPolicy(ClusterConfig(top, top)))
+    assert result.max_load == max(result.loads) and sum(result.loads) == 64
+
+
+def test_block_keys_of_a_cluster_wider_than_the_bins_cost_one_key_per_bin():
+    """The slot keys are spread to the n bins by index; repeating each key
+    once per bin of its slot asked 8 TiB for one cluster of 2^40 bins."""
+    p = ClusteredPolicy(ClusterConfig(1 << 40, 3))
+    p.reset(16, 16)
+    keys, ids = p.block_keys(np.array([[2], [3]]))
+    assert keys.tolist() == [[2] * 16, [3] * 16]
+    p.restore((3,))
+    assert ids.tolist()[1] == p.state_id() == key_oracle(p)
 
 
 _bin = st.integers(0, KEY_N - 1)
@@ -588,7 +612,7 @@ def test_memoryless_decide_maps_arrays_of_pairs(name):
 
 
 @pytest.mark.parametrize(
-    "method", ["decide", "snapshot", "restore", "state_id", "rank_keys", "run_bulk"]
+    "method", ["decide", "snapshot", "restore", "state_id", "block_keys", "run_bulk"]
 )
 def test_memory_method_is_stated_once(method):
     """Greedy holds the memory model; clustered and advice only state how they differ."""
@@ -615,7 +639,7 @@ def test_clustered_with_single_bin_clusters_and_no_reachable_cap_is_greedy(n, se
             ("clustered", ClusteredPolicy(ClusterConfig(cluster_size=1, counter_cap=balls))),
         ):
             result = simulate_run(config, policy)
-            chosen = [rec.chosen for rec in result.trace] if traced else None
+            chosen = result.trace.chosen.tolist() if traced else None
             runs[name, traced] = (result.loads, chosen, policy.snapshot().tolist())
     for traced in (False, True):
         assert runs["clustered", traced] == runs["greedy", traced]
@@ -701,7 +725,7 @@ def test_snapshot_is_a_fresh_int64_row_that_restore_takes_back(name):
     assert fresh.snapshot().tolist() == held and fresh.state_id() == sid
     if hasattr(p, "block_keys"):  # the greedy family: the snapshot is a block_keys row
         keys, ids = p.block_keys(p.snapshot()[None])
-        assert keys.tolist() == [p.rank_keys().tolist()] and ids.tolist() == [sid]
+        assert keys.tolist() == [rank_keys(p)] and ids.tolist() == [sid]
 
 
 @pytest.mark.parametrize("name", ["one-choice", "max-index", "min-index", "illegal-fixture"])

@@ -17,7 +17,6 @@ from ballast import (
     ClusteredPolicy,
     RunResult,
     SimConfig,
-    StepRecord,
     Trace,
     load_histogram,
     make_policy,
@@ -28,7 +27,7 @@ from ballast import (
 from ballast import core, policies
 from ballast.core import TRACE_COLUMNS, draw_run_streams
 
-from oracles import play
+from oracles import StepRecord, play, records
 
 
 @st.composite
@@ -61,7 +60,7 @@ def _assert_traced_run_is_the_step_walk(build, n, balls, seed):
         ids.append(oracle.state_id())
         chosen.append(c)
         loads[c] += 1
-    records = list(map(StepRecord, range(balls), ids, pa.tolist(), pb.tolist(), chosen))
+    steps = list(map(StepRecord, range(balls), ids, pa.tolist(), pb.tolist(), chosen))
     trace = result.trace
     assert isinstance(trace, Trace)
     assert trace.ids.dtype == np.uint64 and trace.chosen.dtype == np.int64
@@ -69,7 +68,7 @@ def _assert_traced_run_is_the_step_walk(build, n, balls, seed):
     assert trace.bin_a.tolist() == pa.tolist()
     assert trace.bin_b.tolist() == pb.tolist()
     assert trace.chosen.tolist() == chosen
-    assert trace == records
+    assert records(trace) == steps
     assert result.loads == loads
     assert live.snapshot().tolist() == oracle.snapshot().tolist()
     assert live.state_id() == oracle.state_id()
@@ -145,21 +144,16 @@ def test_traced_run_is_the_step_walk_through_counters_at_the_type_edges(cap, siz
 
 def test_trace_reads_as_a_sequence_of_records():
     trace = Trace([2**64 - 1, 5, 0], [1, 2, 3], [4, 5, 6], [1, 5, 6])
-    records = [
+    steps = [
         StepRecord(0, 2**64 - 1, 1, 4, 1), StepRecord(1, 5, 2, 5, 5), StepRecord(2, 0, 3, 6, 6)
     ]
     assert len(trace) == 3
-    assert list(trace) == records
-    assert [trace[i] for i in range(3)] == records
-    assert trace[-1] == records[-1]
-    assert all(type(v) is int for v in trace[0].__dict__.values())
-    assert trace[1:] == records[1:] and isinstance(trace[1:], list)
-    assert trace == records and records == trace and trace == tuple(records)
-    assert trace != records[:2] and trace != records[:2] + [records[1]]
+    assert records(trace) == steps
+    assert all(type(v) is int for rec in records(trace) for v in rec.__dict__.values())
     assert trace == Trace(*trace.columns)
     assert trace != Trace(*(c[:2] for c in trace.columns))
-    with pytest.raises(IndexError):
-        trace[3]
+    assert trace != Trace(*(c[[0, 1, 1]] for c in trace.columns))
+    assert trace != steps  # a trace equals only a trace
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +165,7 @@ def _csv_module_text(trace) -> str:
     f = io.StringIO(newline="")
     w = csv.writer(f, lineterminator="\n")
     w.writerow(TRACE_COLUMNS)
-    for r in trace:
+    for r in records(trace):
         w.writerow((r.step, r.memory_state_id, r.bin_a, r.bin_b, r.chosen))
     return f.getvalue()
 
@@ -220,7 +214,9 @@ def _write_json_text(result: RunResult) -> str:
 def _json_module_text(result: RunResult) -> str:
     d = {"n": len(result.loads), "max_load": result.max_load, "loads": result.loads}
     if result.trace is not None:
-        d["trace"] = [[r.step, r.memory_state_id, r.bin_a, r.bin_b, r.chosen] for r in result.trace]
+        d["trace"] = [
+            [r.step, r.memory_state_id, r.bin_a, r.bin_b, r.chosen] for r in records(result.trace)
+        ]
     return json.dumps(d)
 
 
@@ -232,7 +228,7 @@ def test_run_result_json_is_the_json_module_text(n, balls, traced):
     assert _write_json_text(r) == _json_module_text(r)
     back = json.loads(_write_json_text(r))
     assert (back["n"], back["max_load"], back["loads"]) == (n, r.max_load, r.loads)
-    assert [StepRecord(*row) for row in back.get("trace", [])] == (r.trace or [])
+    assert [StepRecord(*row) for row in back.get("trace", [])] == (records(r.trace) if traced else [])
     extreme = RunResult(loads=[0, 10**18, 7], max_load=10**18, trace=_extreme_trace(9000, 1))
     assert _write_json_text(extreme) == _json_module_text(extreme)
 
@@ -242,9 +238,9 @@ def test_header_only_trace_reads_as_empty(tmp_path):
     write_trace_csv(Trace([], [], [], []), str(path))
     assert path.read_text() == "step,memory_state_id,bin_a,bin_b,chosen\n"
     trace = read_trace_csv(str(path))
-    assert len(trace) == 0 and trace == []
+    assert len(trace) == 0 and records(trace) == []
     path.write_text("step,memory_state_id,bin_a,bin_b,chosen")  # no newline either
-    assert read_trace_csv(str(path)) == []
+    assert records(read_trace_csv(str(path))) == []
 
 
 def _trace_file(tmp_path, rows):
@@ -311,8 +307,8 @@ def test_traced_run_memory_is_its_columns(tmp_path, name):
     """A traced run holds 33 B per ball: the three streams (the offers are the
     trace's bin columns), the ids and the chosen bins. The bound allows as
     much again for the O(n) memory and the blocks the run and the writer
-    work in. The list of StepRecord objects a trace used to be peaked at
-    ~300 B per ball for greedy here."""
+    work in. The list of per-step record objects a trace used to be peaked
+    at ~300 B per ball for greedy here."""
     n, balls = 1 << 14, 1 << 17
     policy = make_policy(name, threshold=2) if name == "advice" else make_policy(name)
     config = SimConfig(n=n, seed=5, balls=balls, record_trace=True)
