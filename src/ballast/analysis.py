@@ -50,7 +50,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -264,6 +264,7 @@ class SweepResult:
 _EXACT_FLOAT = 1 << 53  # float64 holds every integer below this exactly
 _EXACT_INT = 1 << 63  # int64 holds every integer below this
 _PRODUCT_BLOCK = 1 << 20  # float64 entries in one block of the sampled product
+_GRID_BLOCK = 32 * _BLOCK  # (state, epsilon) entries per sweep array: 32 epsilons per block
 
 
 def random_subset_blocks(n: int, count: int, seed: int, rows: int) -> Iterator[np.ndarray]:
@@ -337,9 +338,9 @@ def sweep_placement_bounds(
 
     # each epsilon p/q as int64 columns: q, p n, F's cut t = ceil(2np/q) and 2np
     qs = [e.denominator for e in eps_list]
-    q = np.array(qs, dtype=np.int64)
-    pn = np.array([e.numerator * n for e in eps_list], dtype=np.int64)
-    cut = np.array([_cut(n, e) for e in eps_list], dtype=np.int64)
+    qa = np.array(qs, dtype=np.int64)
+    pna = np.array([e.numerator * n for e in eps_list], dtype=np.int64)
+    cuts = np.array([_cut(n, e) for e in eps_list], dtype=np.int64)
     dens = [2 * n * n * d for d in qs]
     for ids, nums, support in _numerator_blocks(policy, n, states, ids=True):
         for sid, (count, first) in zip(ids, support or ()):
@@ -347,41 +348,47 @@ def sweep_placement_bounds(
                 result.support_violations += count
                 result.violation_samples.append({"kind": "support", "state": sid, "sample": first})
 
-        # one (state, epsilon) entry per array from here on; see the module docstring
         rows = np.sort(nums, axis=1)
-        fsize = _counts_below(rows, cut)
-        first = q * rows[:, :1]  # F's lightest bin, if F is not empty
-        outside = np.take_along_axis(rows, np.minimum(fsize, n - 1), axis=1)
-        worst = np.where(fsize < n, q * outside - 2 * pn, first)  # the lightest bin outside F
-        np.minimum(worst, first, out=worst, where=fsize > 0)
-        # size bound: |F| <= eps * n, exactly q*|F| <= p*n
-        size_bad = q * fsize > pn
         negative = np.flatnonzero(rows[:, 0] < 0)  # a negative numerator, so a negative w_i
-        for e, eps in enumerate(eps_list if size_bad.any() or len(negative) else ()):
-            for j in np.flatnonzero(size_bad[:, e]):
-                result.size_violations += 1
-                result.violation_samples.append(
-                    {"kind": "size", "state": ids[j], "epsilon": float(eps), "F": int(fsize[j, e])}
+        margins = np.full((len(rows), 2), np.inf)
+        width = max(1, _GRID_BLOCK // len(rows))  # epsilons a slice of the grid takes
+        for lo in range(0, len(eps_list), width):
+            grid = slice(lo, lo + width)
+            q, pn, cut = qa[grid], pna[grid], cuts[grid]
+            # one (state, epsilon) entry per array from here on; see the module docstring
+            fsize = _counts_below(rows, cut)
+            first = q * rows[:, :1]  # F's lightest bin, if F is not empty
+            outside = np.take_along_axis(rows, np.minimum(fsize, n - 1), axis=1)
+            worst = np.where(fsize < n, q * outside - 2 * pn, first)  # the lightest bin outside F
+            np.minimum(worst, first, out=worst, where=fsize > 0)
+            # size bound: |F| <= eps * n, exactly q*|F| <= p*n
+            size_bad = q * fsize > pn
+            for e, eps in enumerate(eps_list[grid] if size_bad.any() or len(negative) else ()):
+                for j in np.flatnonzero(size_bad[:, e]):
+                    result.size_violations += 1
+                    result.violation_samples.append(
+                        {"kind": "size", "state": ids[j], "epsilon": float(eps),
+                         "F": int(fsize[j, e])}
+                    )
+                for j in negative:
+                    w = q[e] * nums[j] - 2 * pn[e] * (nums[j] >= cut[e])
+                    worst[j, e] = np.minimum(w, 0).sum()
+                    result.subset_violations += 1
+                    result.violation_samples.append(
+                        {
+                            "kind": "subset",
+                            "state": ids[j],
+                            "epsilon": float(eps),
+                            "bins": np.nonzero(w < 0)[0].tolist(),
+                        }
+                    )
+            if n_subsets is not None:
+                worst = np.column_stack(
+                    _sampled_worst(n_subsets, subset_seed, nums, eps_list[grid], list(worst.T), ids)
                 )
-            for j in negative:
-                w = q[e] * nums[j] - 2 * pn[e] * (nums[j] >= cut[e])
-                worst[j, e] = np.minimum(w, 0).sum()
-                result.subset_violations += 1
-                result.violation_samples.append(
-                    {
-                        "kind": "subset",
-                        "state": ids[j],
-                        "epsilon": float(eps),
-                        "bins": np.nonzero(w < 0)[0].tolist(),
-                    }
-                )
-        if n_subsets is not None:
-            worst = np.column_stack(
-                _sampled_worst(n_subsets, subset_seed, nums, eps_list, list(worst.T), ids)
-            )
-        subset_margin = _ratio(worst, dens).min(axis=1)
-        size_margin = _ratio(pn - q * fsize, qs).min(axis=1)
-        margins = np.column_stack((subset_margin, size_margin))
+            subset_margin = _ratio(worst, dens[grid]).min(axis=1)
+            size_margin = _ratio(pn - q * fsize, qs[grid]).min(axis=1)
+            np.minimum(margins, np.column_stack((subset_margin, size_margin)), out=margins)
         result.worst_margins.update(zip(ids, margins.tolist()))
         result.states_checked += len(ids)
 
@@ -478,11 +485,12 @@ def probe_states(
     """Snapshots (1-D int64 rows) of the distinct memory states one seeded run
     visits, the final one included, at most ``max_states``, as it reaches
     them. The run is the engine's untraced walk, which moves ``policy``;
-    no chunk past the last state kept is decided."""
-    policy.reset(n, balls)
+    no chunk past the last state kept is decided. No run reaches
+    ``sys.maxsize`` states, so a larger cap is that one."""
     counts = np.zeros(n, dtype=count_dtype(balls))
     chunks = _walk_chunks(SimConfig(n=n, seed=seed, balls=balls), policy, counts)
-    yield from islice(_state_rows(policy, policy.snapshot(), chunks, final=True), max_states)
+    rows = _state_rows(policy, policy.snapshot(), (c for *_, c in chunks), final=True)
+    yield from islice(rows, min(max_states, sys.maxsize))
 
 
 def _state_rows(policy, held: np.ndarray, chunks, final: bool) -> Iterator[np.ndarray]:
@@ -675,24 +683,47 @@ def run_phase_report(config: SimConfig, policy, pc: PhaseConfig) -> tuple[PhaseR
         raise ValueError(f"run too short for {pc.phases} phases: needs {needed} balls")
     counts = np.zeros(config.n, dtype=count_dtype(config.balls))
     chunks = _walk_chunks(config, policy, counts)
-    sizes = _phase_sizes(chunks, pc)
+    sizes = _phase_sizes((c for *_, c in chunks), pc)
     collections.deque(chunks, maxlen=0)  # the balls past the last phase
     result = RunResult(loads=counts.tolist(), max_load=int(counts.max()))
     return _report_from_sizes(pc, sizes), result
 
 
-def forbidden_union_over_trace(policy, trace: Trace, n: int, epsilon):
+@dataclass(frozen=True)
+class _Rerun:
+    """A live run, walked again from its seed where the forbidden report reads
+    a stored trace, so none is kept: ``len`` is its step count, and ``walk``
+    rebinds a policy to it now (``core._walk_chunks``) and yields its chosen
+    bins a chunk at a time. ``build`` makes the policy of a walk of its own."""
+
+    config: SimConfig
+    build: Callable
+
+    def __len__(self) -> int:
+        return self.config.balls
+
+    def walk(self, policy) -> Iterator[np.ndarray]:
+        counts = np.zeros(self.config.n, dtype=count_dtype(self.config.balls))
+        return (c for *_, c in _walk_chunks(self.config, policy, counts))
+
+
+def forbidden_union_over_trace(policy, trace: Trace | _Rerun, n: int, epsilon):
     """Union of forbidden sets over the distinct memory states in which a run
     decided a step (the state after its last ball decides none).
 
     Proves the trace's steps (``core._prove_steps``), then walks the rows
     of its new states (``_state_rows``) on the same policy, which only a
-    policy without ``block_keys``, and so with no memory, is bound by.
-    n <= 4096. Returns (union set, number of distinct states).
+    policy without ``block_keys``, and so with no memory, is bound by. A
+    live run (``_Rerun``) is walked on ``policy`` unproven, its steps being
+    the policy's own. n <= 4096. Returns (union set, number of distinct states).
     """
     eps = as_exact(epsilon)
-    _prove_steps(policy, trace, n)
-    rows = _state_rows(policy, policy.snapshot(), [trace.chosen], final=False)
+    if isinstance(trace, Trace):
+        _prove_steps(policy, trace, n)
+        chosen = [trace.chosen]
+    else:
+        chosen = trace.walk(policy)
+    rows = _state_rows(policy, policy.snapshot(), chosen, final=False)
     union, distinct = np.zeros(n, dtype=bool), 0
     for _, nums, _ in _numerator_blocks(policy, n, rows):
         union |= _forbidden(nums, n, eps).any(axis=0)
@@ -701,7 +732,7 @@ def forbidden_union_over_trace(policy, trace: Trace, n: int, epsilon):
 
 
 def phase_report_with_forbidden(
-    policy, trace: Trace, pc: PhaseConfig, epsilon=None
+    policy, trace: Trace | _Rerun, pc: PhaseConfig, epsilon=None
 ) -> PhaseReport:
     """Phase report plus the worst observed forbidden-set overlap per phase.
 
@@ -710,15 +741,20 @@ def phase_report_with_forbidden(
     subtraction than any single state's forbidden set. Once the union has
     proven every step, the trace's id column is proven too
     (``core._prove_ids``), so a trace whose ids its steps do not give is
-    refused with ``ValueError``.
+    refused with ``ValueError``. A live run (``_Rerun``) takes its phase sets
+    from a walk on a policy of its own and its union from a walk on ``policy``.
     """
     eps = as_exact(epsilon if epsilon is not None else pc.epsilon)
+    stored = isinstance(trace, Trace)
     phase_sets = [
         np.flatnonzero(loads >= i).tolist()
-        for i, loads in enumerate(_phase_loads([trace.chosen], pc), 1)
+        for i, loads in enumerate(
+            _phase_loads([trace.chosen] if stored else trace.walk(trace.build()), pc), 1
+        )
     ]
     union, nstates = forbidden_union_over_trace(policy, trace, pc.n, eps)
-    _prove_ids(policy, trace, pc.n)
+    if stored:
+        _prove_ids(policy, trace, pc.n)
     report = _report_from_sizes(pc, [len(s_i) for s_i in phase_sets])
     report.forbidden_overlap = [sum(1 for b in s_i if b not in union) for s_i in phase_sets]
     report.states_seen = nstates

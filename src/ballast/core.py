@@ -11,27 +11,28 @@ numpy vectors, drawn one after another from that generator, in this order:
 first-offered bins, second-offered bins (int64) and tie bits (uint8). The
 fixed layout makes every run bit-replayable from its seed alone,
 independent of which branches a policy takes. ``draw_run_streams`` draws
-them in one shot, as a traced run does. An untraced run walks the same
-values in chunks of ``STREAM_CHUNK`` balls (``stream_chunks``) and hands
-each chunk to the policy's ``run_bulk``, so its memory is O(n + chunk),
-not O(balls). That walk is one generator (``_walk_chunks``), which yields
-each chunk's chosen bins: a plain run drains it (``_walk_counts``), and a
-live phase report reads its phase loads from the chunks as they pass.
+them in one shot. A run walks the same values in chunks of
+``STREAM_CHUNK`` balls (``stream_chunks``) and hands each chunk to the
+policy's ``run_bulk``, so its working memory is O(n + chunk), not
+O(balls). That walk is the engine's one path (``_walk_chunks``), which
+yields each chunk's offers and chosen bins: a plain run drains it
+(``_walk_counts``), a live phase report reads its phase loads from the
+chunks as they pass, and a traced run records them (``_record``).
 
 The loads are counted in the narrowest signed integer type that holds
 ``balls`` plus one (``count_dtype``): int32 at n = 2^20 with n balls,
 int16 at n = 8192. The policies hold their memory by the same rule.
 
-A traced run is decided by the same ``run_bulk`` and records, before each
-ball, ``memory_state_id``: the policy's ``state_id()``. For a clustered
-geometry whose counters fit in 63 bits it is the exact packed counter
-tuple; otherwise it is a 64-bit key linear in the memory vector, with
-fixed pseudo-random weights. Equal states always get equal ids, in any
-process. The policy derives the whole id column from the chosen bins
-(``run_traced``), so tracing costs O(balls) array work. The trace is a
-``Trace``: columns of ids and bins. Traces and run results are written,
-and traces read, a block of rows at a time through numpy, in the text
-``csv`` and ``json`` would give.
+A traced run also records, before each ball, ``memory_state_id``: the
+policy's ``state_id()``. For a clustered geometry whose counters fit in 63
+bits it is the exact packed counter tuple; otherwise it is a 64-bit key
+linear in the memory vector, with fixed pseudo-random weights. Equal
+states always get equal ids, in any process. The policy derives each
+chunk's ids from its chosen bins (``_trace_ids``), carrying the key and
+memory row from chunk to chunk, so tracing costs O(balls) array work. The
+trace is a ``Trace``: columns of ids and bins, filled in place. Traces and
+run results are written, and traces read, a block of rows at a time
+through numpy, in the text ``csv`` and ``json`` would give.
 
 ``_prove_steps`` proves a stored trace by the picks of the policy's walk
 of its chosen column (``Policy._walk``): every step's offers must lie in
@@ -39,7 +40,7 @@ of its chosen column (``Policy._walk``): every step's offers must lie in
 the state the earlier steps lead to, else ``ValueError`` names the first
 step that is not. ``read_trace_csv`` refuses steps not numbered 0, 1, ....
 The id column is proven once the steps are (``_prove_ids``), by the rule
-``run_traced`` writes it by (``_trace_ids``) from the reset state.
+a traced run writes it by (``_trace_ids``) from the reset state.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import os
 import warnings
 from collections.abc import Sequence
@@ -283,29 +285,29 @@ def simulate_run(config: SimConfig, policy) -> RunResult:
     """Throw ``config.balls`` balls into ``config.n`` bins under ``policy``.
 
     The policy instance is (re)bound to this run and mutated in place; do
-    not share one instance between concurrent runs. An untraced run walks
-    the streams a chunk at a time (``_walk_counts``). A traced run applies
-    the one-shot streams with the policy's ``run_traced`` and keeps them:
-    its offers are the trace's bin columns.
+    not share one instance between concurrent runs. The run walks the
+    streams a chunk at a time (``_walk_chunks``); a traced run records each
+    chunk's offers, chosen bins and state ids as it passes (``_record``).
     """
     if not config.record_trace:
         counts, trace = _walk_counts(config, policy), None
     else:
-        pa, pb, ties = draw_run_streams(config)
-        policy.reset(config.n, config.balls)
         counts = np.zeros(config.n, dtype=count_dtype(config.balls))
-        ids, chosen = policy.run_traced(counts, pa, pb, ties)
-        trace = Trace(ids, pa, pb, chosen)
+        trace = _record(policy, _walk_chunks(config, policy, counts), config.balls)
     return RunResult(loads=counts.tolist(), max_load=int(counts.max()), trace=trace)
 
 
-def _walk_chunks(config: SimConfig, policy, counts: np.ndarray) -> Iterator[np.ndarray]:
-    """The untraced run: rebind ``policy`` to it, apply each ``stream_chunks``
-    chunk to ``counts`` (zeros of ``count_dtype(balls)``) with ``run_bulk``
-    and yield that chunk's chosen bins (int64)."""
+def _walk_chunks(config: SimConfig, policy, counts: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The engine's one walk: rebind ``policy`` to the run now, then, as it is
+    iterated, apply each ``stream_chunks`` chunk to ``counts`` (zeros of
+    ``count_dtype(balls)``) with ``run_bulk`` and yield that chunk's offers
+    and chosen bins, (bin_a, bin_b, chosen), all int64."""
     policy.reset(config.n, config.balls)
-    for pa, pb, ties in stream_chunks(config):
-        yield policy.run_bulk(counts, pa, pb, ties)
+
+    def decide(pa, pb, ties):
+        return pa, pb, policy.run_bulk(counts, pa, pb, ties)
+
+    return itertools.starmap(decide, stream_chunks(config))  # keeps no chunk it has yielded
 
 
 def _walk_counts(config: SimConfig, policy) -> np.ndarray:
@@ -313,6 +315,23 @@ def _walk_counts(config: SimConfig, policy) -> np.ndarray:
     counts = np.zeros(config.n, dtype=count_dtype(config.balls))
     collections.deque(_walk_chunks(config, policy, counts), maxlen=0)  # keeps no chunk's bins
     return counts
+
+
+def _record(policy, chunks, steps: int) -> Trace:
+    """The trace of the ``steps`` steps ``chunks`` yields as (bin_a, bin_b,
+    chosen), decided on ``policy`` from the state it is in now. Each chunk's
+    ids come from ``policy._trace_ids``, which carries the key and memory
+    row to the next chunk, so a chunk costs O(chunk) work."""
+    trace = Trace(*(np.empty(steps, dtype=t) for t in (np.uint64, np.int64, np.int64, np.int64)))
+    key, held = policy.state_id(), policy.snapshot()
+    lo = 0
+    for pa, pb, chosen in chunks:
+        hi = lo + len(chosen)
+        trace.bin_a[lo:hi], trace.bin_b[lo:hi], trace.chosen[lo:hi] = pa, pb, chosen
+        del pa, pb, chosen  # the chunk's arrays go before the ids' work arrays come
+        key = policy._trace_ids(key, held, trace.chosen[lo:hi], trace.ids[lo:hi])
+        lo = hi
+    return trace
 
 
 def _prove_steps(policy, trace: Trace, n: int) -> None:
@@ -346,7 +365,8 @@ def _prove_ids(policy, trace: Trace, n: int) -> None:
     trace ``_prove_steps`` has proven is worth proving: the rule trusts its
     chosen bins."""
     policy.reset(n, max(len(trace), 1))
-    ids = policy._trace_ids(policy.state_id(), policy.snapshot(), trace.chosen)
+    ids = np.empty(len(trace), dtype=np.uint64)
+    policy._trace_ids(policy.state_id(), policy.snapshot(), trace.chosen, ids)
     wrong = np.flatnonzero(ids != trace.ids)
     if len(wrong):
         t = int(wrong[0])

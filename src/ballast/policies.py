@@ -76,6 +76,10 @@ def prefer_second(ka, kb, tie):
 class Policy:
     """Base class: a decision rule plus a memory-update rule.
 
+    Every run, traced or not, applies its steps with ``run_bulk`` a chunk at
+    a time (``core._walk_chunks``); a traced run derives each chunk's state
+    ids from its chosen bins (``_trace_ids``).
+
     The update rule only grows the memory, so a run never returns to a state
     it has left; a policy whose memory can fall needs its states compared.
 
@@ -122,20 +126,16 @@ class Policy:
                 picks = tuple(np.broadcast_to(self.decide(pair, tie), k) for tie in (0, 1))
             yield held[:0], np.zeros(k, dtype=np.int64), picks
 
-    def run_traced(self, loads, pa, pb, ties) -> tuple[np.ndarray, np.ndarray]:
-        """``run_bulk``, plus the state id before each step: (uint64 ids, chosen)."""
-        key, held = self.state_id(), self.snapshot()
-        chosen = self.run_bulk(loads, pa, pb, ties)
-        return self._trace_ids(key, held, chosen), chosen
-
-    def _trace_ids(self, key: int, held: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-        """The uint64 state id before each step of a run that chose the bins
-        ``chosen`` from the memory ``held`` (a ``snapshot``, which this may
-        change), whose id ``state_id`` gave as ``key``: the one rule of a
-        trace's id column. A policy whose memory no step changes, as here,
-        keeps its id.
+    def _trace_ids(self, key: int, held: np.ndarray, chosen: np.ndarray, out: np.ndarray) -> int:
+        """Write to ``out`` (uint64) the state id before each step of a run
+        that chose the bins ``chosen`` from the memory ``held`` (a
+        ``snapshot``, which this advances past them), whose id ``state_id``
+        gave as ``key``; return the id after the last step, where the next
+        chunk of a traced run goes on: the one rule of a trace's id column.
+        A policy whose memory no step changes, as here, keeps its id.
         """
-        return np.full(len(chosen), key, dtype=np.uint64)
+        out[:] = key
+        return key
 
     # -- introspection for analysis ------------------------------------
 
@@ -443,21 +443,20 @@ class GreedyTwoChoicePolicy(Policy):
             yield slots, self._rank(grown) - self._rank(v[0]), picks
             _add_balls(held, slots)
 
-    def _trace_ids(self, key, held, chosen):
+    def _trace_ids(self, key, held, chosen, out):
         # step t adds rise_t * W_s to the key, s its chosen slot (W as state_id built it
         # for the key), so the ids are the key plus the running sum, mod 2^64
-        ids = np.empty(len(chosen), dtype=np.uint64)
         lo = 0
         for slots, rise, _ in self._walk(held, chosen):
             gain = rise.astype(np.uint64)
             gain *= self._wv[slots]
             np.cumsum(gain, out=gain)
             gain += key  # the key after each step of the piece
-            ids[lo] = key
-            ids[lo + 1 : lo + len(gain)] = gain[:-1]
+            out[lo] = key
+            out[lo + 1 : lo + len(gain)] = gain[:-1]
             key = int(gain[-1])
             lo += len(gain)
-        return ids
+        return key
 
     def _adopt(self, chosen: np.ndarray) -> None:
         """Account for the steps ``run_bulk`` just applied, whose chosen bins

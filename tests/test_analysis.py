@@ -1,5 +1,6 @@
 """Exact probability reconstruction, bound checks, phases, tails."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -750,6 +751,54 @@ def test_probe_states_dedup_and_cap():
     assert tuple([0] * 8) in [tuple(s.tolist()) for s in states]  # fresh state always visited first
 
 
+def test_sweep_cuts_a_large_grid_into_bounded_slices(monkeypatch):
+    """Each numerator block meets the epsilon grid a slice at a time, with at
+    most ``_GRID_BLOCK`` (state, epsilon) entries per array: cut to 2^14,
+    a block of 2048 states takes 300 epsilons in slices of 8, whose arrays
+    hold 128 KiB where the whole block's hold 4.9 MB, and the report, the
+    sampled cross-check's included, is the unsliced sweep's."""
+    states = enumerate_clustered_states(8, 8, 8)[:2048]
+    grid = [Fraction(k, 301) for k in range(1, 301)]
+
+    def swept():
+        tracemalloc.start()
+        try:
+            result = sweep_placement_bounds(
+                ClusteredPolicy(ClusterConfig(2, 8)), 16, states, epsilons=grid, n_subsets=3
+            )
+            return result.to_dict(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert len(states) * len(grid) <= analysis._GRID_BLOCK
+    whole, whole_peak = swept()
+    monkeypatch.setattr(analysis, "_GRID_BLOCK", 1 << 14)
+    sliced, sliced_peak = swept()
+    assert sliced == whole
+    assert sliced_peak < 4 << 20 < whole_peak
+
+
+def test_default_grid_keeps_each_block_whole(monkeypatch):
+    """Every grid of up to 32 epsilons meets a block whole, so the default
+    grid's sweep of the 12,870 clustered states at n = 16 makes one
+    ``_counts_below`` call per block of 2048 states, as before the grid was
+    sliced."""
+    calls = []
+    counts_below = analysis._counts_below
+
+    def counted(rows, cut):
+        calls.append(rows.shape + cut.shape)
+        return counts_below(rows, cut)
+
+    monkeypatch.setattr(analysis, "_counts_below", counted)
+    result = sweep_placement_bounds(
+        ClusteredPolicy(ClusterConfig(2, 8)), 16, enumerate_clustered_states(8, 8, 8)
+    )
+    assert result.states_checked == 12_870
+    assert calls == [(2048, 16, 19)] * 6 + [(12_870 - 6 * 2048, 16, 19)]
+    assert analysis._BLOCK * 32 <= analysis._GRID_BLOCK
+
+
 def test_probe_states_stops_at_the_cap(monkeypatch):
     """Once max_states states are kept the walk ends: a run of three chunks
     whose first chunk reaches every kept state decides that chunk alone."""
@@ -765,6 +814,21 @@ def test_probe_states_stops_at_the_cap(monkeypatch):
     states = list(probe_states(make_policy("greedy"), n, balls, seed=1, max_states=cap))
     assert len(states) == cap
     assert calls == [STREAM_CHUNK]
+
+
+@pytest.mark.parametrize("policy", ["greedy", "clustered", "advice"])
+def test_verify_caps_past_the_run_give_the_same_bytes(capsys, policy):
+    """A run of 20 balls visits at most 21 states, so every probe cap of at
+    least 21 keeps them all: caps past ``sys.maxsize``, which ``islice``
+    refused with its own message, print the same report."""
+    flags = ["--advice-threshold", "2"] if policy == "advice" else []
+    outputs = []
+    for cap in (21, 22, sys.maxsize, sys.maxsize + 1, 2**64, 10**30):
+        argv = ["verify", "--policy", policy, "--n", "16", "--balls", "20", "--seed", "1"]
+        assert main([*argv, "--max-states", str(cap), *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == 1
+    assert json.loads(outputs[0])["states_checked"] > 1
 
 
 @pytest.mark.parametrize("n, threshold", [(16, 4300), (100, 740)])
@@ -1114,6 +1178,32 @@ def test_live_phase_report_holds_no_loads_per_phase():
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0] + n  # a list of the loads takes 8 B per bin
+
+
+def test_live_forbidden_report_holds_no_trace():
+    """A live run's forbidden report walks the run twice and keeps neither
+    walk's steps: its peak is the same at 2 and at 6 chunks of balls, where
+    a trace would hold 33 B per ball (8.7 MB more). It reports what the
+    report from the run's stored trace does."""
+    n, pc = 64, PhaseConfig(n=64, phases=2)
+
+    def build():
+        return ClusteredPolicy(ClusterConfig(3, 4))
+
+    peaks = []
+    for chunks in (2, 6):
+        config = SimConfig(n=n, seed=5, balls=chunks * STREAM_CHUNK)
+        run = analysis._Rerun(config, build)
+        live = phase_report_with_forbidden(build(), run, pc).to_dict()  # warms the caches too
+        tracemalloc.start()
+        try:
+            phase_report_with_forbidden(build(), run, pc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        trace = simulate_run(dataclasses.replace(config, record_trace=True), build()).trace
+        assert live == phase_report_with_forbidden(build(), trace, pc).to_dict()
+    assert peaks[1] < peaks[0] + (64 << 10)
 
 
 def test_phase_report_excludes_leftover_balls():

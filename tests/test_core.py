@@ -385,8 +385,11 @@ def test_segmented_run_cuts_at_and_around_chunk_edges():
     n, balls = 4096, 2 * C + 3
     config = SimConfig(n=n, seed=17, balls=balls)
     walked = np.zeros(n, dtype=core.count_dtype(balls))
-    chosen = np.concatenate(list(core._walk_chunks(config, make_policy("greedy"), walked)))
+    chunks = list(core._walk_chunks(config, make_policy("greedy"), walked))
+    chosen = np.concatenate([c for _, _, c in chunks])
     streams = draw_run_streams(config)
+    for k in (0, 1):  # the walk yields each chunk's offers with its chosen bins
+        assert np.array_equal(np.concatenate([chunk[k] for chunk in chunks]), streams[k])
     p = make_policy("greedy")
     p.reset(n, balls)
     loads = np.zeros(n, dtype=np.int64)

@@ -582,13 +582,13 @@ def test_cli_phases_forbidden(capsys, monkeypatch):
     assert "forbidden_overlap" in report["rows"][0]
     assert report["states_seen"] >= 1
 
-    # above the enumeration guard it refuses before simulating anything
+    # above the enumeration guard it refuses before drawing any stream
     from ballast import PAIR_GUARD, core
 
     def no_run(*args, **kwargs):
-        raise AssertionError("simulated a run that the guard must refuse")
+        raise AssertionError("walked a run that the guard must refuse")
 
-    monkeypatch.setattr(core, "simulate_run", no_run)
+    monkeypatch.setattr(core, "stream_chunks", no_run)
     code = main(["phases", "--policy", "greedy", "--n", str(PAIR_GUARD + 1), "--phases", "2",
                  "--forbidden"])
     assert code == 2

@@ -82,17 +82,21 @@ def trace_path(tmp_path_factory):
         (["run", "--policy", "greedy", "--n", "64"], "ballast.core", RUN),
         (["run", "--policy", "clustered", "--n", "64"], "ballast.core", RUN),
         (["run", "--policy", "one-choice", "--n", "64"], "ballast.core", RUN),
+        (["run", "--policy", "greedy", "--n", "64", "--trace-out", "OUT"], "ballast.core", RUN),
+        (["phases", "--policy", "greedy", "--n", "64", "--phases", "2", "--forbidden"],
+         "ballast.analysis", REPORT),
         (["phases", "--n", "64", "--phases", "2", "--trace-in", "TRACE"], "ballast.analysis",
          REPORT),
         (["verify", "--policy", "clustered", "--n", "8"], "ballast.analysis", REPORT),
         (["verify", "--policy", "greedy", "--n", "16"], "ballast.analysis", REPORT),
     ],
-    ids=["parser", "run-greedy", "run-clustered", "run-one-choice", "phases-trace-in",
-         "verify-clustered", "verify-greedy"],
+    ids=["parser", "run-greedy", "run-clustered", "run-one-choice", "run-trace-out",
+         "phases-forbidden", "phases-trace-in", "verify-clustered", "verify-greedy"],
 )
-def test_command_loads_only_what_it_runs(trace_path, argv, loaded, absent):
+def test_command_loads_only_what_it_runs(trace_path, tmp_path, argv, loaded, absent):
     if argv is not None:
-        argv = [trace_path if a == "TRACE" else a for a in argv]
+        paths = {"TRACE": trace_path, "OUT": str(tmp_path / "out.csv")}
+        argv = [paths.get(a, a) for a in argv]
     got = _fresh(COMMAND_SCRIPT, argv)
     assert got["rc"] == 0
     assert loaded in got["modules"]

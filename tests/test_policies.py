@@ -21,7 +21,7 @@ from ballast import (
     make_policy,
     simulate_run,
 )
-from ballast import policies
+from ballast import core, policies
 from ballast.core import STREAM_CHUNK, draw_run_streams
 
 from oracles import (
@@ -761,8 +761,9 @@ def test_run_from_a_restored_state_is_the_step_walk(case):
     """A run longer than the reset's ``balls``, or from a restored state above
     that bound, widens the memory's type before any value could wrap, and a
     counter at a cap of 127 grows to 128 in its type before it is capped:
-    run traced in three pieces, the policy decides as ``play`` does step by
-    step."""
+    run in three pieces under the traced run's id observer (``core._record``),
+    which carries the key and memory row from piece to piece, the policy
+    decides and labels its states as ``play`` does step by step."""
     build, n, balls, state, steps = RESTORED_RUNS[case]
     live, oracle = build(), build()
     for p in (live, oracle):
@@ -776,9 +777,12 @@ def test_run_from_a_restored_state_is_the_step_walk(case):
         chosen.append(c)
     loads = np.zeros(n, dtype=np.int64)
     cuts = [0, steps // 3, 2 * steps // 3, steps]
-    pieces = [live.run_traced(loads, *(v[lo:hi] for v in streams)) for lo, hi in zip(cuts, cuts[1:])]
-    assert np.concatenate([i for i, _ in pieces]).tolist() == ids
-    assert np.concatenate([c for _, c in pieces]).tolist() == chosen
+    pieces = [tuple(v[lo:hi] for v in streams) for lo, hi in zip(cuts, cuts[1:])]
+    chunks = ((pa, pb, live.run_bulk(loads, pa, pb, ties)) for pa, pb, ties in pieces)
+    trace = core._record(live, chunks, steps)
+    assert trace.ids.tolist() == ids
+    assert trace.chosen.tolist() == chosen
+    assert trace.bin_a.tolist() == streams[0].tolist() and trace.bin_b.tolist() == streams[1].tolist()
     assert loads.tolist() == np.bincount(chosen, minlength=n).tolist()
     assert live.snapshot().tolist() == oracle.snapshot().tolist()
     assert live.state_id() == oracle.state_id()

@@ -117,6 +117,36 @@ def test_traced_run_is_the_step_walk_with_few_bins(name, n, balls):
     _assert_traced_run_is_the_step_walk(_builder(name), n, balls, n + balls)
 
 
+@pytest.mark.parametrize("balls", [2 * core.STREAM_CHUNK + d for d in (-1, 0, 1)])
+@pytest.mark.parametrize("n", [1024, 1000])
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_traced_run_across_chunk_edges_is_the_one_shot_run(name, n, balls):
+    """A traced run walks its streams a chunk at a time and carries the id
+    key and memory row from chunk to chunk. Its columns are the one-shot
+    run's: the drawn offers, one ``run_bulk`` over the whole draw and one
+    ``_trace_ids`` from the reset state, whose end key is the final state's
+    id. n = 1000 places the later streams by a discarded pass, 1024 by
+    arithmetic."""
+    build = _builder("advice-T2" if name == "advice" else name)
+    config = SimConfig(n=n, seed=n + balls, balls=balls, record_trace=True)
+    live = build()
+    result = simulate_run(config, live)
+    pa, pb, ties = draw_run_streams(config)
+    oracle = build()
+    oracle.reset(n, balls)
+    key, held = oracle.state_id(), oracle.snapshot()
+    loads = np.zeros(n, dtype=np.int64)
+    chosen = oracle.run_bulk(loads, pa, pb, ties)
+    ids = np.empty(balls, dtype=np.uint64)
+    assert oracle._trace_ids(key, held, chosen, ids) == live.state_id()
+    trace = result.trace
+    assert np.array_equal(trace.bin_a, pa) and np.array_equal(trace.bin_b, pb)
+    assert np.array_equal(trace.chosen, chosen)
+    assert np.array_equal(trace.ids, ids)
+    assert result.loads == loads.tolist()
+    assert oracle.snapshot().tolist() == live.snapshot().tolist()
+
+
 @pytest.mark.parametrize(
     "n, balls",
     [(1, 126), (1, 127), (1, 128), (2, 126), (2, 127), (2, 128),
@@ -304,10 +334,9 @@ def test_trace_read_takes_crlf_lines_and_a_missing_last_newline(tmp_path):
 
 @pytest.mark.parametrize("name", ["greedy", "clustered", "advice"])
 def test_traced_run_memory_is_its_columns(tmp_path, name):
-    """A traced run holds 33 B per ball: the three streams (the offers are the
-    trace's bin columns), the ids and the chosen bins. The bound allows as
-    much again for the O(n) memory and the blocks the run and the writer
-    work in. The list of per-step record objects a trace used to be peaked
+    """A traced run holds 32 B per ball: its four columns, filled a chunk of
+    streams at a time. The bound allows as much again for the O(n) memory,
+    the chunk and the blocks the run and the writer work in. The list of per-step record objects a trace used to be peaked
     at ~300 B per ball for greedy here."""
     n, balls = 1 << 14, 1 << 17
     policy = make_policy(name, threshold=2) if name == "advice" else make_policy(name)
