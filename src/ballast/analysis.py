@@ -50,7 +50,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .core import (
     _prove_ids,
     _prove_steps,
     _walk_chunks,
-    count_dtype,
 )
 
 
@@ -487,8 +486,7 @@ def probe_states(
     them. The run is the engine's untraced walk, which moves ``policy``;
     no chunk past the last state kept is decided. No run reaches
     ``sys.maxsize`` states, so a larger cap is that one."""
-    counts = np.zeros(n, dtype=count_dtype(balls))
-    chunks = _walk_chunks(SimConfig(n=n, seed=seed, balls=balls), policy, counts)
+    _, chunks = _walk_chunks(SimConfig(n=n, seed=seed, balls=balls), policy)
     rows = _state_rows(policy, policy.snapshot(), (c for *_, c in chunks), final=True)
     yield from islice(rows, min(max_states, sys.maxsize))
 
@@ -525,7 +523,6 @@ class PhaseConfig:
 
     n: int
     phases: int
-    delta: float | None = None
 
     def __post_init__(self):
         if self.phases < 1:
@@ -536,7 +533,7 @@ class PhaseConfig:
     @classmethod
     def from_delta(cls, n: int, delta: float) -> "PhaseConfig":
         b = theoretical_bounds(n, delta)
-        return cls(n=n, phases=max(1, math.floor(b.lower_L)), delta=delta)
+        return cls(n=n, phases=max(1, math.floor(b.lower_L)))
 
     @property
     def epsilon(self) -> Fraction:
@@ -676,17 +673,22 @@ def run_phase_report(config: SimConfig, policy, pc: PhaseConfig) -> tuple[PhaseR
     Balls beyond phases*phase_size are still thrown; they just fall outside
     the phase accounting. Bit-identical to simulate_run for the same config.
     """
+    _check_fits(config, pc)
+    loads, chunks = _walk_chunks(config, policy)
+    sizes = _phase_sizes((c for *_, c in chunks), pc)
+    collections.deque(chunks, maxlen=0)  # the balls past the last phase
+    result = RunResult(loads=loads.tolist(), max_load=int(loads.max()))
+    return _report_from_sizes(pc, sizes), result
+
+
+def _check_fits(config: SimConfig, pc: PhaseConfig) -> None:
+    """Refuse, before any walk, a live run of other bins than ``pc``'s or of
+    fewer balls than its phases take."""
     if pc.n != config.n:
         raise ValueError("phase config n does not match the run config")
     needed = pc.phases * pc.phase_size
     if config.balls < needed:
         raise ValueError(f"run too short for {pc.phases} phases: needs {needed} balls")
-    counts = np.zeros(config.n, dtype=count_dtype(config.balls))
-    chunks = _walk_chunks(config, policy, counts)
-    sizes = _phase_sizes((c for *_, c in chunks), pc)
-    collections.deque(chunks, maxlen=0)  # the balls past the last phase
-    result = RunResult(loads=counts.tolist(), max_load=int(counts.max()))
-    return _report_from_sizes(pc, sizes), result
 
 
 @dataclass(frozen=True)
@@ -694,17 +696,15 @@ class _Rerun:
     """A live run, walked again from its seed where the forbidden report reads
     a stored trace, so none is kept: ``len`` is its step count, and ``walk``
     rebinds a policy to it now (``core._walk_chunks``) and yields its chosen
-    bins a chunk at a time. ``build`` makes the policy of a walk of its own."""
+    bins a chunk at a time."""
 
     config: SimConfig
-    build: Callable
 
     def __len__(self) -> int:
         return self.config.balls
 
     def walk(self, policy) -> Iterator[np.ndarray]:
-        counts = np.zeros(self.config.n, dtype=count_dtype(self.config.balls))
-        return (c for *_, c in _walk_chunks(self.config, policy, counts))
+        return (c for *_, c in _walk_chunks(self.config, policy)[1])
 
 
 def forbidden_union_over_trace(policy, trace: Trace | _Rerun, n: int, epsilon):
@@ -741,15 +741,18 @@ def phase_report_with_forbidden(
     subtraction than any single state's forbidden set. Once the union has
     proven every step, the trace's id column is proven too
     (``core._prove_ids``), so a trace whose ids its steps do not give is
-    refused with ``ValueError``. A live run (``_Rerun``) takes its phase sets
-    from a walk on a policy of its own and its union from a walk on ``policy``.
+    refused with ``ValueError``. A live run (``_Rerun``) must fit ``pc``
+    (``run_phase_report``'s refusals) and is walked on ``policy`` twice: once
+    for its phase sets, then again for its union.
     """
     eps = as_exact(epsilon if epsilon is not None else pc.epsilon)
     stored = isinstance(trace, Trace)
+    if not stored:
+        _check_fits(trace.config, pc)
     phase_sets = [
         np.flatnonzero(loads >= i).tolist()
         for i, loads in enumerate(
-            _phase_loads([trace.chosen] if stored else trace.walk(trace.build()), pc), 1
+            _phase_loads([trace.chosen] if stored else trace.walk(policy), pc), 1
         )
     ]
     union, nstates = forbidden_union_over_trace(policy, trace, pc.n, eps)

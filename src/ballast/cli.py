@@ -181,6 +181,7 @@ def cmd_run(args) -> int:
         n=args.n, seed=args.seed, balls=args.balls, record_trace=bool(args.trace_out)
     )
     policy = _build_policy(args, args.n)
+    core._check_writable(args.trace_out, args.out)  # fail before the run, not after it
     result = core.simulate_run(config, policy)
     if args.trace_out:
         core.write_trace_csv(result.trace, args.trace_out)
@@ -263,6 +264,7 @@ def cmd_verify(args) -> int:
             return 2
     balls = n if args.balls is None else args.balls
     policy = _build_policy(args, n)
+    core._check_writable(args.out)  # fail before the sweep, not after it
     policy.reset(n, balls)
     epsilons = parse_epsilon_grid(args.epsilon_grid) if args.epsilon_grid else ()
     result = analysis.sweep_placement_bounds(
@@ -304,23 +306,19 @@ def cmd_phases(args) -> int:
     if args.forbidden and args.n > core.PAIR_GUARD:
         print(f"phases --forbidden needs n <= {core.PAIR_GUARD}", file=sys.stderr)
         return 2
+    core._check_writable(args.out)  # fail before the report, not after it
+    pc = _phase_config(args)
     if args.trace_in:
-        trace = core.read_trace_csv(args.trace_in)
-        pc = _phase_config(args)
-        if args.forbidden:
-            policy = _build_policy(args, args.n)
-            report = analysis.phase_report_with_forbidden(policy, trace, pc, args.epsilon)
-        else:
-            report = analysis.phase_report(trace, pc)
+        run = core.read_trace_csv(args.trace_in)
     else:
-        pc = _phase_config(args)
+        run = analysis._Rerun(core.SimConfig(n=args.n, seed=args.seed, balls=args.balls))
+    if args.forbidden:
         policy = _build_policy(args, args.n)
-        config = core.SimConfig(n=args.n, seed=args.seed, balls=args.balls)
-        if args.forbidden:
-            run = analysis._Rerun(config, lambda: _build_policy(args, args.n))
-            report = analysis.phase_report_with_forbidden(policy, run, pc, args.epsilon)
-        else:
-            report, _ = analysis.run_phase_report(config, policy, pc)
+        report = analysis.phase_report_with_forbidden(policy, run, pc, args.epsilon)
+    elif args.trace_in:
+        report = analysis.phase_report(run, pc)
+    else:
+        report, _ = analysis.run_phase_report(run.config, _build_policy(args, args.n), pc)
     _dump(report.to_dict(), args.out)
     return 0
 
@@ -329,7 +327,7 @@ def _phase_config(args) -> PhaseConfig:
     from . import analysis
 
     if args.phases is not None:
-        return analysis.PhaseConfig(n=args.n, phases=args.phases, delta=args.delta)
+        return analysis.PhaseConfig(n=args.n, phases=args.phases)
     return analysis.PhaseConfig.from_delta(args.n, args.delta)
 
 
@@ -353,6 +351,7 @@ def cmd_tail(args) -> int:
     if args.t_max < 0:
         print(f"tail --t-max needs a value >= 0, got {args.t_max}", file=sys.stderr)
         return 2
+    core._check_writable(args.out)  # the table is printed as it is written
     tails = analysis._poisson_tails(args.lam, args.t_max)
     first = next(tails)  # refuses a bad lambda before anything is written
     with core.atomic_write(args.out) if args.out else contextlib.nullcontext() as f:

@@ -10,11 +10,11 @@ PRNG) keyed by ``SimConfig.seed``. A run's randomness is exactly three
 numpy vectors, drawn one after another from that generator, in this order:
 first-offered bins, second-offered bins (int64) and tie bits (uint8). The
 fixed layout makes every run bit-replayable from its seed alone,
-independent of which branches a policy takes. ``draw_run_streams`` draws
-them in one shot. A run walks the same values in chunks of
-``STREAM_CHUNK`` balls (``stream_chunks``) and hands each chunk to the
-policy's ``run_bulk``, so its working memory is O(n + chunk), not
-O(balls). That walk is the engine's one path (``_walk_chunks``), which
+independent of which branches a policy takes. Every run draws those
+values in chunks of ``STREAM_CHUNK`` balls, one generator per stream
+(``stream_chunks``), and hands each chunk to the policy's ``run_bulk``, so
+its working memory is O(n + chunk), not O(balls). That walk is the
+engine's one path (``_walk_chunks``), which allocates the run's loads and
 yields each chunk's offers and chosen bins: a plain run drains it
 (``_walk_counts``), a live phase report reads its phase loads from the
 chunks as they pass, and a traced run records them (``_record``).
@@ -216,7 +216,7 @@ def _write_rows(
         f.write(text if lo + _IO_ROWS < rows else text[: len(text) - len(join)])
 
 
-STREAM_CHUNK = 1 << 16  # balls per chunk of an untraced run's stream walk
+STREAM_CHUNK = 1 << 16  # balls per chunk of a run's stream walk
 
 
 def _draw(rng: np.random.Generator, n: int, stream: int, size: int) -> np.ndarray:
@@ -227,18 +227,13 @@ def _draw(rng: np.random.Generator, n: int, stream: int, size: int) -> np.ndarra
     return rng.integers(0, n, size=size, dtype=np.int64)
 
 
-def draw_run_streams(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw the run's three random vectors: bin_a, bin_b (int64), tie bits (uint8)."""
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    return tuple(_draw(rng, config.n, k, config.balls) for k in range(3))
-
-
 def stream_chunks(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield the ``draw_run_streams`` values as consecutive chunks of
-    ``STREAM_CHUNK`` balls (the last one shorter), value for value.
+    """Yield the run's bin_a, bin_b (int64) and tie bits (uint8) in chunks of
+    ``STREAM_CHUNK`` balls (the last one shorter): value for value what one
+    generator keyed by the seed gives drawing each whole stream in turn.
 
-    Each stream gets its own generator, placed where the one-shot draw
-    starts that stream. numpy draws bins by Lemire's method, which for a
+    Each stream gets its own generator, placed where that one-shot draw
+    starts the stream. numpy draws bins by Lemire's method, which for a
     power-of-two n never rejects: each bin value takes exactly one 32-bit
     half of a Philox output when n <= 2^32, one 64-bit output above that,
     and none for n = 1. There the places are found by arithmetic: a Philox
@@ -246,16 +241,12 @@ def stream_chunks(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray, n
     and a draw of the remaining values lands on the place, leaving the
     buffered 32-bit half an odd count leaves. For any other n a draw may
     consume a varying amount of the generator, so the places come from one
-    discarded pass over bin_a and bin_b. Either is made only when the run
-    has more than one chunk.
+    discarded pass over bin_a and bin_b.
     A chunked draw equals the one-shot draw only if every chunk but the last
     is a multiple of 4 long: numpy draws uint8 values four to a 32-bit word
     and drops the unused ones at the end of each call.
     """
     n, balls = config.n, config.balls
-    if balls <= STREAM_CHUNK:
-        yield draw_run_streams(config)
-        return
     starts = range(0, balls, STREAM_CHUNK)
     bitgens = [np.random.Philox(key=config.seed) for _ in range(3)]
     if n & (n - 1) == 0:
@@ -290,31 +281,33 @@ def simulate_run(config: SimConfig, policy) -> RunResult:
     chunk's offers, chosen bins and state ids as it passes (``_record``).
     """
     if not config.record_trace:
-        counts, trace = _walk_counts(config, policy), None
+        loads, trace = _walk_counts(config, policy), None
     else:
-        counts = np.zeros(config.n, dtype=count_dtype(config.balls))
-        trace = _record(policy, _walk_chunks(config, policy, counts), config.balls)
-    return RunResult(loads=counts.tolist(), max_load=int(counts.max()), trace=trace)
+        loads, chunks = _walk_chunks(config, policy)
+        trace = _record(policy, chunks, config.balls)
+    return RunResult(loads=loads.tolist(), max_load=int(loads.max()), trace=trace)
 
 
-def _walk_chunks(config: SimConfig, policy, counts: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """The engine's one walk: rebind ``policy`` to the run now, then, as it is
-    iterated, apply each ``stream_chunks`` chunk to ``counts`` (zeros of
-    ``count_dtype(balls)``) with ``run_bulk`` and yield that chunk's offers
-    and chosen bins, (bin_a, bin_b, chosen), all int64."""
+def _walk_chunks(config: SimConfig, policy) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, ...]]]:
+    """The engine's one walk: the run's loads, zeros of ``count_dtype(balls)``,
+    and its chunks. ``policy`` is rebound to the run now; as each chunk of
+    ``stream_chunks`` is iterated, ``run_bulk`` applies it to the loads and it
+    is yielded as its offers and chosen bins, (bin_a, bin_b, chosen), all int64."""
+    # before the policy's memory, so numpy's own error refuses loads too large to allocate
+    loads = np.zeros(config.n, dtype=count_dtype(config.balls))
     policy.reset(config.n, config.balls)
 
     def decide(pa, pb, ties):
-        return pa, pb, policy.run_bulk(counts, pa, pb, ties)
+        return pa, pb, policy.run_bulk(loads, pa, pb, ties)
 
-    return itertools.starmap(decide, stream_chunks(config))  # keeps no chunk it has yielded
+    return loads, itertools.starmap(decide, stream_chunks(config))  # keeps no chunk it yielded
 
 
 def _walk_counts(config: SimConfig, policy) -> np.ndarray:
     """The final loads of the untraced run, as an array (``count_dtype(balls)``)."""
-    counts = np.zeros(config.n, dtype=count_dtype(config.balls))
-    collections.deque(_walk_chunks(config, policy, counts), maxlen=0)  # keeps no chunk's bins
-    return counts
+    loads, chunks = _walk_chunks(config, policy)
+    collections.deque(chunks, maxlen=0)  # keeps no chunk's bins
+    return loads
 
 
 def _record(policy, chunks, steps: int) -> Trace:
@@ -420,21 +413,23 @@ def atomic_write(path: str, newline: str | None = None):
         raise
 
 
-def _check_writable(path: str) -> None:
+def _check_writable(*paths: str | None) -> None:
     """Raise now the ``OSError`` that ``atomic_write(path)`` would raise for
-    a missing directory or a directory at ``path``; ``path`` stays as it is.
+    a missing directory or a directory at ``path``, for each of ``paths``
+    but None; every path stays as it is.
 
     A file never replaces a directory, so that rename fails and moves
     nothing. A symlink to a directory is not tried: renaming over it would
     replace the link, as a write does.
     """
-    fd, tmp = _temp_beside(path)
-    os.close(fd)
-    try:
-        if os.path.isdir(path) and not os.path.islink(path):
-            _naming(path, os.replace, tmp, path)
-    finally:
-        os.unlink(tmp)
+    for path in filter(None, paths):
+        fd, tmp = _temp_beside(path)
+        os.close(fd)
+        try:
+            if os.path.isdir(path) and not os.path.islink(path):
+                _naming(path, os.replace, tmp, path)
+        finally:
+            os.unlink(tmp)
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:

@@ -8,9 +8,10 @@ file so the bands can be re-derived.
 The placement checks of one state and one subset in ``Fraction``s, the
 advice list built by its definition, the state key in Python integers, the
 recursive clustered-state enumeration, the per-pair walk of every ordered
-pair, the per-step walks of a run (``play``, ``replay``, ``new_states``)
-and the sweep's per-bin margin arithmetic are here too: they restate what
-the program computes in another way, and no command reads them.
+pair, a run's streams drawn in one shot (``draw_run_streams``), the
+per-step walks of a run (``play``, ``replay``, ``new_states``) and the
+sweep's per-bin margin arithmetic are here too: they restate what the
+program computes in another way, and no command reads them.
 
 So are the views the tests read the program through and no command
 needs: a trace's steps as records (``records``), one state's numerators
@@ -38,8 +39,10 @@ from ballast import (
     ClusteredPolicy,
     GreedyTwoChoicePolicy,
     PoissonTail,
+    SimConfig,
     Trace,
     analysis,
+    core,
     make_policy,
     policies,
     theoretical_bounds,
@@ -110,6 +113,18 @@ def reference_two_choice(n: int, balls: int, seed: int) -> list[int]:
             c = a if rng.random() < 0.5 else b
         loads[c] += 1
     return loads
+
+
+# ---------------------------------------------------------------------------
+# the bit-replay contract's one-shot draw
+
+
+def draw_run_streams(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A run's three streams drawn whole, one after another, from one Philox
+    generator keyed by the seed: bin_a, bin_b (int64) and the tie bits
+    (uint8). ``core.stream_chunks`` must yield these values, chunk by chunk."""
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    return tuple(core._draw(rng, config.n, k, config.balls) for k in range(3))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from ballast import (
 from ballast import analysis, core, policies
 from ballast.analysis import enumerate_choice_numerators, rank_numerators
 from ballast.cli import main
-from ballast.core import STREAM_CHUNK, draw_run_streams
+from ballast.core import STREAM_CHUNK
 
 from oracles import (
     ENUMERATED_POLICIES,
@@ -48,6 +48,7 @@ from oracles import (
     bin_weight_margins,
     check_placement_bounds,
     clustered_states,
+    draw_run_streams,
     exact_memory,
     exact_placement_probs,
     floats,
@@ -1193,7 +1194,7 @@ def test_live_forbidden_report_holds_no_trace():
     peaks = []
     for chunks in (2, 6):
         config = SimConfig(n=n, seed=5, balls=chunks * STREAM_CHUNK)
-        run = analysis._Rerun(config, build)
+        run = analysis._Rerun(config)
         live = phase_report_with_forbidden(build(), run, pc).to_dict()  # warms the caches too
         tracemalloc.start()
         try:

@@ -4,17 +4,20 @@ Random small argument lists for all six commands go through ``cli.main``
 in-process: negative, zero, 2^64, ``nan``, ``inf`` and ``1/0`` values,
 unknown policies, stored traces, missing files and directories. Lengths
 (balls, trials, subsets, t-max) are drawn small or refused, since a valid
-2^64 of them is a run that never ends rather than a broken one.
+2^64 of them is a run that never ends rather than a broken one. An output
+its write would refuse is refused before anything runs: exit 2, nothing on
+stdout and no stream drawn.
 """
 
 import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from ballast import POLICY_NAMES
+from ballast import POLICY_NAMES, core
 from ballast.cli import main
 
 NASTY = ["-1", "0", str(2**64), "nan", "inf", "1/0", "x"]
@@ -32,6 +35,7 @@ EPSILON = st.sampled_from(["0.25", "1/3", "0", "1", "-0.5", "1/0", "nan", "inf",
 OUT = st.sampled_from(["OUT"] * 4 + ["MISSING/OUT", "DIR"])
 TRACE = st.sampled_from(["TRACE"] * 4 + ["MISSING/TRACE", "DIR"])
 SPEC = st.sampled_from(["SPEC"] * 4 + ["TRACE", "MISSING/SPEC"])
+OUTPUT_FLAGS, UNWRITABLE = ("--out", "--trace-out"), ("MISSING/OUT", "DIR")
 
 # each policy's parameter flags, drawn in argument_lists after --policy
 PARAMS = {"clustered": ("--cluster-size", "--counter-cap"), "advice": ("--advice-threshold",)}
@@ -104,12 +108,24 @@ def _placed(value: str, files: dict) -> str:
                "--counter-cap", "1"])
 @example(argv=["verify", "--policy", "clustered", "--n", "16", "--cluster-size", "2",
                "--counter-cap", str(2**64)])
+@example(argv=["tail", "--out", "DIR"])  # printed its whole table, then failed to write it
 def test_every_argument_list_exits_0_1_or_2(files, argv):
+    unwritable = any(f in OUTPUT_FLAGS and v in UNWRITABLE for f, v in zip(argv, argv[1:]))
     argv = [_placed(a, files) for a in argv]
+    drawn, stream_chunks = [], core.stream_chunks
+
+    def counted(config):
+        drawn.append(config)
+        return stream_chunks(config)
+
+    out = io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+                mock.patch.object(core, "stream_chunks", counted):
             code = main(argv)
     except SystemExit as exc:  # argparse's usage errors
         code = exc.code
-    event(f"{argv[0]} exits {code}")
+    event(f"{argv[0]} exits {code}" + (" on an unwritable output" if unwritable else ""))
     assert code in (0, 1, 2), argv
+    if unwritable:
+        assert (code, out.getvalue(), drawn) == (2, "", []), argv

@@ -29,11 +29,12 @@ from ballast import (
     write_trace_csv,
 )
 from ballast import core, policies
-from ballast.core import STREAM_CHUNK, draw_run_streams, stream_chunks
+from ballast.core import STREAM_CHUNK, stream_chunks
 
 from oracles import (
     StepRecord,
     any_policy_builder,
+    draw_run_streams,
     exact_memory,
     play,
     records,
@@ -321,7 +322,8 @@ def test_stream_walk_keeps_the_stream_digests(n, seed, balls):
 
 # powers of two (1, 2, 2^20, 2^31, 2^32, 2^33, 2^40, 2^62) place the streams by
 # arithmetic, through numpy's 32-bit Lemire path, its full-range 32-bit path at
-# 2^32 and its 64-bit path; the other n walk a discarded pass
+# 2^32 and its 64-bit path; the other n walk a discarded pass; a run of one
+# chunk is placed as a longer one is
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 999_983, 1 << 20, 1 << 31, 1 << 32,
                                (1 << 32) + 7, 1 << 33, 1 << 40, 1 << 62])
 @pytest.mark.parametrize("balls", [1, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 1,
@@ -384,8 +386,8 @@ def test_segmented_run_cuts_at_and_around_chunk_edges():
     C = STREAM_CHUNK
     n, balls = 4096, 2 * C + 3
     config = SimConfig(n=n, seed=17, balls=balls)
-    walked = np.zeros(n, dtype=core.count_dtype(balls))
-    chunks = list(core._walk_chunks(config, make_policy("greedy"), walked))
+    walked, chunks = core._walk_chunks(config, make_policy("greedy"))
+    chunks = list(chunks)
     chosen = np.concatenate([c for _, _, c in chunks])
     streams = draw_run_streams(config)
     for k in (0, 1):  # the walk yields each chunk's offers with its chosen bins

@@ -595,6 +595,22 @@ def test_cli_phases_forbidden(capsys, monkeypatch):
     assert f"needs n <= {PAIR_GUARD}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("forbidden", [[], ["--forbidden"]])
+def test_live_phases_refuse_a_short_run_before_walking_it(capsys, monkeypatch, forbidden):
+    """Both live reports refuse a run too short for its phases with one line,
+    before they draw a stream; a stored trace keeps its own "trace too short"."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("walked a run too short for its phases")
+
+    monkeypatch.setattr(core, "stream_chunks", no_run)
+    argv = ["phases", "--policy", "greedy", "--n", "8", "--balls", "3", "--phases", "2"]
+    assert main(argv + forbidden) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: run too short for 2 phases: needs 8 balls\n"
+
+
 def _traced_run(tmp_path, capsys, policy, n, balls=None):
     path = tmp_path / f"{policy}-{n}.csv"
     argv = ["run", "--policy", policy, "--n", str(n), "--seed", "3", "--trace-out", str(path)]
@@ -863,6 +879,34 @@ def test_scan_fails_on_its_output_before_the_trials(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(harness, "run_experiment", no_trials)
     assert main(["scan", "--policy", "greedy", "--n", "16", "--out", path]) == 2
     assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert os.listdir(tmp_path) == ["a-directory"]
+    assert os.listdir(tmp_path / "a-directory") == []
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--policy", "greedy", "--n", "64", "--out"],
+    ["run", "--policy", "greedy", "--n", "64", "--trace-out"],
+    ["verify", "--policy", "greedy", "--n", "64", "--out"],
+    ["phases", "--policy", "greedy", "--n", "64", "--out"],
+    ["phases", "--policy", "greedy", "--n", "64", "--forbidden", "--out"],
+])
+@pytest.mark.parametrize("target", ["missing/out.json", "a-directory"])
+def test_outputs_are_refused_before_any_run(tmp_path, capsys, monkeypatch, command, target):
+    """run, verify and phases stop with the error line the write itself gives
+    before they draw a stream, and leave nothing beside the output."""
+    (tmp_path / "a-directory").mkdir()
+    path = str(tmp_path / target)
+    with pytest.raises(OSError) as raised:
+        with core.atomic_write(path) as f:
+            f.write("x")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was walked before the output was checked")
+
+    monkeypatch.setattr(core, "stream_chunks", no_run)
+    assert main(command + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {raised.value}\n"
     assert os.listdir(tmp_path) == ["a-directory"]
     assert os.listdir(tmp_path / "a-directory") == []
 

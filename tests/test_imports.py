@@ -150,7 +150,7 @@ def test_every_lazy_name_is_its_defining_modules_object():
 # what only the tests read, restated in tests/oracles.py
 TEST_ONLY = ("StepRecord", "PlacementProbs", "exact_placement_probs", "ForbiddenSet",
              "forbidden_set", "poisson_upper_tail", "AdviceSizeReport", "advice_list_size_check",
-             "rank_keys")
+             "rank_keys", "draw_run_streams")
 
 
 def test_the_program_keeps_no_test_only_names():

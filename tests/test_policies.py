@@ -22,7 +22,7 @@ from ballast import (
     simulate_run,
 )
 from ballast import core, policies
-from ballast.core import STREAM_CHUNK, draw_run_streams
+from ballast.core import STREAM_CHUNK
 
 from oracles import (
     ENUMERATED_POLICIES,
@@ -31,6 +31,7 @@ from oracles import (
     build_advice,
     changes_memory,
     choice_dist,
+    draw_run_streams,
     exact_memory,
     key_oracle,
     play,

@@ -25,9 +25,9 @@ from ballast import (
     write_trace_csv,
 )
 from ballast import core, policies
-from ballast.core import TRACE_COLUMNS, draw_run_streams
+from ballast.core import TRACE_COLUMNS
 
-from oracles import StepRecord, play, records
+from oracles import StepRecord, draw_run_streams, play, records
 
 
 @st.composite
