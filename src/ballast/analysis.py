@@ -47,7 +47,7 @@ from __future__ import annotations
 import collections
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -245,19 +245,11 @@ class SweepResult:
         return not (self.subset_violations or self.size_violations or self.support_violations)
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "n": self.n,
-            "states_checked": self.states_checked,
-            "epsilons": self.epsilons,
-            "n_subsets": self.n_subsets,
-            "subset_violations": self.subset_violations,
-            "size_violations": self.size_violations,
-            "support_violations": self.support_violations,
-            "violation_samples": self.violation_samples[:50],
-            "worst_margins": {str(k): v for k, v in self.worst_margins.items()},
-            "ok": self.ok,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["violation_samples"] = self.violation_samples[:50]
+        d["worst_margins"] = {str(k): v for k, v in self.worst_margins.items()}
+        d["ok"] = self.ok
+        return d
 
 
 _EXACT_FLOAT = 1 << 53  # float64 holds every integer below this exactly
@@ -792,15 +784,9 @@ class TheoreticalBounds:
     advice_list_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "lower_L": self.lower_L,
-            "upper_T": self.upper_T,
-            "epsilon": self.epsilon,
-            "advice_list_bound": self.advice_list_bound,
-            "log_base": 2,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["log_base"] = 2
+        return d
 
 
 def theoretical_bounds(n: int, delta: float) -> TheoreticalBounds:

@@ -69,7 +69,9 @@ def parse_epsilon_grid(text: str) -> list[Fraction]:
     else:
         grid = [exact(part) for part in text.split(",") if part]
         count = len(grid)
-    if not grid or any(not 0 < e < 1 for e in grid):
+    if not grid:
+        raise ValueError(f"epsilon grid {text!r} has no values")
+    if any(not 0 < e < 1 for e in grid):
         raise ValueError(f"epsilon grid values must lie in (0, 1): {text!r}")
     if count > _GRID_LIMIT:
         raise ValueError(

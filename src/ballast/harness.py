@@ -12,25 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .analysis import theoretical_bounds
 from .core import SimConfig, _walk_counts, atomic_write, trial_seed
 from .core import simulate_run  # noqa: F401  (bench/tests checks the tracer wraps this from-import)
 from .policies import PolicySpec
-
-CSV_COLUMNS = (
-    "policy",
-    "n",
-    "delta",
-    "trial",
-    "seed",
-    "max_load",
-    "memory_bits",
-    "lower_L",
-    "upper_T",
-    "runtime_ms",
-)
 
 # the JSON types each scalar ExperimentSpec field accepts
 _SPEC_FIELD_TYPES = {
@@ -118,6 +105,9 @@ class ScalingRow:
         return {k: getattr(self, k) for k in CSV_COLUMNS}
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ScalingRow))
+
+
 def run_trial(
     spec_policy: PolicySpec, n: int, delta: float, trial: int, base_seed: int,
     measure_runtime: bool = False,
@@ -162,44 +152,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ScalingRow]:
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(jobs, len(tasks))  # a fork pool starts every worker at its first task
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_mmap_threshold) as pool:
-            rows = list(pool.map(_run_trial_star, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(run_trial, *zip(*tasks), chunksize=1))
     else:
         rows = [run_trial(*t) for t in tasks]
     rows.sort(key=lambda r: (r.policy, r.n, r.trial))
     return rows
-
-
-def _run_trial_star(args):
-    return run_trial(*args)
-
-
-_M_MMAP_THRESHOLD = -3  # glibc's mallopt parameter number
-# Below a trial's load and memory vectors at n = 2^20 (4 MiB each as int32)
-# and above a stream chunk's 512 KiB arrays, which are allocated for every
-# chunk; the 512 KiB vectors at n = 2^17 stay in the heap with them.
-_MMAP_THRESHOLD = 1 << 20
-
-
-def _pin_mmap_threshold() -> None:
-    """Have a pool worker's malloc map every block of ``_MMAP_THRESHOLD``
-    bytes or more on its own, and unmap it when it is freed.
-
-    glibc raises that threshold to the size of each mapped block freed, so
-    after a worker's first trial at large n its 4 MiB vectors come from the
-    heap, and whether the heap has a hole to reuse for them depends on every
-    allocation before, down to the layout the fork copied from the parent.
-    With int64 vectors of 8 MiB, a worker's peak RSS moved by about 6 MiB
-    between runs of the same scan. A fixed threshold keeps it at what the
-    trials hold. Where malloc is not glibc's this does nothing.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
 def emit(rows: list[ScalingRow], format: str, path: str) -> None:

@@ -1043,6 +1043,31 @@ def test_forbidden_union_asks_no_state_id_and_builds_no_probs(name, monkeypatch)
     assert forbidden_union_over_trace(build(), trace, n, Fraction(1, 4)) == expected
 
 
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_forbidden_report_asks_one_state_id_of_a_stored_trace_and_none_live(name, monkeypatch):
+    """A stored trace's report asks one state id, the reset state's, where
+    ``core._prove_ids`` starts proving the id column; a live run's report
+    (``analysis._Rerun``) asks none."""
+    config, pc = SimConfig(n=64, seed=5), PhaseConfig(n=64, phases=2)
+
+    def build():
+        return make_policy(name, threshold=2) if name == "advice" else make_policy(name)
+
+    trace = simulate_run(dataclasses.replace(config, record_trace=True), build()).trace
+    cls = type(build())
+    state_id, calls = cls.state_id, []
+
+    def counted(self):
+        calls.append(name)
+        return state_id(self)
+
+    monkeypatch.setattr(cls, "state_id", counted)
+    phase_report_with_forbidden(build(), analysis._Rerun(config), pc)
+    assert len(calls) == 0
+    phase_report_with_forbidden(build(), trace, pc)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # phases
 

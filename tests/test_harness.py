@@ -6,9 +6,6 @@ import io
 import json
 import math
 import os
-import platform
-import subprocess
-import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -100,7 +97,7 @@ def test_pool_has_no_more_workers_than_trials(monkeypatch):
     built = []
 
     class Recording:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             built.append(max_workers)
 
         def __enter__(self):
@@ -109,8 +106,8 @@ def test_pool_has_no_more_workers_than_trials(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize):
-            return map(fn, tasks)
+        def map(self, fn, *iterables, chunksize):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     spec = small_spec(policies=(PolicySpec("greedy"),))
@@ -133,38 +130,6 @@ def test_untraced_trial_holds_8_bytes_per_bin():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n + 40 * core.STREAM_CHUNK
-
-
-# allocate and free an 8 MiB vector three times, print the kB of RSS it left
-RSS_SCRIPT = """
-import numpy as np
-from ballast import harness
-def rss_kb():
-    with open("/proc/self/status") as f:
-        return next(int(line.split()[1]) for line in f if line.startswith("VmRSS:"))
-harness._pin_mmap_threshold()
-before = rss_kb()
-for _ in range(3):
-    v = np.ones(1 << 20)
-    del v
-print(rss_kb() - before)
-"""
-
-
-@pytest.mark.skipif(
-    platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/status"),
-    reason="reads glibc malloc's behaviour from Linux's /proc",
-)
-def test_pool_workers_give_back_the_large_vectors_they_free():
-    # Unpinned, glibc serves the second vector from the heap and keeps its
-    # pages once it is freed, so how much a worker holds depends on its past.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
-    env["PYTHONPATH"] = src
-    out = subprocess.run(
-        [sys.executable, "-c", RSS_SCRIPT], env=env, capture_output=True, text=True, check=True
-    )
-    assert int(out.stdout) < 1024
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -932,6 +897,16 @@ def test_cli_refuses_a_range_too_long_to_sweep_before_building_it(capsys):
     )
 
 
+@pytest.mark.parametrize("grid", ["0.5:0.1:0.1", ","])
+def test_cli_refuses_an_empty_epsilon_grid_as_empty(capsys, grid):
+    """Both ends of 0.5:0.1:0.1 lie in (0, 1); the range is refused for
+    having no values, and so is a list with none."""
+    assert main(["verify", "--policy", "greedy", "--n", "8", "--epsilon-grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: epsilon grid '{grid}' has no values\n"
+
+
 def test_epsilon_grid_limit_is_ten_thousand_values():
     assert len(parse_epsilon_grid("1/20001:10000/20001:1/20001")) == 10_000
     with pytest.raises(ValueError, match="has 10001 values; a sweep takes at most 10000$"):
@@ -953,7 +928,10 @@ def test_epsilon_grid_range_is_the_stepped_walk(start, stop, step):
         walk.append(v)
         v += step
     text = f"{start}:{stop}:{step}"
-    if walk and all(0 < e < 1 for e in walk):
+    if not walk:
+        with pytest.raises(ValueError, match=f"^epsilon grid '{text}' has no values$"):
+            parse_epsilon_grid(text)
+    elif all(0 < e < 1 for e in walk):
         assert parse_epsilon_grid(text) == walk
     else:
         with pytest.raises(ValueError, match="must lie in"):
