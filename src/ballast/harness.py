@@ -14,6 +14,8 @@ import json
 import time
 from dataclasses import dataclass, fields
 
+import numpy.random  # noqa: F401  (loaded before the scan pool forks, so no worker imports it)
+
 from .analysis import theoretical_bounds
 from .core import SimConfig, _walk_counts, atomic_write, trial_seed
 from .core import simulate_run  # noqa: F401  (bench/tests checks the tracer wraps this from-import)

@@ -34,21 +34,23 @@ else:
 print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
-# scan --jobs 2, counting the worker processes its pool started
+# scan --jobs 2, counting the worker processes its pool started and noting
+# whether numpy.random was loaded before they forked
 POOL_SCRIPT = """
 import contextlib, io, json, sys
 from concurrent.futures import ProcessPoolExecutor
 import ballast.cli as cli
-workers = []
+workers, preloaded = [], []
 original_map = ProcessPoolExecutor.map
 def counting_map(self, *args, **kwargs):
+    preloaded.append("numpy.random" in sys.modules)
     results = original_map(self, *args, **kwargs)
     workers.append(len(self._processes))
     return results
 ProcessPoolExecutor.map = counting_map
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(json.loads(sys.argv[1]))
-print(json.dumps({"rc": rc, "workers": workers}))
+print(json.dumps({"rc": rc, "workers": workers, "preloaded": preloaded}))
 """
 
 PARSER_ONLY = ("ballast.analysis", "ballast.harness", "concurrent.futures", "multiprocessing")
@@ -131,6 +133,7 @@ def test_scan_with_jobs_still_runs_its_pool(tmp_path):
     got = _fresh(POOL_SCRIPT, argv + ["--jobs", "2", "--out", str(pooled)])
     assert got["rc"] == 0
     assert got["workers"] and got["workers"][0] >= 1
+    assert got["preloaded"] == [True]  # no worker imports numpy.random in its first trial
     assert main(argv + ["--out", str(serial)]) == 0
     assert pooled.read_bytes() == serial.read_bytes()
 
