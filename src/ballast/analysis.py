@@ -26,9 +26,15 @@ The subset bound needs no subsets. For epsilon = p/q and the forbidden set
 F = {i : p_i < eps/n}, ``2 q n^2 (P(S) - eps |S \\ F| / n)`` is the sum over
 S of ``w_i = q num_i - 2 n p [i not in F]``. Every ``w_i`` is >= 0: a bin
 outside F has ``q num_i >= 2 n p`` by F's definition, and a bin in F has
-``w_i = q num_i >= 0``. So the lightest of all 2^n - 1 non-empty subsets is
-the lightest single bin, and ``min_i w_i / (2 q n^2)`` is the exact worst
-subset margin.
+``w_i = q num_i >= 0``, as every numerator is (rank counting gives
+``num_i >= 2``, enumeration sums bincounts; the sweep raises a negative one
+as an internal error). So no subset violates the bound, the lightest of all
+2^n - 1 non-empty subsets is the lightest single bin, and
+``min_i w_i / (2 q n^2)`` is the exact worst subset margin. Nor can |F|
+exceed eps n while all mass stays in the offered pair: the |F|^2 ordered
+pairs inside F put at least 2 |F|^2 half-units of mass in F, and each bin
+of F holds fewer than ``2 n eps``, so |F| < eps n. Apart from a support
+violation, a reported violation means a wrong numerator.
 
 F is the bins whose numerator is below ``t = ceil(2 n p / q)``, so once a
 state's numerators are sorted (s_0 <= s_1 <= ...), F is the prefix below t
@@ -234,7 +240,7 @@ class SweepResult:
     states_checked: int
     epsilons: list[float]
     n_subsets: int | None
-    subset_violations: int = 0
+    subset_violations: int = 0  # 0 by construction: every w_i >= 0 (see the module docstring)
     size_violations: int = 0
     support_violations: int = 0
     violation_samples: list = field(default_factory=list)
@@ -291,12 +297,11 @@ def sweep_placement_bounds(
 
     For epsilon = p/q the subset check covers every non-empty subset S
     exactly: the subset margin is ``min_i w_i / (2 q n^2)``, with ``w_i =
-    q num_i - 2 n p [i not in F]``, read off each state's sorted numerators
-    (see the module docstring). A negative w_i, which no non-negative
-    numerator vector produces, counts as one subset violation per (state,
-    epsilon), and the margin is then the sum of the negative w_i. Both
-    margins are exact ratios rounded once. An epsilon with ``2 q n^2 >=
-    2^63`` raises ``ValueError``.
+    q num_i - 2 n p [i not in F]``, read off each state's sorted numerators.
+    The module docstring shows why, and why only a support violation or a
+    wrong numerator fails a bound; a negative one raises ``RuntimeError``.
+    Both margins are exact ratios rounded once, and an epsilon with
+    ``2 q n^2 >= 2^63`` raises ``ValueError``.
 
     ``n_subsets`` random subsets, drawn from ``subset_seed``
     (``random_subset_blocks``), add a sampled cross-check
@@ -340,7 +345,9 @@ def sweep_placement_bounds(
                 result.violation_samples.append({"kind": "support", "state": sid, "sample": first})
 
         rows = np.sort(nums, axis=1)
-        negative = np.flatnonzero(rows[:, 0] < 0)  # a negative numerator, so a negative w_i
+        if rows[:, 0].min() < 0:  # no placement gives one: see the module docstring
+            j = int(np.argmax(rows[:, 0] < 0))
+            raise RuntimeError(f"state {ids[j]} has a negative numerator {rows[j, 0]}")
         margins = np.full((len(rows), 2), np.inf)
         width = max(1, _GRID_BLOCK // len(rows))  # epsilons a slice of the grid takes
         for lo in range(0, len(eps_list), width):
@@ -354,25 +361,12 @@ def sweep_placement_bounds(
             np.minimum(worst, first, out=worst, where=fsize > 0)
             # size bound: |F| <= eps * n, exactly q*|F| <= p*n
             size_bad = q * fsize > pn
-            for e, eps in enumerate(eps_list[grid] if size_bad.any() or len(negative) else ()):
-                for j in np.flatnonzero(size_bad[:, e]):
-                    result.size_violations += 1
-                    result.violation_samples.append(
-                        {"kind": "size", "state": ids[j], "epsilon": float(eps),
-                         "F": int(fsize[j, e])}
-                    )
-                for j in negative:
-                    w = q[e] * nums[j] - 2 * pn[e] * (nums[j] >= cut[e])
-                    worst[j, e] = np.minimum(w, 0).sum()
-                    result.subset_violations += 1
-                    result.violation_samples.append(
-                        {
-                            "kind": "subset",
-                            "state": ids[j],
-                            "epsilon": float(eps),
-                            "bins": np.nonzero(w < 0)[0].tolist(),
-                        }
-                    )
+            for e, j in zip(*np.nonzero(size_bad.T)):  # epsilon by epsilon, states in order
+                result.size_violations += 1
+                result.violation_samples.append(
+                    {"kind": "size", "state": ids[j], "epsilon": float(eps_list[lo + e]),
+                     "F": int(fsize[j, e])}
+                )
             if n_subsets is not None:
                 worst = np.column_stack(
                     _sampled_worst(n_subsets, subset_seed, nums, eps_list[grid], list(worst.T), ids)

@@ -294,9 +294,7 @@ def _verify_states(args, policy, balls: int):
         depth = 8 if args.balls is None else min(balls, 8)
         return analysis.enumerate_clustered_states(cfg.num_clusters(n), cfg.counter_cap, depth)
     if policy.state_space_size(n, balls) != 1:
-        # the probe runs its own instance; the sweep takes its states as they come
-        prober = _build_policy(args, n)
-        return analysis.probe_states(prober, n, balls, args.seed, max_states=args.max_states)
+        return analysis.probe_states(policy, n, balls, args.seed, max_states=args.max_states)
     return policy.snapshot()[None]
 
 
@@ -456,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)  # reads BALLAST_SEED for --seed defaults
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # output that cannot reach stdout fails here, buffered or not
+        return rc
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -470,15 +470,20 @@ def entry() -> int:
     of them argparse's, at any n, so collecting them only costs time. When
     ``main`` returns, every output file is closed and every pool worker
     joined, so once both streams are flushed the process ends without
-    tearing down the interpreter. If ``main`` raises (argparse's exit, an
-    uncaught error) or a flush fails, the normal exit runs instead, with
-    the same bytes and exit code as ``sys.exit(main())``: the error
-    propagates, or this returns the code for the caller to exit with.
+    tearing down the interpreter. Output a closed stdout did not take
+    (``main`` reports it; argparse's exit ignores it) goes to the null
+    device, so the normal exit, taken when ``main`` raises or stderr's
+    flush fails, does not fail on it.
     """
     gc.disable()
-    rc = main()
     try:
-        sys.stdout.flush()
+        rc = main()
+    finally:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    try:
         sys.stderr.flush()
     except OSError:
         return rc

@@ -427,17 +427,14 @@ def clustered_states(num_clusters: int, cap: int, max_balls: int):
 
 def bin_weight_margins(nums: np.ndarray, n: int, eps) -> tuple[list, list, list]:
     """Per numerator row at epsilon p/q, by the O(n) per-bin arithmetic:
-    |F|, the lightest subset sum ``min_i w_i`` (the sum of the negative
-    ``w_i`` when there are any) with ``w_i = q num_i - 2 n p [i not in F]``,
-    and both margins ``w / (2 q n^2)`` and ``(p n - q |F|) / q`` as
-    ``float(Fraction(...))``."""
+    |F|, the lightest subset sum ``min_i w_i`` with ``w_i = q num_i - 2 n p
+    [i not in F]``, and both margins ``w / (2 q n^2)`` and ``(p n - q |F|) /
+    q`` as ``float(Fraction(...))``."""
     eps = as_exact(eps)
     q, pe = eps.denominator, eps.numerator
     forbidden = nums < -(-2 * n * pe // q)
     fsize = forbidden.sum(axis=1)
     w = q * nums - (2 * n * pe) * ~forbidden
-    worst = w.min(axis=1)
-    worst = np.where(worst < 0, np.minimum(w, 0).sum(axis=1), worst)
-    subset = [float(Fraction(int(x), 2 * q * n * n)) for x in worst]
+    subset = [float(Fraction(int(x), 2 * q * n * n)) for x in w.min(axis=1)]
     size = [float(Fraction(pe * n - q * int(f), q)) for f in fsize]
     return fsize.tolist(), subset, size

@@ -424,25 +424,26 @@ def test_exact_subset_margin_is_the_minimum_over_every_subset(name):
                 assert res.worst_margins[sid][0] == float(_brute_subset_margin(num, n, eps)), (n, eps)
 
 
-def test_negative_weights_count_as_subset_violations(monkeypatch):
-    # no non-negative numerator vector gets here, so force two negative ones
+def test_a_negative_numerator_is_an_internal_error(monkeypatch):
+    # no placement gives a negative numerator, so force two in the second state
     n = 4
     p = _bound_policy("greedy", n)
+    states = [p.snapshot(), np.array([1, 0, 0, 0])]
+    p.restore(states[1])
     sid = p.state_id()
-    monkeypatch.setattr(analysis, "rank_numerators", lambda keys: np.array([[-1, -2, 20, 12]] * len(keys)))
+    monkeypatch.setattr(analysis, "rank_numerators",
+                        lambda keys: np.array([[2, 6, 20, 12], [-1, -2, 20, 12]]))
     for n_subsets in (None, 64):
-        res = sweep_placement_bounds(p, n, [p.snapshot()], epsilons=[Fraction(1, 2)], n_subsets=n_subsets)
-        assert res.subset_violations == 1
-        assert res.violation_samples[-1] == {"kind": "subset", "state": sid, "epsilon": 0.5, "bins": [0, 1]}
-        # q = 2: w = (-2, -4, 32, 16), so the lightest subset is {0, 1}, -6 / (2 q n^2)
-        assert res.worst_margins[sid][0] == -6 / 64
+        with pytest.raises(RuntimeError, match=f"state {sid} has a negative numerator -2"):
+            sweep_placement_bounds(p, n, states, epsilons=[Fraction(1, 2)], n_subsets=n_subsets)
 
 
 @st.composite
 def numerator_rows(draw):
     """n, a block of numerator rows and an epsilon with q <= 2^40: rows
-    rank-counted from random keys, or any numerators (negative ones too),
-    and epsilons at random or putting a bin exactly at eps / n."""
+    rank-counted from random keys, or any numerators (with at least one
+    negative entry, for the ``negative`` kind), and epsilons at random or
+    putting a bin exactly at eps / n."""
     n = draw(st.integers(1, 16))
     count = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["ranked", "any", "negative"]))
@@ -450,9 +451,10 @@ def numerator_rows(draw):
         keys = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=count, max_size=count))
         nums = rank_numerators(np.array(keys, dtype=np.int64))
     else:
-        low = -3 if kind == "negative" else 0
-        nums = np.array(draw(st.lists(st.lists(st.integers(low, 4 * n), min_size=n, max_size=n),
+        nums = np.array(draw(st.lists(st.lists(st.integers(0, 4 * n), min_size=n, max_size=n),
                                       min_size=count, max_size=count)), dtype=np.int64)
+    if kind == "negative":
+        nums[draw(st.integers(0, count - 1)), draw(st.integers(0, n - 1))] = draw(st.integers(-3, -1))
     at_eps = [x for x in nums.ravel().tolist() if 0 < x < 2 * n]
     if at_eps and draw(st.booleans()):
         eps = Fraction(draw(st.sampled_from(at_eps)), 2 * n)  # p_i = eps / n for that bin
@@ -465,19 +467,25 @@ def numerator_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=numerator_rows())
 def test_sorted_margins_equal_the_per_bin_arithmetic(case):
-    """|F|, both margins and both violation counts read off sorted rows
-    equal the O(n) per-bin arithmetic of every w_i."""
+    """|F|, both margins and the size violations read off sorted rows equal
+    the O(n) per-bin arithmetic of every w_i; no subset violates the bound,
+    and a negative numerator is refused."""
     n, nums, eps = case
     p = _bound_policy("greedy", n)
     states = [(r,) + (0,) * (n - 1) for r in range(len(nums))]
     with mock.patch.object(analysis, "rank_numerators", lambda keys: nums[: len(keys)]):
+        if nums.min() < 0:
+            p.restore(states[np.argmax((nums < 0).any(axis=1))])  # the first one refused
+            with pytest.raises(RuntimeError, match=f"state {p.state_id()} has a negative numerator"):
+                sweep_placement_bounds(p, n, states, epsilons=[eps])
+            return
         res = sweep_placement_bounds(p, n, states, epsilons=[eps])
     fsize, subset, size = bin_weight_margins(nums, n, eps)
     for state, margins in zip(states, zip(subset, size)):
         p.restore(state)
         assert res.worst_margins[p.state_id()] == list(margins)
     assert res.size_violations == sum(eps.denominator * f > eps.numerator * n for f in fsize)
-    assert res.subset_violations == sum(m < 0 for m in subset)
+    assert res.subset_violations == 0
 
 
 @settings(max_examples=200, deadline=None)
