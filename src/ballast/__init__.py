@@ -18,8 +18,6 @@ _EXPORTS = {
         "PhaseReport",
         "PoissonTail",
         "SweepResult",
-        "TheoreticalBounds",
-        "advice_threshold",
         "default_epsilon_grid",
         "enumerate_clustered_states",
         "forbidden_union_over_trace",
@@ -28,7 +26,6 @@ _EXPORTS = {
         "probe_states",
         "run_phase_report",
         "sweep_placement_bounds",
-        "theoretical_bounds",
     ),
     "core": (
         "PAIR_GUARD",
@@ -61,9 +58,12 @@ _EXPORTS = {
         "OneChoicePolicy",
         "Policy",
         "PolicySpec",
+        "TheoreticalBounds",
+        "advice_threshold",
         "default_cluster_config",
         "int_width",
         "make_policy",
+        "theoretical_bounds",
     ),
 }
 

@@ -75,7 +75,7 @@ from .core import (
 # placement probabilities
 
 
-_BLOCK = 1 << 15  # numerator entries or pairs counted at a time: 2048 states at n = 16
+_BLOCK = 1 << 15  # numerator entries or pairs counted, or report states spelled, at a time
 
 
 def enumerate_choice_numerators(policy, n: int) -> tuple[np.ndarray, int, tuple | None]:
@@ -162,14 +162,14 @@ def _row_blocks(states, rows: int) -> Iterator[np.ndarray]:
 
 def _numerator_blocks(
     policy, n: int, states, ids: bool = False
-) -> Iterator[tuple[list | None, np.ndarray, list | None]]:
+) -> Iterator[tuple[np.ndarray | None, np.ndarray, list | None]]:
     """Numerators over 2n^2 of each memory in ``states`` (a 2-D int64 array,
     one state a row, or an iterable of snapshots), at most ``_BLOCK``
     numerator entries at a time; needs 1 <= n <= 4096.
 
     A policy with ``block_keys`` has each block rank-counted with no state
     bound; any other policy is bound to each row in turn and its pairs
-    enumerated. Yields (the rows' state ids if ``ids`` else None, int64
+    enumerated. Yields (the rows' uint64 state ids if ``ids`` else None, int64
     numerator rows, each row's (support violation count, first violation),
     or None when the block was rank-counted). Without ``ids`` no row's
     ``state_id`` is asked, as the forbidden union needs.
@@ -184,7 +184,7 @@ def _numerator_blocks(
     for rows in _row_blocks(states, max(1, _BLOCK // n)):
         if block_keys is not None:
             keys, sids = block_keys(rows)
-            yield (sids.tolist() if ids else None), rank_numerators(keys), None
+            yield (sids if ids else None), rank_numerators(keys), None
             continue
         nums, support, sids = np.empty((len(rows), n), dtype=np.int64), [], []
         for j, row in enumerate(rows):
@@ -193,7 +193,7 @@ def _numerator_blocks(
             support.append((count, first))
             if ids:
                 sids.append(policy.state_id())
-        yield (sids if ids else None), nums, support
+        yield (np.array(sids, dtype=np.uint64) if ids else None), nums, support
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,10 @@ class SweepResult:
     """Outcome of a placement-bounds sweep over many states.
 
     ``n_subsets`` is the number of sampled subset rows of the cross-check,
-    or None when only the exact check ran.
+    or None when only the exact check ran. ``violation_samples`` holds the
+    first 50 violations found; the counts are exact. ``state_ids`` (uint64)
+    and ``worst_margins`` (float64, one row of [subset, size] per state)
+    are in check order.
     """
 
     policy: str
@@ -244,18 +247,40 @@ class SweepResult:
     size_violations: int = 0
     support_violations: int = 0
     violation_samples: list = field(default_factory=list)
-    worst_margins: dict = field(default_factory=dict)  # state_id -> [subset, size]
+    state_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint64))
+    worst_margins: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
     @property
     def ok(self) -> bool:
         return not (self.subset_violations or self.size_violations or self.support_violations)
 
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["violation_samples"] = self.violation_samples[:50]
-        d["worst_margins"] = {str(k): v for k, v in self.worst_margins.items()}
-        d["ok"] = self.ok
-        return d
+    def json_parts(self) -> list[str]:
+        """The report, in pieces that join to ``json.dumps(report,
+        indent=1)``: the fields above ``state_ids``, then ``worst_margins``
+        as {"<state id>": [subset, size]} in check order, then ``ok``.
+
+        The margins are spelled straight from the array, a block of states
+        to a piece. Every margin is finite, and json spells a finite float
+        as ``float.__repr__`` does. States share their margins, so each
+        distinct float is spelled once, told apart by its bits so that
+        -0.0 keeps its sign.
+        """
+        import json
+
+        scalars = {f.name: getattr(self, f.name) for f in fields(self)[:-2]}
+        head = json.dumps(scalars, indent=1)[:-2]  # less its closing "\n}"
+        parts = [head, ',\n "worst_margins": {']
+        bits, which = np.unique(self.worst_margins.view(np.int64), return_inverse=True)
+        spelled = [float.__repr__(x) for x in bits.view(np.float64).tolist()]
+        spelled, which = np.array(spelled, dtype=object), which.reshape(-1, 2)
+        entry = '"{}": [\n   {},\n   {}\n  ]'.format
+        for lo in range(0, len(self.state_ids), _BLOCK):
+            first, second = spelled[which[lo : lo + _BLOCK]].T.tolist()
+            ids = self.state_ids[lo : lo + _BLOCK].tolist()
+            parts += (",\n  " if lo else "\n  "), ",\n  ".join(map(entry, ids, first, second))
+        close = "\n }" if len(self.state_ids) else "}"
+        parts.append(f'{close},\n "ok": {json.dumps(self.ok)}\n}}')
+        return parts
 
 
 _EXACT_FLOAT = 1 << 53  # float64 holds every integer below this exactly
@@ -293,7 +318,9 @@ def sweep_placement_bounds(
     counted as well, so an illegal policy cannot slip through. The states
     are walked once, a block of rows at a time (``_numerator_blocks``), so
     no more than one block is held; a rank-counted block costs a fixed
-    number of array operations for the whole epsilon grid.
+    number of array operations for the whole epsilon grid. What is kept
+    per state is its id and its two margins, in arrays (24 bytes), and
+    no more than the first 50 violations are kept as samples.
 
     For epsilon = p/q the subset check covers every non-empty subset S
     exactly: the subset margin is ``min_i w_i / (2 q n^2)``, with ``w_i =
@@ -338,11 +365,13 @@ def sweep_placement_bounds(
     pna = np.array([e.numerator * n for e in eps_list], dtype=np.int64)
     cuts = np.array([_cut(n, e) for e in eps_list], dtype=np.int64)
     dens = [2 * n * n * d for d in qs]
+    samples = result.violation_samples
+    state_ids, worst_margins = [result.state_ids], [result.worst_margins]
     for ids, nums, support in _numerator_blocks(policy, n, states, ids=True):
         for sid, (count, first) in zip(ids, support or ()):
-            if count:
-                result.support_violations += count
-                result.violation_samples.append({"kind": "support", "state": sid, "sample": first})
+            result.support_violations += count
+            if count and len(samples) < 50:
+                samples.append({"kind": "support", "state": int(sid), "sample": first})
 
         rows = np.sort(nums, axis=1)
         if rows[:, 0].min() < 0:  # no placement gives one: see the module docstring
@@ -361,10 +390,11 @@ def sweep_placement_bounds(
             np.minimum(worst, first, out=worst, where=fsize > 0)
             # size bound: |F| <= eps * n, exactly q*|F| <= p*n
             size_bad = q * fsize > pn
-            for e, j in zip(*np.nonzero(size_bad.T)):  # epsilon by epsilon, states in order
-                result.size_violations += 1
-                result.violation_samples.append(
-                    {"kind": "size", "state": ids[j], "epsilon": float(eps_list[lo + e]),
+            result.size_violations += int(np.count_nonzero(size_bad))
+            bad = zip(*np.nonzero(size_bad.T))  # epsilon by epsilon, states in order
+            for e, j in islice(bad, 50 - len(samples)):
+                samples.append(
+                    {"kind": "size", "state": int(ids[j]), "epsilon": float(eps_list[lo + e]),
                      "F": int(fsize[j, e])}
                 )
             if n_subsets is not None:
@@ -374,9 +404,12 @@ def sweep_placement_bounds(
             subset_margin = _ratio(worst, dens[grid]).min(axis=1)
             size_margin = _ratio(pn - q * fsize, qs[grid]).min(axis=1)
             np.minimum(margins, np.column_stack((subset_margin, size_margin)), out=margins)
-        result.worst_margins.update(zip(ids, margins.tolist()))
+        state_ids.append(ids)
+        worst_margins.append(margins)
         result.states_checked += len(ids)
 
+    result.state_ids = np.concatenate(state_ids)
+    result.worst_margins = np.concatenate(worst_margins)
     return result
 
 
@@ -518,6 +551,8 @@ class PhaseConfig:
 
     @classmethod
     def from_delta(cls, n: int, delta: float) -> "PhaseConfig":
+        from .policies import theoretical_bounds  # here: a report given --phases loads no policies
+
         b = theoretical_bounds(n, delta)
         return cls(n=n, phases=max(1, math.floor(b.lower_L)))
 
@@ -751,60 +786,7 @@ def phase_report_with_forbidden(
 
 
 # ---------------------------------------------------------------------------
-# closed-form bounds and tails
-
-
-@dataclass(frozen=True)
-class TheoreticalBounds:
-    """Closed-form reference quantities for a given n and delta (base-2 logs).
-
-    lower_L: max-load floor forced on any n^(1-delta)-bit policy.
-    upper_T: overload threshold for the advice scheme (= 4 * lower_L).
-    epsilon: 1 / (2 lower_L).
-    advice_list_bound: n^(1-delta) / (2 log2 n), the nominal overloaded-bin
-        count. The advice scheme may send n^(1-delta) bits before each ball,
-        and each list entry costs int_width(n-1) + int_width(balls) ~ 2 log2 n
-        bits (bin index plus count, balls = n), so the list may hold
-        n^(1-delta) / (2 log2 n) entries. The paper's abstract fixes the bit
-        budget, not this count; the exponent follows from that budget and
-        agrees with n^delta only at delta = 1/2.
-    """
-
-    n: int
-    delta: float
-    lower_L: float
-    upper_T: float
-    epsilon: float
-    advice_list_bound: float
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["log_base"] = 2
-        return d
-
-
-def theoretical_bounds(n: int, delta: float) -> TheoreticalBounds:
-    if n < 4:
-        raise ValueError("n must be >= 4 so that log2 log2 n >= 1")
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-    log_n = math.log2(n)
-    loglog_n = math.log2(log_n)
-    lower = (delta / 2) * log_n / loglog_n
-    upper = (2 * delta) * log_n / loglog_n
-    return TheoreticalBounds(
-        n=n,
-        delta=delta,
-        lower_L=lower,
-        upper_T=upper,
-        epsilon=1 / (2 * lower),
-        advice_list_bound=n ** (1 - delta) / (2 * log_n),
-    )
-
-
-def advice_threshold(n: int, delta: float) -> int:
-    """Integer overload threshold used by the advice policy: ceil(upper_T)."""
-    return max(1, math.ceil(theoretical_bounds(n, delta).upper_T))
+# Poisson tails
 
 
 @dataclass(frozen=True)

@@ -118,53 +118,10 @@ def _build_policy(args, n: int) -> Policy:
     return spec.build(n, args.delta)
 
 
-_MARGINS_KEY = '\n "worst_margins": '  # raw newlines only separate items, so this line is unique
-
-
-def _json_parts(obj: dict) -> list[str]:
-    """Pieces that join to ``json.dumps(obj, indent=1)``, byte for byte.
-
-    The pure-Python encoder that ``indent`` selects spends most of a large
-    verify report on ``worst_margins``, one two-float list per state. A
-    mapping of str keys to pairs of finite floats is written here instead,
-    by one join over ``float.__repr__``; anything else goes through
-    ``json.dumps`` whole.
-    """
-    import json
-    from itertools import chain, repeat
-    from json.encoder import encode_basestring_ascii
-
-    margins = obj.get("worst_margins")
-    if not isinstance(margins, dict) or not margins:
-        return [json.dumps(obj, indent=1)]
-    values = list(margins.values())
-    if set(map(type, values)) != {list} or set(map(len, values)) != {2}:
-        return [json.dumps(obj, indent=1)]
-    pairs = tuple(zip(*values))
-    if set(map(type, margins)) != {str} or set(map(type, chain(*pairs))) != {float}:
-        return [json.dumps(obj, indent=1)]
-    import numpy as np
-
-    floats = np.array(pairs)
-    if not np.isfinite(floats).all():
-        return [json.dumps(obj, indent=1)]  # Infinity and NaN are json's to spell
-    # states share their margins: spell each distinct float once, told apart
-    # by its bits, so that -0.0 keeps its sign
-    bits, which = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
-    spelled = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    first, second = spelled[which.reshape(floats.shape)].tolist()
-    body = "".join(chain.from_iterable(zip(
-        chain(["{\n  "], repeat(",\n  ")), map(encode_basestring_ascii, margins),
-        repeat(": [\n   "), first, repeat(",\n   "), second, repeat("\n  ]"),
-    )))
-    head, tail = json.dumps({**obj, "worst_margins": {}}, indent=1).split(_MARGINS_KEY + "{}", 1)
-    return [head, _MARGINS_KEY, body, "\n }", tail]
-
-
-def _dump(obj: dict, out: str | None) -> None:
+def _dump(parts: list[str], out: str | None) -> None:
+    """Write a JSON report's pieces to ``out``, if given, and then to stdout."""
     from . import core
 
-    parts = _json_parts(obj)
     if out:
         with core.atomic_write(out) as f:
             f.writelines(parts)
@@ -278,7 +235,7 @@ def cmd_verify(args) -> int:
         subset_seed=args.seed ^ 0x5B5E7,
         n_subsets=args.subsets,
     )
-    _dump(result.to_dict(), args.out)
+    _dump(result.json_parts(), args.out)
     return 0 if result.ok else 1
 
 
@@ -299,6 +256,8 @@ def _verify_states(args, policy, balls: int):
 
 
 def cmd_phases(args) -> int:
+    import json
+
     from . import analysis, core
 
     if not args.policy and (not args.trace_in or args.forbidden):
@@ -320,7 +279,7 @@ def cmd_phases(args) -> int:
         report = analysis.phase_report(run, pc)
     else:
         report, _ = analysis.run_phase_report(run.config, _build_policy(args, args.n), pc)
-    _dump(report.to_dict(), args.out)
+    _dump([json.dumps(report.to_dict(), indent=1)], args.out)
     return 0
 
 
@@ -333,42 +292,41 @@ def _phase_config(args) -> PhaseConfig:
 
 
 def cmd_bounds(args) -> int:
-    from . import analysis
+    import json
 
-    rows = [analysis.theoretical_bounds(n, args.delta).to_dict() for n in args.n]
-    _dump({"bounds": rows}, args.out)
+    from . import policies
+
+    rows = [policies.theoretical_bounds(n, args.delta).to_dict() for n in args.n]
+    _dump([json.dumps({"bounds": rows}, indent=1)], args.out)
     return 0
 
 
 def cmd_tail(args) -> int:
-    """Print the table, and write it with --out, a row at a time as the walk
-    yields it: the file holds the bytes ``json.dump(..., indent=1)`` gives."""
-    import contextlib
+    """Write the table with --out, then print it, each a row at a time from
+    its own walk: the file holds the bytes ``json.dump(..., indent=1)``
+    gives, and is whole before anything is printed, as ``_dump`` does."""
     import json
-    from itertools import chain
 
     from . import analysis, core
 
     if args.t_max < 0:
         print(f"tail --t-max needs a value >= 0, got {args.t_max}", file=sys.stderr)
         return 2
-    core._check_writable(args.out)  # the table is printed as it is written
-    tails = analysis._poisson_tails(args.lam, args.t_max)
-    first = next(tails)  # refuses a bad lambda before anything is written
-    with core.atomic_write(args.out) if args.out else contextlib.nullcontext() as f:
-        print(f"{'t':>4} {'tail P(X>=t)':>16} {'leading term':>16}   lambda={args.lam}")
-        if f:
+    core._check_writable(args.out)  # fail before the walk, not after it
+    next(analysis._poisson_tails(args.lam, args.t_max))  # refuses a bad lambda before any output
+    if args.out:
+        with core.atomic_write(args.out) as f:
             f.write(f'{{\n "lambda": {json.dumps(args.lam)},\n "rows": [')
-        for pt in chain([first], tails):
-            print(f"{pt.t:4d} {pt.probability:16.12f} {pt.leading_term:16.12f}")
-            if f:
+            for pt in analysis._poisson_tails(args.lam, args.t_max):
                 f.write(
                     f'{"" if pt.t == 0 else ","}\n  {{\n   "t": {pt.t},\n'
                     f'   "tail": {json.dumps(pt.probability)},\n'
                     f'   "leading_term": {json.dumps(pt.leading_term)}\n  }}'
                 )
-        if f:
             f.write("\n ]\n}\n")
+    print(f"{'t':>4} {'tail P(X>=t)':>16} {'leading term':>16}   lambda={args.lam}")
+    for pt in analysis._poisson_tails(args.lam, args.t_max):
+        print(f"{pt.t:4d} {pt.probability:16.12f} {pt.leading_term:16.12f}")
     return 0
 
 

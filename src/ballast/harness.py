@@ -16,10 +16,9 @@ from dataclasses import dataclass, fields
 
 import numpy.random  # noqa: F401  (loaded before the scan pool forks, so no worker imports it)
 
-from .analysis import theoretical_bounds
 from .core import SimConfig, _walk_counts, atomic_write, trial_seed
 from .core import simulate_run  # noqa: F401  (bench/tests checks the tracer wraps this from-import)
-from .policies import PolicySpec
+from .policies import PolicySpec, theoretical_bounds
 
 # the JSON types each scalar ExperimentSpec field accepts
 _SPEC_FIELD_TYPES = {

@@ -44,13 +44,15 @@ id column and mark new states, and the picks prove a stored trace.
 
 ``PolicySpec`` is a policy's name and parameters, as the CLI and scan
 specs give them; its ``build`` defaults advice's threshold from (n, delta).
+The closed-form bounds it comes from (``theoretical_bounds``) live here
+too, so building a policy loads no analysis.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -553,6 +555,59 @@ def default_cluster_config(n: int) -> ClusterConfig:
     return ClusterConfig(cluster_size=c, counter_cap=4 * c)
 
 
+@dataclass(frozen=True)
+class TheoreticalBounds:
+    """Closed-form reference quantities for a given n and delta (base-2 logs).
+
+    lower_L: max-load floor forced on any n^(1-delta)-bit policy.
+    upper_T: overload threshold for the advice scheme (= 4 * lower_L).
+    epsilon: 1 / (2 lower_L).
+    advice_list_bound: n^(1-delta) / (2 log2 n), the nominal overloaded-bin
+        count. The advice scheme may send n^(1-delta) bits before each ball,
+        and each list entry costs int_width(n-1) + int_width(balls) ~ 2 log2 n
+        bits (bin index plus count, balls = n), so the list may hold
+        n^(1-delta) / (2 log2 n) entries. The paper's abstract fixes the bit
+        budget, not this count; the exponent follows from that budget and
+        agrees with n^delta only at delta = 1/2.
+    """
+
+    n: int
+    delta: float
+    lower_L: float
+    upper_T: float
+    epsilon: float
+    advice_list_bound: float
+
+    def to_dict(self) -> dict:
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["log_base"] = 2
+        return d
+
+
+def theoretical_bounds(n: int, delta: float) -> TheoreticalBounds:
+    if n < 4:
+        raise ValueError("n must be >= 4 so that log2 log2 n >= 1")
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    log_n = math.log2(n)
+    loglog_n = math.log2(log_n)
+    lower = (delta / 2) * log_n / loglog_n
+    upper = (2 * delta) * log_n / loglog_n
+    return TheoreticalBounds(
+        n=n,
+        delta=delta,
+        lower_L=lower,
+        upper_T=upper,
+        epsilon=1 / (2 * lower),
+        advice_list_bound=n ** (1 - delta) / (2 * log_n),
+    )
+
+
+def advice_threshold(n: int, delta: float) -> int:
+    """Integer overload threshold used by the advice policy: ceil(upper_T)."""
+    return max(1, math.ceil(theoretical_bounds(n, delta).upper_T))
+
+
 class ClusteredPolicy(GreedyTwoChoicePolicy):
     """Sublinear-memory policy: greedy on one saturating counter per bin cluster.
 
@@ -780,7 +835,5 @@ class PolicySpec:
         """The policy for n bins; advice defaults its threshold from (n, delta)."""
         params = dict(self.params)
         if self.name == "advice" and "threshold" not in params:
-            from .analysis import advice_threshold
-
             params["threshold"] = advice_threshold(n, delta)
         return make_policy(self.name, **params)

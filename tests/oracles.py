@@ -18,11 +18,13 @@ needs: a trace's steps as records (``records``), one state's numerators
 (``exact_placement_probs``, through the program's ``_numerator_blocks``),
 its forbidden set (by the program's cut), a bin's key as the rule reads
 it (``rank_keys``), the tail at one t (the last row of the program's
-``_poisson_tails``) and the advice list-size check.
+``_poisson_tails``), the advice list-size check and a sweep's margins
+by state id and its report as a dict (``margins_by_id``, ``sweep_report``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -277,7 +279,7 @@ def exact_placement_probs(policy, n: int, state=None) -> PlacementProbs:
     elif getattr(policy, "n", None) != n:
         raise ValueError("policy is not bound to this n; reset it or pass a state")
     ((sids, nums, _),) = analysis._numerator_blocks(policy, n, policy.snapshot()[None], ids=True)
-    return PlacementProbs(n=n, memory_state_id=sids[0], numerators=tuple(nums[0].tolist()))
+    return PlacementProbs(n=n, memory_state_id=int(sids[0]), numerators=tuple(nums[0].tolist()))
 
 
 def forbidden_set(p: PlacementProbs, epsilon) -> frozenset[int]:
@@ -438,3 +440,22 @@ def bin_weight_margins(nums: np.ndarray, n: int, eps) -> tuple[list, list, list]
     subset = [float(Fraction(int(x), 2 * q * n * n)) for x in w.min(axis=1)]
     size = [float(Fraction(pe * n - q * int(f), q)) for f in fsize]
     return fsize.tolist(), subset, size
+
+
+# the verify report as the tests read it
+
+
+def margins_by_id(result) -> dict[int, list[float]]:
+    """A sweep's margins by state id: {id: [subset, size]}."""
+    return dict(zip(result.state_ids.tolist(), result.worst_margins.tolist()))
+
+
+def sweep_report(result) -> dict:
+    """The verify report as a dict, which ``json.dumps(..., indent=1)``
+    spells as the report's own writer does where the state ids are
+    distinct: the fields above ``state_ids``, the margins keyed by the
+    decimal id, then ``ok``."""
+    report = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)[:-2]}
+    report["worst_margins"] = {str(k): v for k, v in margins_by_id(result).items()}
+    report["ok"] = result.ok
+    return report

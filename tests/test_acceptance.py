@@ -67,7 +67,7 @@ def test_criterion_1_exhaustive_bound_verification():
     total_states = 0
     for name, policy, sts in jobs:
         res = sweep_placement_bounds(policy, n, sts, n_subsets=1000, subset_seed=0xF00D)
-        assert res.ok, f"{name} violated placement bounds: {res.to_dict()}"
+        assert res.ok, f"{name} violated placement bounds: {''.join(res.json_parts())}"
         total_states += res.states_checked
     assert total_states == 4 + math.comb(16, 8)
 

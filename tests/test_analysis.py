@@ -54,6 +54,7 @@ from oracles import (
     floats,
     forbidden_set,
     fractions,
+    margins_by_id,
     new_states,
     pair_walk,
     play,
@@ -63,6 +64,7 @@ from oracles import (
     rank_keys,
     records,
     replay,
+    sweep_report,
 )
 
 
@@ -223,7 +225,7 @@ def test_sweep_agrees_with_single_checks():
             size_margin = min(rep.forbidden_limit - rep.forbidden_size for rep in reports)
             assert subset_margin >= 0  # P(S) >= eps |S \ F| / n holds by F's definition
             margins = [float(subset_margin), float(size_margin)]
-            assert res.worst_margins[pp.memory_state_id] == margins, name
+            assert margins_by_id(res)[pp.memory_state_id] == margins, name
 
 
 def test_sweep_refuses_epsilons_it_cannot_sum_exactly():
@@ -243,7 +245,7 @@ def test_sweep_refuses_epsilons_it_cannot_sum_exactly():
         check_placement_bounds(pp, finest, {i for i in range(n) if row[i]})
         for row in rows
     ]
-    assert res.worst_margins[pp.memory_state_id][0] == float(min(r.lhs - r.rhs for r in reports))
+    assert margins_by_id(res)[pp.memory_state_id][0] == float(min(r.lhs - r.rhs for r in reports))
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -265,10 +267,10 @@ def test_exact_sweep_takes_every_epsilon_int64_holds():
     sid, num = p.state_id(), pair_walk(p, n)[0]
     eps = Fraction(3109495313124920, 3866500249534617)  # 4 q n^2 > 2^57
     res = sweep_placement_bounds(p, n, [state], epsilons=[eps])
-    assert res.ok and res.worst_margins[sid][0] == 0.1875 == float(_brute_subset_margin(num, n, eps))
+    assert res.ok and margins_by_id(res)[sid][0] == 0.1875 == float(_brute_subset_margin(num, n, eps))
     finest = Fraction(1, 2**58 - 1)  # 2 q n^2 = 2^63 - 32
     res = sweep_placement_bounds(p, n, [state], epsilons=[finest])
-    assert res.worst_margins[sid] == [float(_brute_subset_margin(num, n, finest)), float(finest * n)]
+    assert margins_by_id(res)[sid] == [float(_brute_subset_margin(num, n, finest)), float(finest * n)]
     with pytest.raises(ValueError, match="needs 2 q n\\^2 < 2\\^63"):
         sweep_placement_bounds(p, n, [state], epsilons=[Fraction(1, 2**58)])
     with pytest.raises(ValueError, match="needs 4 q n\\^2 < 2\\^53"):
@@ -387,7 +389,7 @@ def test_sweep_reports_margins_per_state():
     p = _bound_policy("one-choice", n)
     res = sweep_placement_bounds(p, n, [p.snapshot()])
     assert len(res.worst_margins) == 1
-    (margins,) = res.worst_margins.values()
+    (margins,) = margins_by_id(res).values()
     assert margins[0] >= 0 and margins[1] >= 0
 
 
@@ -421,7 +423,7 @@ def test_exact_subset_margin_is_the_minimum_over_every_subset(name):
             res = sweep_placement_bounds(p, n, states, epsilons=[eps])
             assert res.n_subsets is None and res.subset_violations == 0
             for sid, num in oracle.items():
-                assert res.worst_margins[sid][0] == float(_brute_subset_margin(num, n, eps)), (n, eps)
+                assert margins_by_id(res)[sid][0] == float(_brute_subset_margin(num, n, eps)), (n, eps)
 
 
 def test_a_negative_numerator_is_an_internal_error(monkeypatch):
@@ -483,7 +485,7 @@ def test_sorted_margins_equal_the_per_bin_arithmetic(case):
     fsize, subset, size = bin_weight_margins(nums, n, eps)
     for state, margins in zip(states, zip(subset, size)):
         p.restore(state)
-        assert res.worst_margins[p.state_id()] == list(margins)
+        assert margins_by_id(res)[p.state_id()] == list(margins)
     assert res.size_violations == sum(eps.denominator * f > eps.numerator * n for f in fsize)
     assert res.subset_violations == 0
 
@@ -545,7 +547,7 @@ def test_sampled_cross_check_holds_one_block_of_rows(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert blocked.to_dict() == whole.to_dict()
+    assert sweep_report(blocked) == sweep_report(whole)
     assert blocked.n_subsets == count and blocked.ok
     assert peak < 8 * n * count / 4  # the int64 matrix alone takes 8 n count bytes
 
@@ -564,6 +566,31 @@ def test_sweep_holds_one_block_of_states():
         tracemalloc.stop()
     assert res.ok and res.states_checked == len(res.worst_margins) == count
     assert peak < 8 * count * n
+
+
+def test_sweep_and_report_hold_arrays_not_a_dict():
+    """The sweep keeps its ids and margins as arrays, and the report spells
+    them straight from the arrays: sweep plus report over the 20,001
+    states of a greedy probe at n = 256 peak below 300 B a state, where a
+    dict of Python lists and its report took about 540."""
+    n, balls = 256, 20_000
+    p = make_policy("greedy")
+
+    def swept():
+        res = sweep_placement_bounds(p, n, probe_states(p, n, balls, 7, max_states=balls + 1))
+        return res, res.json_parts()
+
+    swept()  # warm-up: imports and first-call caches
+    tracemalloc.start()
+    try:
+        res, _ = swept()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.states_checked == balls + 1
+    assert res.state_ids.dtype == np.uint64 and res.state_ids.shape == (balls + 1,)
+    assert res.worst_margins.dtype == np.float64 and res.worst_margins.shape == (balls + 1, 2)
+    assert peak < 300 * (balls + 1)
 
 
 def test_probed_states_are_swept_one_block_at_a_time():
@@ -775,7 +802,7 @@ def test_sweep_cuts_a_large_grid_into_bounded_slices(monkeypatch):
             result = sweep_placement_bounds(
                 ClusteredPolicy(ClusterConfig(2, 8)), 16, states, epsilons=grid, n_subsets=3
             )
-            return result.to_dict(), tracemalloc.get_traced_memory()[1]
+            return sweep_report(result), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
@@ -988,7 +1015,7 @@ def _check_forbidden_against_fractions(build, n, trace, eps, sweep=True):
     for snap, num in walked:
         p.restore(snap)
         size_margin = eps * n - len(_forbidden_oracle(num, n, eps))
-        assert res.worst_margins[p.state_id()][1] == float(size_margin)
+        assert margins_by_id(res)[p.state_id()][1] == float(size_margin)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1015,7 +1042,7 @@ def test_a_bin_exactly_at_eps_over_n_stays_outside_f():
     assert fractions(pp)[0] == Fraction(1, 2) / 2
     assert forbidden_set(pp, Fraction(1, 2)) == frozenset()
     res = sweep_placement_bounds(p, 2, [p.snapshot()], epsilons=[Fraction(1, 2)])
-    assert res.ok and list(res.worst_margins.values()) == [[0.0, 1.0]]  # w_0 = 0: margin 0
+    assert res.ok and list(margins_by_id(res).values()) == [[0.0, 1.0]]  # w_0 = 0: margin 0
 
 
 @pytest.mark.parametrize("q", [2**62, 2**63, 2**64, 2**89 - 1])  # the last is prime

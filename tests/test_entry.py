@@ -135,14 +135,20 @@ BROKEN_PIPE = (2, "error: [Errno 32] Broken pipe\n")
 @pytest.mark.parametrize("argv, expected", [
     (["bounds", "--n", "16"], BROKEN_PIPE),
     (["tail"], BROKEN_PIPE),
+    (["tail", "--lam", "3", "--out", "OUT"], BROKEN_PIPE),
     (["verify", "--policy", "clustered", "--n", "16"], BROKEN_PIPE),
     (["--help"], (0, "")),
-], ids=["bounds", "tail", "verify", "help"])
-def test_closed_stdout_takes_the_normal_exit(argv, expected, unbuffered):
+], ids=["bounds", "tail", "tail-out", "verify", "help"])
+def test_closed_stdout_takes_the_normal_exit(tmp_path, argv, expected, unbuffered):
     """Output that cannot reach stdout exits 2 with one error line, as a
     failed write inside main does; --help exits 0, as argparse ignores its
-    failed write. Never Python's exit 120 with "Exception ignored"."""
-    assert _closed_stdout(argv, unbuffered) == expected
+    failed write. Never Python's exit 120 with "Exception ignored". A file
+    asked for is written whole first, so it holds what main writes."""
+    out, normal = tmp_path / "out.json", tmp_path / "normal.json"
+    assert _closed_stdout([str(out) if a == "OUT" else a for a in argv], unbuffered) == expected
+    if "OUT" in argv:
+        assert _in_process([str(normal) if a == "OUT" else a for a in argv])[0] == 0
+        assert out.read_bytes() == normal.read_bytes()
 
 
 # each command at a small and a large size; TRACE is a stored trace of that size

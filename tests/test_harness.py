@@ -4,11 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +27,10 @@ from ballast import (
     trial_seed,
     write_trace_csv,
 )
-from ballast import analysis, cli, core, harness
+from ballast import analysis, core, harness
 from ballast.cli import main, parse_epsilon_grid
+
+from oracles import sweep_report
 
 
 def small_spec(**over):
@@ -452,6 +454,25 @@ def test_cli_verify_illegal_policy_nonzero_exit(capsys):
     # target 0: every pair without bin 0 is a violation, the first is (1, 1)
     assert report["support_violations"] == 49
     assert report["violation_samples"][0] == {"kind": "support", "state": 0, "sample": [[1, 1], 0]}
+
+
+def test_verify_keeps_only_the_samples_it_prints(capsys):
+    """Every violation is counted, but the sweep keeps only the first 50:
+    the support violation, then the size violations epsilon by epsilon.
+    |F| = 7 at every epsilon k/101, over eps n = 8k/101 for k <= 88."""
+    p = make_policy("illegal-fixture")
+    p.reset(8, 8)
+    grid = [Fraction(k, 101) for k in range(1, 101)]
+    res = analysis.sweep_placement_bounds(p, 8, [p.snapshot()], epsilons=grid)
+    assert (res.support_violations, res.size_violations, len(res.violation_samples)) == (49, 88, 50)
+    assert main(["verify", "--policy", "illegal-fixture", "--n", "8",
+                 "--epsilon-grid", "1/101:100/101:1/101"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["support_violations"], report["size_violations"]) == (49, 88)
+    assert report["violation_samples"] == [
+        {"kind": "support", "state": 0, "sample": [[1, 1], 0]},
+        *({"kind": "size", "state": 0, "epsilon": k / 101, "F": 7} for k in range(1, 50)),
+    ]
 
 
 def test_cli_verify_greedy_probe_states():
@@ -954,28 +975,37 @@ def test_parse_epsilon_grid():
 
 
 _margin = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e16, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1]),  # drawn again and again
 )
-_pairs = st.lists(_margin, min_size=2, max_size=2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    margins=st.one_of(
-        st.just({}),
-        st.dictionaries(st.integers(0, 2**64 - 1).map(str), _pairs, max_size=20),
-        st.dictionaries(st.text(max_size=6), _pairs, max_size=5),
-        # shapes the report never has, which go through json.dumps whole
-        st.dictionaries(st.text(max_size=3), st.lists(st.one_of(_margin, st.integers()), max_size=3), max_size=4),
-    ),
+    ids=st.one_of(st.lists(st.integers(0, 2**64 - 1), max_size=20),
+                  st.lists(st.integers(0, 3), max_size=6)),  # repeated ids
     policy=st.text(max_size=8),
-    last=st.booleans(),
+    ok=st.booleans(),
+    block=st.integers(1, 4),
+    data=st.data(),
 )
-def test_report_writer_equals_json_dumps(margins, policy, last):
-    report = {"policy": policy, "n": 4, "epsilons": [0.5], "violation_samples": [{"kind": "size", "F": 1}]}
-    report["worst_margins"] = margins
-    if not last:
-        report["ok"] = True
-    assert "".join(cli._json_parts(report)) == json.dumps(report, indent=1)
-    assert cli._json_parts({"bounds": [{"n": 4}]}) == [json.dumps({"bounds": [{"n": 4}]}, indent=1)]
+def test_report_writer_equals_json_dumps(ids, policy, ok, block, data):
+    """The report's own writer, a block of states to a piece, spells what
+    ``json.dumps(..., indent=1)`` spells for its dict view, zero states
+    included, wherever the ids are distinct; a repeated id keeps every
+    entry, in check order."""
+    pair = st.lists(_margin, min_size=2, max_size=2)
+    margins = data.draw(st.lists(pair, min_size=len(ids), max_size=len(ids)))
+    result = analysis.SweepResult(
+        policy=policy, n=4, states_checked=len(ids), epsilons=[0.5], n_subsets=None,
+        size_violations=int(not ok),
+        violation_samples=[{"kind": "size", "state": 3, "epsilon": 0.5, "F": 1}],
+        state_ids=np.array(ids, dtype=np.uint64),
+        worst_margins=np.array(margins, dtype=np.float64).reshape(-1, 2),
+    )
+    with mock.patch.object(analysis, "_BLOCK", block):
+        text = "".join(result.json_parts())
+    if len(set(ids)) == len(ids):
+        assert text == json.dumps(sweep_report(result), indent=1)
+    entries = dict(json.loads(text, object_pairs_hook=list))["worst_margins"]
+    assert [(int(k), v) for k, v in entries] == list(zip(ids, margins))

@@ -57,6 +57,9 @@ PARSER_ONLY = ("ballast.analysis", "ballast.harness", "concurrent.futures", "mul
 # only scan needs the harness; PolicySpec lives with the policies
 RUN = ("ballast.analysis", "ballast.harness", "concurrent.futures")
 REPORT = ("ballast.harness", "concurrent.futures")
+# a scan builds its policies, advice's threshold too, with no analysis, and
+# one job starts no pool
+SCAN = ("ballast.analysis", "concurrent.futures")
 
 
 def _fresh(script: str, argv) -> dict:
@@ -84,6 +87,7 @@ def trace_path(tmp_path_factory):
         (["run", "--policy", "greedy", "--n", "64"], "ballast.core", RUN),
         (["run", "--policy", "clustered", "--n", "64"], "ballast.core", RUN),
         (["run", "--policy", "one-choice", "--n", "64"], "ballast.core", RUN),
+        (["run", "--policy", "advice", "--n", "64"], "ballast.core", RUN),
         (["run", "--policy", "greedy", "--n", "64", "--trace-out", "OUT"], "ballast.core", RUN),
         (["phases", "--policy", "greedy", "--n", "64", "--phases", "2", "--forbidden"],
          "ballast.analysis", REPORT),
@@ -91,9 +95,12 @@ def trace_path(tmp_path_factory):
          REPORT),
         (["verify", "--policy", "clustered", "--n", "8"], "ballast.analysis", REPORT),
         (["verify", "--policy", "greedy", "--n", "16"], "ballast.analysis", REPORT),
+        (["scan", "--policy", "advice", "--policy", "clustered", "--n", "64", "--trials", "1",
+          "--out", "OUT"], "ballast.harness", SCAN),
     ],
-    ids=["parser", "run-greedy", "run-clustered", "run-one-choice", "run-trace-out",
-         "phases-forbidden", "phases-trace-in", "verify-clustered", "verify-greedy"],
+    ids=["parser", "run-greedy", "run-clustered", "run-one-choice", "run-advice",
+         "run-trace-out", "phases-forbidden", "phases-trace-in", "verify-clustered",
+         "verify-greedy", "scan"],
 )
 def test_command_loads_only_what_it_runs(trace_path, tmp_path, argv, loaded, absent):
     if argv is not None:
